@@ -44,6 +44,7 @@ from .fock import (
     HalfWavePlate,
     ModeLayout,
     OpticalCircuit,
+    OpticalParseError,
     OpticalState,
     PolarizingBeamsplitter,
     VacuumAttenuator,

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
 import numpy as np
 
-from . import optical
 from .optical import (
     ChainParameters,
     deterministic_ts_gate,
@@ -99,7 +99,7 @@ def cmd_simulate_optical(args) -> int:
         summary = _realization_summary(realization, {"residual_vs_diag(1,1,1,-1)": residual})
         ok = residual < tol
     elif args.which == "heralded":
-        cs = Fraction(args.cs_success)
+        cs = args.cs_success
         realization = heralded_ts_gate(cs_success=cs)
         expected_total = cs * cs * Fraction(1, 2)
         ok = realization.success_probability == expected_total
@@ -160,28 +160,61 @@ def cmd_report_all(args) -> int:
     return PASS if report.all_ok else FAIL
 
 
+def _int_at_least(lowest: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
+        return value
+    return parse
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
+def _probability(text: str) -> Fraction:
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a fraction such as 1/4, got {text!r}") from None
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qudit-toffoli",
         description="Verify qudit-assisted Toffoli constructions and their optical realizations.")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--out", help="write output to this file instead of stdout")
-    parser.add_argument("--tol", type=float, default=1e-10,
+    parser.add_argument("--tol", type=_positive_float, default=1e-10,
                         help="verification tolerance (default 1e-10)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_toffoli = sub.add_parser("verify-toffoli", help="check the n-control construction")
-    p_toffoli.add_argument("--n", type=int, required=True, help="number of controls (>= 2)")
+    p_toffoli.add_argument("--n", type=_int_at_least(2), required=True,
+                           help="number of controls (>= 2)")
     p_toffoli.set_defaults(func=cmd_verify_toffoli)
 
     p_optical = sub.add_parser("simulate-optical", help="simulate one optical construction")
     p_optical.add_argument("which", choices=("kerr", "heralded", "postselected-cs", "chained"))
-    p_optical.add_argument("--cs-success", default="1/4",
+    p_optical.add_argument("--cs-success", type=_probability, default="1/4",
                            help="heralded C-S success probability as a fraction (default 1/4)")
     p_optical.add_argument("--params-file",
                            help="verify this reflectivity file instead of solving")
     p_optical.add_argument("--seed", type=int, default=20070, help="solver multistart seed")
-    p_optical.add_argument("--starts", type=int, default=16, help="solver restarts")
+    p_optical.add_argument("--starts", type=_int_at_least(1), default=16, help="solver restarts")
     p_optical.set_defaults(func=cmd_simulate_optical)
 
     p_report = sub.add_parser("report-all", help="full comparison table")
@@ -192,10 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify-toffoli" and args.n < 2:
-        parser.error("--n must be at least 2")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except FileNotFoundError as exc:

@@ -24,6 +24,12 @@ Conventions, fixed once and used everywhere:
 * A cross-Kerr element multiplies each basis amplitude by
   exp(i * chi * n_a * n_b); it is diagonal and not a mode-linear element.
 
+Every element has one route into Fock space, `element.fock_operator(basis)`:
+a sparse matrix built once per call, with a cross-Kerr as a diagonal.
+`element.apply` multiplies by it and `circuit_fock_operator` is the product
+of the element operators.  The polarizing beamsplitter's relabelling `apply`
+is kept as a check on the lift of its permutation block.
+
 Two independent routes compute multi-photon amplitudes: `lift_to_fock`
 expands products of creation-operator linear forms, while
 `permanent_amplitude_oracle` evaluates scaled matrix permanents directly.
@@ -39,6 +45,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import numpy as np
+from scipy import sparse
 
 from .qudits import PureState, WireDims
 
@@ -148,9 +155,33 @@ class OpticalElement:
         mat[np.ix_(modes, modes)] = block
         return mat
 
-    def apply(self, state: OpticalState) -> OpticalState:
+    def fock_operator(self, basis: FockBasis) -> sparse.csr_matrix:
+        """Sparse many-photon operator on `basis`.  Basis states are grouped
+        by the photon count inside the block's modes; each group is moved by
+        the lift of the block at that count, the other modes unchanged."""
         modes, block = self.mode_block()
-        return _apply_mode_block(state, modes, block)
+        lifts: dict[int, tuple[FockBasis, np.ndarray]] = {}
+        rows, cols, vals = [], [], []
+        for col, occ in enumerate(basis.states):
+            inner = tuple(occ[i] for i in modes)
+            n_inner = sum(inner)
+            if n_inner not in lifts:
+                sub_basis = FockBasis(len(modes), n_inner)
+                lifts[n_inner] = (sub_basis, lift_to_fock(block, sub_basis))
+            sub_basis, lifted = lifts[n_inner]
+            out = list(occ)
+            for sub_occ, c in zip(sub_basis.states, lifted[:, sub_basis.index_of(inner)]):
+                if c == 0:
+                    continue
+                for mode, n in zip(modes, sub_occ):
+                    out[mode] = n
+                rows.append(basis.index_of(out))
+                cols.append(col)
+                vals.append(c)
+        return sparse.csr_matrix((vals, (rows, cols)), shape=(basis.size, basis.size), dtype=complex)
+
+    def apply(self, state: OpticalState) -> OpticalState:
+        return OpticalState(state.basis, self.fock_operator(state.basis) @ state.amps)
 
 
 @dataclass(frozen=True)
@@ -259,12 +290,17 @@ class CrossKerr(OpticalElement):
     def mode_block(self):
         raise TypeError("cross-Kerr is not a mode-linear element")
 
-    def apply(self, state: OpticalState) -> OpticalState:
+    def _phases(self, basis: FockBasis) -> np.ndarray:
         a, b = self.modes
-        phases = np.array([
+        return np.array([
             np.exp(1j * self.chi * occ[a] * occ[b]) if occ[a] and occ[b] else 1.0
-            for occ in state.basis.states])
-        return OpticalState(state.basis, state.amps * phases)
+            for occ in basis.states], dtype=complex)
+
+    def fock_operator(self, basis: FockBasis) -> sparse.csr_matrix:
+        return sparse.diags(self._phases(basis), format="csr")
+
+    def apply(self, state: OpticalState) -> OpticalState:
+        return OpticalState(state.basis, state.amps * self._phases(state.basis))
 
 
 # ---------------------------------------------------------------------------
@@ -333,41 +369,6 @@ def lift_to_fock(mode_matrix: np.ndarray, basis: FockBasis) -> np.ndarray:
     return out
 
 
-def _apply_mode_block(state: OpticalState, modes, block: np.ndarray) -> OpticalState:
-    """Apply a small mode-linear block to a state without building the full
-    lifted operator: basis states are grouped by the photon count inside the
-    block and transformed by cached two-mode (or k-mode) lifts."""
-    basis = state.basis
-    modes = list(modes)
-    k = len(modes)
-    others = [i for i in range(basis.m) if i not in modes]
-    amps = np.zeros_like(state.amps)
-    lift_cache: dict[int, tuple[FockBasis, np.ndarray]] = {}
-    for idx, occ in enumerate(basis.states):
-        a = state.amps[idx]
-        if a == 0:
-            continue
-        inner = tuple(occ[i] for i in modes)
-        n_inner = sum(inner)
-        if n_inner == 0:
-            amps[idx] += a
-            continue
-        if n_inner not in lift_cache:
-            sub_basis = FockBasis(k, n_inner)
-            lift_cache[n_inner] = (sub_basis, lift_to_fock(block, sub_basis))
-        sub_basis, lifted = lift_cache[n_inner]
-        col = lifted[:, sub_basis.index_of(inner)]
-        base = list(occ)
-        for row, sub_occ in enumerate(sub_basis.states):
-            c = col[row]
-            if c == 0:
-                continue
-            for mode, n in zip(modes, sub_occ):
-                base[mode] = n
-            amps[basis.index_of(tuple(base))] += a * c
-    return OpticalState(basis, amps)
-
-
 def apply_elements(state: OpticalState, elements) -> OpticalState:
     for el in elements:
         state = el.apply(state)
@@ -376,30 +377,10 @@ def apply_elements(state: OpticalState, elements) -> OpticalState:
 
 def circuit_fock_operator(elements, basis: FockBasis) -> np.ndarray:
     """Dense many-photon operator of an ordered element list (Kerr included)."""
-    out = np.eye(basis.size, dtype=complex)
-    for col in range(basis.size):
-        state = OpticalState(basis, out[:, col].copy())
-        out[:, col] = apply_elements(state, elements).amps
-    return out
-
-
-# convenience wrappers matching the way circuits are described in the text
-
-def apply_kerr(state: OpticalState, chi: float, mode_a: int, mode_b: int) -> OpticalState:
-    return CrossKerr(chi, (mode_a, mode_b)).apply(state)
-
-
-def apply_hwp(state: OpticalState, theta: float, mode_h: int, mode_v: int) -> OpticalState:
-    return HalfWavePlate(theta, (mode_h, mode_v)).apply(state)
-
-
-def apply_pbs(state: OpticalState, path1, path2) -> OpticalState:
-    return PolarizingBeamsplitter(tuple(path1), tuple(path2)).apply(state)
-
-
-def apply_beamsplitter(state: OpticalState, eta, mode_1: int, mode_2: int,
-                       dotted: int | None = None) -> OpticalState:
-    return Beamsplitter(eta, (mode_1, mode_2), dotted).apply(state)
+    op = sparse.identity(basis.size, dtype=complex, format="csr")
+    for el in elements:
+        op = el.fock_operator(basis) @ op
+    return op.toarray()
 
 
 # ---------------------------------------------------------------------------
@@ -680,11 +661,15 @@ def parse_optical_circuit(text: str) -> OpticalCircuit:
             continue
         parts = line.split()
         kind = parts[0].lower()
-        if kind == "modes":
-            m = int(parts[1])
-            continue
-        if kind == "photons":
-            n_photons = int(parts[1])
+        if kind in ("modes", "photons"):
+            lowest = 1 if kind == "modes" else 0
+            if len(parts) != 2 or not re.fullmatch(r"\d+", parts[1]) or int(parts[1]) < lowest:
+                raise OpticalParseError(
+                    line_no, f"{kind} needs one integer >= {lowest}, got {' '.join(parts[1:])!r}")
+            if kind == "modes":
+                m = int(parts[1])
+            else:
+                n_photons = int(parts[1])
             continue
         if m is None or n_photons is None:
             raise OpticalParseError(line_no, "'modes' and 'photons' must come first")

@@ -40,6 +40,25 @@ def test_verify_toffoli_usage_error_for_n1():
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate-optical", "heralded", "--cs-success", "abc"],
+    ["simulate-optical", "heralded", "--cs-success", "1/0"],
+    ["simulate-optical", "heralded", "--cs-success", "2"],
+    ["simulate-optical", "heralded", "--cs-success", "0"],
+    ["simulate-optical", "chained", "--starts", "0"],
+    ["--tol", "-1", "verify-toffoli", "--n", "2"],
+    ["--tol", "nan", "verify-toffoli", "--n", "2"],
+    ["verify-toffoli", "--n", "two"],
+])
+def test_bad_values_are_one_line_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+
+
 def test_unknown_construction_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main(["simulate-optical", "warp-drive"])

@@ -13,15 +13,13 @@ from qudit_toffoli.fock import (
     HADAMARD_HWP_ANGLE,
     HalfWavePlate,
     ModeLayout,
+    ORACLE_TOL,
     OpticalParseError,
     OpticalState,
     PhotonNumberError,
     PolarizingBeamsplitter,
     VacuumAttenuator,
     apply_elements,
-    apply_hwp,
-    apply_kerr,
-    apply_pbs,
     circuit_fock_operator,
     exhaustive_patterns,
     lift_to_fock,
@@ -186,14 +184,14 @@ def test_lift_rejects_non_unitary_input():
 def test_kerr_pi_flips_doubly_occupied_pair():
     basis = FockBasis(2, 2)
     state = OpticalState.fock(basis, (1, 1))
-    out = apply_kerr(state, np.pi, 0, 1)
+    out = CrossKerr(np.pi, (0, 1)).apply(state)
     assert abs(out.amplitude((1, 1)) + 1.0) < 1e-14
 
 
 def test_kerr_identity_when_either_mode_empty():
     basis = FockBasis(3, 2)
     state = OpticalState.fock(basis, (2, 0, 0))
-    out = apply_kerr(state, np.pi, 0, 1)
+    out = CrossKerr(np.pi, (0, 1)).apply(state)
     assert np.allclose(out.amps, state.amps)
 
 
@@ -201,7 +199,7 @@ def test_kerr_zero_strength_is_identity():
     rng = np.random.default_rng(6)
     basis = FockBasis(3, 2)
     state = _random_state(basis, rng)
-    assert np.allclose(apply_kerr(state, 0.0, 0, 2).amps, state.amps)
+    assert np.allclose(CrossKerr(0.0, (0, 2)).apply(state).amps, state.amps)
 
 
 def test_kerr_operator_is_diagonal():
@@ -212,9 +210,9 @@ def test_kerr_operator_is_diagonal():
 
 def test_hwp_at_hadamard_angle():
     basis = FockBasis(2, 1)
-    d = apply_hwp(OpticalState.fock(basis, (1, 0)), HADAMARD_HWP_ANGLE, 0, 1)
+    d = HalfWavePlate(HADAMARD_HWP_ANGLE, (0, 1)).apply(OpticalState.fock(basis, (1, 0)))
     assert np.allclose(d.amps, [1 / np.sqrt(2), 1 / np.sqrt(2)])
-    a = apply_hwp(OpticalState.fock(basis, (0, 1)), HADAMARD_HWP_ANGLE, 0, 1)
+    a = HalfWavePlate(HADAMARD_HWP_ANGLE, (0, 1)).apply(OpticalState.fock(basis, (0, 1)))
     assert np.allclose(a.amps, [1 / np.sqrt(2), -1 / np.sqrt(2)])
 
 
@@ -226,9 +224,9 @@ def test_hwp_at_zero_degrees():
 def test_pbs_routes_v_and_keeps_h():
     basis = FockBasis(4, 1)
     v1 = OpticalState.fock(basis, (0, 1, 0, 0))
-    assert abs(apply_pbs(v1, (0, 1), (2, 3)).amplitude((0, 0, 0, 1)) - 1) < 1e-15
+    assert abs(PolarizingBeamsplitter((0, 1), (2, 3)).apply(v1).amplitude((0, 0, 0, 1)) - 1) < 1e-15
     h1 = OpticalState.fock(basis, (1, 0, 0, 0))
-    assert abs(apply_pbs(h1, (0, 1), (2, 3)).amplitude((1, 0, 0, 0)) - 1) < 1e-15
+    assert abs(PolarizingBeamsplitter((0, 1), (2, 3)).apply(h1).amplitude((1, 0, 0, 0)) - 1) < 1e-15
 
 
 def test_pbs_twice_restores_dual_rail_qubit():
@@ -238,7 +236,8 @@ def test_pbs_twice_restores_dual_rail_qubit():
     amps[basis.index_of((1, 0, 0, 0))] = 0.6
     amps[basis.index_of((0, 1, 0, 0))] = 0.8j
     state = OpticalState(basis, amps)
-    out = apply_pbs(apply_pbs(state, (0, 1), (2, 3)), (0, 1), (2, 3))
+    pbs = PolarizingBeamsplitter((0, 1), (2, 3))
+    out = pbs.apply(pbs.apply(state))
     assert np.max(np.abs(out.amps - state.amps)) < 1e-15
 
 
@@ -265,6 +264,53 @@ def test_element_operators_are_unitary():
                CrossKerr(2.0, (0, 3)), PolarizingBeamsplitter((0, 1), (2, 3))]:
         op = circuit_fock_operator([el], basis)
         assert np.max(np.abs(op.conj().T @ op - np.eye(basis.size))) < 1e-12
+
+
+ELEMENT_KINDS = ("bs", "atten", "hwp", "pbs", "kerr")
+MODE_LINEAR_KINDS = ("bs", "atten", "hwp", "pbs")
+
+
+def _random_element(rng, m, kind):
+    a, b, c, d = (int(x) for x in rng.permutation(m)[:4])
+    if kind == "bs":
+        return Beamsplitter(float(rng.uniform()), (a, b), (None, a, b)[rng.integers(3)])
+    if kind == "atten":
+        return VacuumAttenuator(float(rng.uniform()), a, b)
+    if kind == "hwp":
+        return HalfWavePlate(float(rng.uniform(0.0, np.pi)), (a, b))
+    if kind == "pbs":
+        return PolarizingBeamsplitter((a, b), (c, d))
+    return CrossKerr(float(rng.uniform(0.0, 2 * np.pi)), (a, b))
+
+
+def test_element_apply_matches_its_fock_operator():
+    # pins the polarizing beamsplitter's relabelling against the lift of its
+    # permutation block, and the cross-Kerr phases against its diagonal
+    rng = np.random.default_rng(21)
+    for shape in [(4, 2), (5, 3), (8, 3)]:
+        basis = FockBasis(*shape)
+        for kind in ELEMENT_KINDS:
+            for _ in range(3):
+                el = _random_element(rng, basis.m, kind)
+                state = _random_state(basis, rng)
+                want = el.fock_operator(basis) @ state.amps
+                assert np.max(np.abs(el.apply(state).amps - want)) < 1e-12
+
+
+def test_circuit_operator_matches_lift_and_permanent_oracle():
+    rng = np.random.default_rng(22)
+    for shape in [(4, 2), (5, 3), (8, 3)]:
+        basis = FockBasis(*shape)
+        for _ in range(4):
+            elements = [_random_element(rng, basis.m, str(rng.choice(MODE_LINEAR_KINDS)))
+                        for _ in range(int(rng.integers(1, 9)))]
+            op = circuit_fock_operator(elements, basis)
+            mode = single_photon_transfer(elements, basis.m)
+            assert np.max(np.abs(op - lift_to_fock(mode, basis))) < 1e-12
+            for _ in range(15):
+                i, j = rng.integers(basis.size, size=2)
+                oracle = permanent_amplitude_oracle(mode, basis.states[j], basis.states[i])
+                assert abs(op[i, j] - oracle) < ORACLE_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -392,3 +438,10 @@ def test_parse_optical_errors_carry_line_numbers():
         parse_optical_circuit("modes 2\nphotons 1\nbs 0.5 0 9\n")
     with pytest.raises(OpticalParseError, match="modes"):
         parse_optical_circuit("bs 0.5 0 1\n")
+    for text, where in [("modes\nphotons 1\n", "line 1"),
+                        ("modes x\nphotons 1\n", "line 1"),
+                        ("modes 0\nphotons 1\n", "line 1"),
+                        ("modes 2\nphotons -1\n", "line 2"),
+                        ("modes 2\nphotons\n", "line 2")]:
+        with pytest.raises(OpticalParseError, match=where):
+            parse_optical_circuit(text)
