@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -26,9 +27,19 @@ from .optical import (
     verify_chain_parameters,
 )
 from .report import build_report
-from .toffoli import build_n_ts_circuit, expected_flipped_component, oracle_n_toffoli_sign, verify_decomposition
+from .toffoli import (
+    build_n_ts_circuit,
+    expected_flipped_component,
+    oracle_n_toffoli_sign,
+    verification_bytes,
+    verify_decomposition,
+)
 
 PASS, FAIL, USAGE = 0, 1, 2
+
+
+class UsageError(Exception):
+    """Bad input found after argument parsing; `main` reports it in one line, exit 2."""
 
 
 def _emit(text: str, args) -> None:
@@ -45,7 +56,20 @@ def _format_fraction(value) -> str:
     return f"{float(value):.9f}"
 
 
+def _read_chain_params(path: str) -> ChainParameters:
+    try:
+        with open(path) as fh:
+            return ChainParameters.from_json(fh.read())
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{path}: {exc}") from None
+
+
 def cmd_verify_toffoli(args) -> int:
+    need = verification_bytes(args.n)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise UsageError(f"--n {args.n} needs about {need / 2 ** 30:.3g} GiB to verify, "
+                         f"more than the {have / 2 ** 30:.3g} GiB of physical memory")
     circuit = build_n_ts_circuit(args.n)
     oracle = oracle_n_toffoli_sign(args.n, expected_flipped_component(args.n))
     report = verify_decomposition(circuit, oracle, args.n)
@@ -120,8 +144,7 @@ def cmd_simulate_optical(args) -> int:
         })
     elif args.which == "chained":
         if args.params_file:
-            with open(args.params_file) as fh:
-                params = ChainParameters.from_json(fh.read())
+            params = _read_chain_params(args.params_file)
             solved = False
         else:
             result = solve_chain_reflectivities(seed=args.seed, n_starts=args.starts)
@@ -152,8 +175,7 @@ def cmd_simulate_optical(args) -> int:
 def cmd_report_all(args) -> int:
     params = None
     if args.params_file:
-        with open(args.params_file) as fh:
-            params = ChainParameters.from_json(fh.read())
+        params = _read_chain_params(args.params_file)
     report = build_report(chain_params=params)
     _emit(json.dumps(report.to_dict(), indent=2) if args.format == "json"
           else report.to_text(), args)
@@ -228,7 +250,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except (OSError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
 

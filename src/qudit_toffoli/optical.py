@@ -366,6 +366,9 @@ class ChainParameters:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ChainParameters":
+        missing = [f for f in cls.FIELDS if f not in data]
+        if missing:
+            raise ValueError(f"missing reflectivities: {', '.join(missing)}")
         return cls(**{f: data[f] for f in cls.FIELDS})
 
     def to_json(self) -> str:

@@ -144,7 +144,8 @@ class GateMatrix:
 
 def _apply_to_block(amps: np.ndarray, gate: GateMatrix, wires, dims: WireDims) -> np.ndarray:
     """Apply a gate to wires of `amps`, where amps has shape (total_dim,) or
-    (total_dim, batch).  Batched form is what circuit_unitary feeds in."""
+    (total_dim, batch).  Batched form is what circuit_unitary and the T-S
+    verifier feed in."""
     wires = list(wires)
     if len(set(wires)) != len(wires):
         raise WireError(f"repeated wire index in {wires}")
@@ -337,6 +338,8 @@ def parse_circuit(text: str, gate_builder) -> CircuitDescription:
         for w in wires:
             if not 0 <= w < dims.n_wires:
                 raise CircuitParseError(line_no, f"wire {w} out of range")
+        if len(set(wires)) != len(wires):
+            raise CircuitParseError(line_no, f"repeated wire in {list(wires)}")
         wire_dims = tuple(dims.dims[w] for w in wires)
         try:
             gate = gate_builder(name, params, wire_dims)

@@ -25,11 +25,10 @@ from .qudits import (
     GateMatrix,
     GateStep,
     WireDims,
+    WireError,
     _apply_to_block,
     basis_digits,
     basis_index,
-    circuit_unitary,
-    embed_gate,
 )
 
 LEAKAGE_TOL = 1e-12
@@ -107,26 +106,24 @@ def gate_cnot_embedded(dc: int, dt: int) -> GateMatrix:
     return GateMatrix((dc, dt), mat)
 
 
+# Parameterless gates by (name, wire count), each built from the wire dimensions.
+_FIXED_GATES = {("xa", 1): gate_xa, ("xb", 1): gate_xb, ("x", 1): gate_x_padded,
+                ("h", 1): gate_h_padded, ("cs", 2): gate_cs_embedded, ("cnot", 2): gate_cnot_embedded}
+
+
 def standard_gate_builder(name: str, params, wire_dims) -> GateMatrix:
     """Resolve a circuit-file gate name to its matrix.  Raises ValueError."""
     name = name.lower()
-    if name == "xa" and len(wire_dims) == 1:
-        return gate_xa(wire_dims[0])
-    if name == "xb" and len(wire_dims) == 1:
-        return gate_xb(wire_dims[0])
-    if name == "x" and len(wire_dims) == 1:
-        return gate_x_padded(wire_dims[0])
-    if name == "h" and len(wire_dims) == 1:
-        return gate_h_padded(wire_dims[0])
     if name == "swap" and len(wire_dims) == 1:
         if len(params) != 2:
             raise ValueError("swap takes exactly two level parameters, e.g. swap(1,3)")
         return gate_level_swap(int(params[0]), int(params[1]), wire_dims[0])
-    if name == "cs" and len(wire_dims) == 2:
-        return gate_cs_embedded(*wire_dims)
-    if name == "cnot" and len(wire_dims) == 2:
-        return gate_cnot_embedded(*wire_dims)
-    raise ValueError(f"unknown gate {name!r} for {len(wire_dims)} wire(s)")
+    build = _FIXED_GATES.get((name, len(wire_dims)))
+    if build is None:
+        raise ValueError(f"unknown gate {name!r} for {len(wire_dims)} wire(s)")
+    if params:
+        raise ValueError(f"gate {name!r} takes no parameters, got {params}")
+    return build(*wire_dims)
 
 
 def _step(name: str, wires, dims: WireDims, params=()) -> GateStep:
@@ -250,27 +247,27 @@ def qubit_subspace_leakage(unitary: GateMatrix, dims: WireDims) -> float:
     return float(np.max(np.linalg.norm(unitary.matrix[np.ix_(outside, idx)], axis=0)))
 
 
-def max_target_level_used(circ: CircuitDescription) -> int:
-    """Highest target level occupied at any point while running qubit-basis inputs.
-
-    The target is taken to be the last wire.  This is measured by evolving
-    every all-qubit-levels basis state through each circuit prefix.
-    """
+def _run_qubit_inputs(circ: CircuitDescription) -> tuple[np.ndarray, int]:
+    """Output columns of the all-qubit-levels basis states after one pass, and
+    the highest target (last wire) level holding amplitude after any step."""
     dims = circ.dims
-    target = dims.n_wires - 1
-    td = dims.dims[target]
-    level_of = np.array([basis_digits(i, dims)[target] for i in range(dims.total_dim)])
     cols = qubit_subspace_indices(dims)
-    amps = np.eye(dims.total_dim, dtype=complex)[:, cols]
+    amps = np.zeros((dims.total_dim, cols.size), dtype=complex)
+    amps[cols, np.arange(cols.size)] = 1.0
+    level_of = np.arange(dims.total_dim) % dims.dims[-1]  # big-endian: last wire is the low digit
     max_level = 1
     for step in circ.steps:
         amps = _apply_to_block(amps, step.gate, step.wires, dims)
-        occupied = np.abs(amps) > 1e-9
-        for level in range(td - 1, max_level, -1):
-            if occupied[level_of == level].any():
-                max_level = max(max_level, level)
-                break
-    return max_level
+        max_level = int(level_of[(np.abs(amps) > 1e-9).any(axis=1)].max(initial=max_level))
+    err = np.max(np.abs(amps.conj().T @ amps - np.eye(cols.size)))
+    if err > PRODUCT_TOL:
+        raise WireError(f"circuit not unitary on the qubit inputs (deviation {err:.3e})")
+    return amps, max_level
+
+
+def max_target_level_used(circ: CircuitDescription) -> int:
+    """Highest target (last wire) level occupied while running the qubit-basis inputs."""
+    return _run_qubit_inputs(circ)[1]
 
 
 @dataclass
@@ -344,32 +341,24 @@ def _detect_flipped_component(restricted: np.ndarray) -> tuple[tuple[int, ...], 
 def verify_decomposition(circ: CircuitDescription, oracle: GateMatrix, n: int) -> DecompositionReport:
     """Compare a circuit's qubit-subspace action against a diagonal-sign oracle.
 
+    Every field comes from one propagation of the 2^(n+1) qubit-basis inputs;
+    the dense `circuit_unitary` is kept as the tests' reference.
     Fidelity is the phase-insensitive process overlap |tr(U' O)| / dim.  A
     corrupted circuit reports fidelity < 1 rather than raising.
     """
     dims = circ.dims
     if dims.n_wires != n + 1 or oracle.dim != 2 ** (n + 1):
         raise ValueError("circuit / oracle dimensions do not match n")
-    full = circuit_unitary(circ)
-    restricted = restrict_to_qubit_subspace(full, dims)
-    dim = 2 ** (n + 1)
-    fidelity = float(abs(np.trace(restricted.conj().T @ oracle.matrix)) / dim)
-    leakage = qubit_subspace_leakage(full, dims)
-    component, _ = _detect_flipped_component(restricted)
-
-    # local equivalence: flipping every wire whose component digit is 0 moves
-    # the -1 onto |1,1,...,1>; verify that by explicit conjugation
-    equivalent = False
-    mask = tuple(1 - d for d in component) if component else ()
-    if component:
-        qdims = WireDims((2,) * (n + 1))
-        conj = np.eye(dim, dtype=complex)
-        for wire, flip in enumerate(mask):
-            if flip:
-                conj = conj @ embed_gate(gate_x_padded(2), (wire,), qdims)
-        moved = conj @ restricted @ conj
-        target = oracle_n_toffoli_sign(n, (1,) * (n + 1)).matrix
-        equivalent = bool(np.max(np.abs(moved - target)) < PRODUCT_TOL)
+    amps, max_level = _run_qubit_inputs(circ)
+    inside = np.isin(np.arange(dims.total_dim), qubit_subspace_indices(dims))
+    restricted = amps[inside]
+    fidelity = float(abs(np.trace(restricted.conj().T @ oracle.matrix)) / oracle.dim)
+    leakage = float(np.linalg.norm(amps[~inside], axis=0).max(initial=0.0))
+    component, residual = _detect_flipped_component(restricted)
+    # X flips on the mask permute rows and columns alike and take diag(signs)
+    # to the all-ones oracle, so the flipped block is `residual` away from it
+    mask = tuple(1 - d for d in component)
+    equivalent = bool(component) and residual < PRODUCT_TOL
 
     references = {
         "two_qubit_gates_qubit_only_3toffoli": QUBIT_ONLY_TWO_QUBIT_GATES,
@@ -381,7 +370,7 @@ def verify_decomposition(circ: CircuitDescription, oracle: GateMatrix, n: int) -
         n=n,
         two_qudit_gate_count=circ.two_qudit_gate_count(),
         single_qudit_gate_count=circ.single_qudit_gate_count(),
-        max_level_used=max_target_level_used(circ),
+        max_level_used=max_level,
         fidelity_to_oracle=fidelity,
         flipped_component=component,
         qubit_subspace_leakage=leakage,
@@ -389,6 +378,14 @@ def verify_decomposition(circ: CircuitDescription, oracle: GateMatrix, n: int) -
         bit_flip_mask=mask,
         reference_counts=references,
     )
+
+
+def verification_bytes(n: int) -> int:
+    """Estimated peak bytes of verifying the n-control circuit: three copies of
+    the D x 2^(n+1) complex output columns (D = 2^n (n+1)) and four 2^(n+1)-square
+    complex blocks (oracle, its unitarity check, restricted block, one product)."""
+    qubit_dim = 2 ** (n + 1)
+    return 16 * qubit_dim * (3 * 2 ** n * (n + 1) + 4 * qubit_dim)
 
 
 def expected_flipped_component(n: int) -> tuple[int, ...]:

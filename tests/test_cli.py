@@ -108,6 +108,46 @@ def test_missing_params_file_is_usage_error(capsys):
     assert main(["simulate-optical", "chained", "--params-file", "/nonexistent.json"]) == 2
 
 
+def _without_splitter_in(data):
+    del data["splitter_in"]
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("command", [["simulate-optical", "chained"], ["report-all"]])
+@pytest.mark.parametrize("rewrite", [
+    _without_splitter_in,
+    lambda data: json.dumps(data)[:-1],
+    lambda data: json.dumps({**data, "splitter_in": 1.5}),
+], ids=["missing-key", "malformed-json", "reflectivity-1.5"])
+def test_bad_params_file_is_one_line_usage_error(command, rewrite, tmp_path, capsys, solution_file):
+    bad = tmp_path / "bad.json"
+    with open(solution_file) as fh:
+        bad.write_text(rewrite(json.load(fh)))
+    assert main(command + ["--params-file", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate-optical", "chained", "--params-file", "{dir}"],
+    ["report-all", "--params-file", "{dir}"],
+    ["--out", "{dir}", "verify-toffoli", "--n", "2"],
+])
+def test_directory_path_is_one_line_usage_error(argv, tmp_path, capsys):
+    assert main([arg.format(dir=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_oversized_n_is_refused_with_memory_estimate(capsys):
+    assert main(["verify-toffoli", "--n", "40"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --n 40 needs about ") and captured.err.count("\n") == 1
+    assert "GiB" in captured.err
+
+
 def test_wrong_reflectivities_fail_verification(tmp_path, capsys):
     # valid parameter ranges, but not an operating point: exit code 1
     bad = tmp_path / "bad.json"

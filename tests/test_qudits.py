@@ -236,6 +236,17 @@ def test_parse_error_reports_line_number_bad_wire():
         parse_circuit("dims 2 2\ncnot 0 5\n", standard_gate_builder)
 
 
+def test_parse_error_reports_line_number_repeated_wire():
+    with pytest.raises(CircuitParseError, match="line 2: repeated wire"):
+        parse_circuit("dims 2 3\ncnot 0 0\n", standard_gate_builder)
+
+
+@pytest.mark.parametrize("step", ["h(0.5) 1", "x(7) 1", "cs(1,2) 0 1"])
+def test_parse_error_reports_line_number_unused_parameters(step):
+    with pytest.raises(CircuitParseError, match="line 3: .*takes no parameters"):
+        parse_circuit(f"dims 2 3\nxa 1\n{step}\n", standard_gate_builder)
+
+
 def test_parse_error_missing_dims():
     with pytest.raises(CircuitParseError, match="dims"):
         parse_circuit("cnot 0 1\n", standard_gate_builder)

@@ -1,12 +1,17 @@
 """Qutrit/qudit Toffoli-sign constructions against brute-force oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from qudit_toffoli.qudits import (
+    PRODUCT_TOL,
     CircuitDescription,
+    GateStep,
     PureState,
     WireDims,
+    apply_gate,
     basis_index,
     circuit_unitary,
     embed_gate,
@@ -306,3 +311,84 @@ def test_corrupted_circuit_reports_low_fidelity_without_raising():
     report = verify_decomposition(corrupted, oracle_n_toffoli_sign(2, (1, 0, 1)), 2)
     assert report.fidelity_to_oracle < 1.0 - 1e-6
     assert not report.passed
+
+
+# ---------------------------------------------------------------------------
+# one propagation against the dense references
+# ---------------------------------------------------------------------------
+
+def _masked_variants(n, rng):
+    """Bit-flip-masked n-control circuits: as built, with a Hadamard inserted
+    at a random place, with a random step dropped, and cut off right after a
+    random parking step of the first half (so the last step reaches a new
+    target level)."""
+    base = build_n_ts_circuit(n)
+    dims = base.dims
+    for variant in ("masked", "inserted h", "dropped step", "truncated"):
+        mask = rng.integers(0, 2, n + 1)
+        flips = tuple(GateStep("x", (), (w,), gate_x_padded(dims.dims[w]))
+                      for w, bit in enumerate(mask) if bit)
+        steps = list(flips + base.steps + flips)
+        if variant == "inserted h":
+            wire = int(rng.integers(0, n + 1))
+            steps.insert(int(rng.integers(0, len(steps) + 1)),
+                         GateStep("h", (), (wire,), gate_h_padded(dims.dims[wire])))
+        elif variant == "dropped step":
+            del steps[int(rng.integers(0, len(steps)))]
+        elif variant == "truncated":
+            first_half = steps[:len(flips) + len(base.steps) // 2]
+            parks = [i for i, step in enumerate(first_half) if step.name in ("xa", "xb", "swap")]
+            del steps[int(rng.choice(parks)) + 1:]
+        component = tuple(d ^ int(b) for d, b in zip(expected_flipped_component(n), mask))
+        yield variant, CircuitDescription(dims, steps), oracle_n_toffoli_sign(n, component)
+
+
+def _dense_equivalent_to_all_ones(restricted, component, n):
+    """Conjugate by explicit X flips on every wire whose component digit is 0
+    and compare with the all-ones oracle."""
+    if not component:
+        return False
+    qdims = WireDims((2,) * (n + 1))
+    conj = np.eye(2 ** (n + 1), dtype=complex)
+    for wire, digit in enumerate(component):
+        if digit == 0:
+            conj = conj @ embed_gate(gate_x_padded(2), (wire,), qdims)
+    moved = conj @ restricted @ conj
+    target = oracle_n_toffoli_sign(n, (1,) * (n + 1)).matrix
+    return bool(np.max(np.abs(moved - target)) < PRODUCT_TOL)
+
+
+def _prefix_max_level(circ):
+    """Highest target level holding amplitude after any prefix, from
+    per-state evolution of every all-qubit-levels input, one step at a time."""
+    level = 1
+    for digits in itertools.product((0, 1), repeat=circ.dims.n_wires):
+        state = PureState.basis(circ.dims, digits)
+        for step in circ.steps:
+            state = apply_gate(state, step.gate, step.wires)
+            for index in np.nonzero(np.abs(state.amps) > 1e-9)[0]:
+                level = max(level, circ.dims.digits(int(index))[-1])
+    return level
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_verify_matches_dense_references_on_masked_variants(n):
+    rng = np.random.default_rng(1000 + n)
+    dim = 2 ** (n + 1)
+    for variant, circ, oracle in _masked_variants(n, rng):
+        report = verify_decomposition(circ, oracle, n)
+        full = circuit_unitary(circ)
+        restricted = restrict_to_qubit_subspace(full, circ.dims)
+        fidelity = abs(np.trace(restricted.conj().T @ oracle.matrix)) / dim
+        negative = np.nonzero(np.diagonal(restricted).real < 0)[0]
+        component = (WireDims((2,) * (n + 1)).digits(int(negative[0]))
+                     if negative.size == 1 else ())
+        assert abs(report.fidelity_to_oracle - fidelity) < 1e-12, variant
+        assert abs(report.qubit_subspace_leakage
+                   - qubit_subspace_leakage(full, circ.dims)) < 1e-12, variant
+        assert report.flipped_component == component, variant
+        assert report.locally_equivalent_to_all_ones == _dense_equivalent_to_all_ones(
+            restricted, component, n), variant
+        if n <= 5:
+            assert report.max_level_used == _prefix_max_level(circ), variant
+        assert report.passed == (variant == "masked"), variant
