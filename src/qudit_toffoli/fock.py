@@ -149,12 +149,6 @@ class OpticalElement:
         """(modes, block) for mode-linear elements."""
         raise NotImplementedError
 
-    def embedded_mode_matrix(self, m: int) -> np.ndarray:
-        modes, block = self.mode_block()
-        mat = np.eye(m, dtype=complex)
-        mat[np.ix_(modes, modes)] = block
-        return mat
-
     def fock_operator(self, basis: FockBasis) -> sparse.csr_matrix:
         """Sparse many-photon operator on `basis`.  Basis states are grouped
         by the photon count inside the block's modes; each group is moved by
@@ -310,14 +304,17 @@ class CrossKerr(OpticalElement):
 def single_photon_transfer(elements, m: int) -> np.ndarray:
     """Compose per-element blocks into the interferometer's m x m mode matrix.
 
-    Only mode-linear elements participate; a cross-Kerr in the list is an
-    error.  The composition is checked unitary as an internal bug guard.
+    Each element's `mode_block` acts as a row operation on the rows of its
+    modes; the other rows are untouched.  Only mode-linear elements
+    participate; a cross-Kerr in the list is an error.  The composition is
+    checked unitary as an internal bug guard.
     """
     mat = np.eye(m, dtype=complex)
     for el in elements:
         if not el.is_mode_linear:
             raise TypeError(f"{type(el).__name__} has no single-photon mode matrix")
-        mat = el.embedded_mode_matrix(m) @ mat
+        modes, block = el.mode_block()
+        mat[modes] = block @ mat[modes]
     err = np.max(np.abs(mat.conj().T @ mat - np.eye(m)))
     if err > MODE_UNITARY_TOL:
         raise ValueError(f"composed mode matrix not unitary (deviation {err:.3e})")

@@ -29,7 +29,10 @@ For the coincidence-chain construction (modes 0..6 plus one vacuum ancilla
 per attenuator): c1_0, c1_1, arm_u, arm_l, t_1, c2_0, c2_1.  The target's
 zero rail enters arm_u, is split over (arm_u, arm_l), couples to c1_1 and
 c2_0 through reflectivity-1/3 beamsplitters, and exits on arm_u.  Logical 0
-of each qubit is its first listed mode.
+of each qubit is its first listed mode.  Its 8x8 coincidence amplitudes have
+one route, `chain_coincidence_block` (3x3 permanents of the mode matrix),
+shared by the solver's objective and `verify_chain_parameters`; the lift in
+`chained_ts_gate` is the independent check on it.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
+from itertools import permutations, product
 
 import numpy as np
 from scipy import optimize
@@ -408,43 +412,28 @@ def chain_mode_matrix(params: ChainParameters) -> np.ndarray:
     return single_photon_transfer(chain_elements(params), 12)
 
 
-def _perm3(sub: np.ndarray) -> complex:
-    a, b, c = sub[0]
-    d, e, f = sub[1]
-    g, h, i = sub[2]
-    return a * (e * i + f * h) + b * (d * i + f * g) + c * (d * h + e * g)
-
-
-def _chain_modes(x: int) -> tuple[int, int, int]:
-    """Single-photon modes of logical basis state x = (c1, t, c2)."""
-    c1, t, c2 = (x >> 2) & 1, (x >> 1) & 1, x & 1
-    return ((C1_0, C1_1)[c1], (ARM_U, T1)[t], (C2_0, C2_1)[c2])
+# the single-photon modes of logical basis state x = (c1, t, c2), row x
+_CHAIN_MODES = np.array(list(product(*_CHAIN_LAYOUT.groups)))
+_PERMUTATIONS_3 = np.array(list(permutations(range(3))))
 
 
 def chain_coincidence_block(mode_matrix: np.ndarray) -> np.ndarray:
     """8x8 logical coincidence amplitudes from the composed mode matrix.
 
-    Each entry is the permanent of a 3x3 submatrix (one photon per logical
-    wire in and out, nothing anywhere else)."""
-    block = np.zeros((8, 8), dtype=complex)
-    for x in range(8):
-        cols = _chain_modes(x)
-        for y in range(8):
-            rows = _chain_modes(y)
-            block[y, x] = _perm3(mode_matrix[np.ix_(rows, cols)])
-    return block
+    Entry (y, x) is the permanent of the 3x3 submatrix on output modes y and
+    input modes x (one photon per logical wire, nothing anywhere else): all
+    64 submatrices are gathered at once and their six permutation products
+    summed.  `chained_ts_gate`'s lift is the independent check."""
+    sub = mode_matrix[_CHAIN_MODES[:, None, :, None], _CHAIN_MODES[None, :, None, :]]
+    return sub[..., np.arange(3), _PERMUTATIONS_3].prod(axis=-1).sum(axis=-1)
 
 
 def chain_diagonal(params_vector: np.ndarray) -> np.ndarray:
-    """The 8 coincidence diagonal amplitudes as a real vector (fast path for
-    the optimizer; the transfer is real by construction)."""
-    params = ChainParameters.from_vector(params_vector)
-    mode = chain_mode_matrix(params)
-    diag = np.empty(8)
-    for x in range(8):
-        modes = _chain_modes(x)
-        diag[x] = _perm3(mode[np.ix_(modes, modes)]).real
-    return diag
+    """The 8 coincidence diagonal amplitudes as a real vector: the real
+    diagonal of `chain_coincidence_block` (the transfer is real by
+    construction)."""
+    mode = chain_mode_matrix(ChainParameters.from_vector(params_vector))
+    return np.diagonal(chain_coincidence_block(mode)).real
 
 
 @dataclass(frozen=True)
@@ -494,20 +483,18 @@ _PENALTY_WEIGHT = 50.0
 _TARGET_SIGNS = np.array(_CHAIN_TARGET, dtype=float)
 
 
-def _chain_residuals(vec: np.ndarray) -> np.ndarray:
-    """Equal-magnitude/sign-pattern residuals: d_i - t_i * mu with mu the
+def _chain_residuals(vec: np.ndarray) -> tuple[np.ndarray, float]:
+    """Equal-magnitude/sign-pattern residuals d_i - t_i * mu, and mu, the
     projection of the diagonal onto the target pattern."""
     diag = chain_diagonal(vec)
     mu = float(diag @ _TARGET_SIGNS) / 8.0
-    return diag - _TARGET_SIGNS * mu
+    return diag - _TARGET_SIGNS * mu, mu
 
 
 def _chain_objective(vec: np.ndarray) -> float:
     """Penalized objective: feasibility residuals squared minus the squared
     pattern amplitude, so feasible points are ranked by success probability."""
-    diag = chain_diagonal(vec)
-    mu = float(diag @ _TARGET_SIGNS) / 8.0
-    r = diag - _TARGET_SIGNS * mu
+    r, mu = _chain_residuals(vec)
     return _PENALTY_WEIGHT * float(r @ r) - mu * mu
 
 
@@ -543,7 +530,7 @@ def solve_chain_reflectivities(seed: int = 20070, n_starts: int = 16) -> ChainSo
     def residuals_free(free_values: np.ndarray) -> np.ndarray:
         full = x_pinned.copy()
         full[free_idx] = free_values
-        return _chain_residuals(full)
+        return _chain_residuals(full)[0]
 
     polish = optimize.least_squares(
         residuals_free, x_pinned[free_idx],
@@ -551,7 +538,7 @@ def solve_chain_reflectivities(seed: int = 20070, n_starts: int = 16) -> ChainSo
         xtol=3e-16, ftol=3e-16, gtol=3e-16)
     solution = x_pinned.copy()
     solution[free_idx] = polish.x
-    residual = float(np.max(np.abs(_chain_residuals(solution))))
+    residual = float(np.max(np.abs(_chain_residuals(solution)[0])))
 
     params = ChainParameters.from_vector(solution)
     verification = verify_chain_parameters(params)

@@ -352,7 +352,7 @@ def verify_decomposition(circ: CircuitDescription, oracle: GateMatrix, n: int) -
     amps, max_level = _run_qubit_inputs(circ)
     inside = np.isin(np.arange(dims.total_dim), qubit_subspace_indices(dims))
     restricted = amps[inside]
-    fidelity = float(abs(np.trace(restricted.conj().T @ oracle.matrix)) / oracle.dim)
+    fidelity = float(abs(np.vdot(restricted, oracle.matrix)) / oracle.dim)
     leakage = float(np.linalg.norm(amps[~inside], axis=0).max(initial=0.0))
     component, residual = _detect_flipped_component(restricted)
     # X flips on the mask permute rows and columns alike and take diag(signs)
@@ -382,10 +382,10 @@ def verify_decomposition(circ: CircuitDescription, oracle: GateMatrix, n: int) -
 
 def verification_bytes(n: int) -> int:
     """Estimated peak bytes of verifying the n-control circuit: three copies of
-    the D x 2^(n+1) complex output columns (D = 2^n (n+1)) and four 2^(n+1)-square
-    complex blocks (oracle, its unitarity check, restricted block, one product)."""
+    the D x 2^(n+1) complex output columns (D = 2^n (n+1)) and three 2^(n+1)-square
+    complex blocks (oracle, its unitarity check, restricted block)."""
     qubit_dim = 2 ** (n + 1)
-    return 16 * qubit_dim * (3 * 2 ** n * (n + 1) + 4 * qubit_dim)
+    return 16 * qubit_dim * (3 * 2 ** n * (n + 1) + 3 * qubit_dim)
 
 
 def expected_flipped_component(n: int) -> tuple[int, ...]:

@@ -1,9 +1,11 @@
 """Command-line driver: exit codes, formats, output files."""
 
+import dataclasses
 import json
 
 import pytest
 
+from qudit_toffoli import cli
 from qudit_toffoli.cli import main
 from qudit_toffoli.optical import load_chain_solution, save_chain_solution
 
@@ -32,6 +34,15 @@ def test_verify_toffoli_json_format(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["two_qudit_gate_count"] == 5
     assert data["passed"] is True
+
+
+def test_verify_toffoli_exit_code_follows_the_report(monkeypatch, capsys):
+    # --tol is the simulate-optical tolerance; a report that says FAIL exits 1
+    verify = cli.verify_decomposition
+    monkeypatch.setattr(cli, "verify_decomposition", lambda *args: dataclasses.replace(
+        verify(*args), fidelity_to_oracle=1.0 - 1e-6))
+    assert main(["--format", "json", "--tol", "1e-3", "verify-toffoli", "--n", "2"]) == 1
+    assert json.loads(capsys.readouterr().out)["passed"] is False
 
 
 def test_verify_toffoli_usage_error_for_n1():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qudit_toffoli.fock import (
     Beamsplitter,
@@ -311,6 +312,27 @@ def test_circuit_operator_matches_lift_and_permanent_oracle():
                 i, j = rng.integers(basis.size, size=2)
                 oracle = permanent_amplitude_oracle(mode, basis.states[j], basis.states[i])
                 assert abs(op[i, j] - oracle) < ORACLE_TOL
+
+
+def _embedded_block_product(elements, m):
+    """The composition spelled out: each block embedded in an m x m identity."""
+    mat = np.eye(m, dtype=complex)
+    for el in elements:
+        modes, block = el.mode_block()
+        embedded = np.eye(m, dtype=complex)
+        embedded[np.ix_(modes, modes)] = block
+        mat = embedded @ mat
+    return mat
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(m=st.integers(4, 8), kinds=st.lists(st.sampled_from(MODE_LINEAR_KINDS), max_size=10),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_single_photon_transfer_matches_embedded_block_product(m, kinds, seed):
+    rng = np.random.default_rng(seed)
+    elements = [_random_element(rng, m, kind) for kind in kinds]
+    want = _embedded_block_product(elements, m)
+    assert np.max(np.abs(single_photon_transfer(elements, m) - want)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

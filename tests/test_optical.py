@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qudit_toffoli.fock import (
+    ORACLE_TOL,
     DetectionPattern,
     FockBasis,
+    ModeLayout,
     OpticalState,
     apply_elements,
     circuit_fock_operator,
@@ -20,7 +23,11 @@ from qudit_toffoli.fock import (
 from qudit_toffoli.optical import (
     ARM_L,
     ARM_U,
+    C1_0,
     C1_1,
+    C2_0,
+    C2_1,
+    T1,
     QUQUIT_TARGET_LAYOUT,
     ChainParameters,
     deterministic_ts_gate,
@@ -37,7 +44,7 @@ from qudit_toffoli.optical import (
     solve_chain_reflectivities,
     verify_chain_parameters,
 )
-from qudit_toffoli.qudits import circuit_unitary, equiv_up_to_global_phase
+from qudit_toffoli.qudits import circuit_unitary, equiv_up_to_global_phase, random_unitary
 from qudit_toffoli.toffoli import build_ts_circuit, restrict_to_qubit_subspace
 
 
@@ -418,6 +425,34 @@ def test_chained_full_fock_route_agrees_with_permanent_route(solved_params):
     block = chain_coincidence_block(chain_mode_matrix(solved_params))
     assert np.max(np.abs(realization.transfer - block)) < 1e-10
     assert realization.flipped_component == (0, 0, 0)
+
+
+_CHAIN_PARAMS = st.lists(st.floats(1e-4, 1.0), min_size=8, max_size=8).map(
+    ChainParameters.from_vector)
+# the chain's logical wires, restated from the mode constants
+_CHAIN_WIRES = ModeLayout(((C1_0, C1_1), (ARM_U, T1), (C2_0, C2_1)))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(_CHAIN_PARAMS)
+def test_chain_block_matches_lift_route_on_random_parameters(params):
+    block = chain_coincidence_block(chain_mode_matrix(params))
+    assert np.max(np.abs(block - chained_ts_gate(params).transfer)) < 1e-10
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(_CHAIN_PARAMS, st.integers(0, 2 ** 32 - 1),
+       st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=8))
+def test_chain_block_matches_permanent_oracle_on_sampled_entries(params, seed, entries):
+    # the chain's own block is diagonal, so a generic unitary covers the
+    # off-diagonal entries
+    digits = _CHAIN_WIRES.wire_dims.digits
+    for mode in (chain_mode_matrix(params), random_unitary(12, np.random.default_rng(seed))):
+        block = chain_coincidence_block(mode)
+        for y, x in entries:
+            want = permanent_amplitude_oracle(mode, _CHAIN_WIRES.occupation(digits(x), 12),
+                                              _CHAIN_WIRES.occupation(digits(y), 12))
+            assert abs(block[y, x] - want) < ORACLE_TOL
 
 
 def test_chained_success_uniform_over_basis_inputs(solved_params):
