@@ -30,6 +30,15 @@ a sparse matrix built once per call, with a cross-Kerr as a diagonal.
 of the element operators.  The polarizing beamsplitter's relabelling `apply`
 is kept as a check on the lift of its permutation block.
 
+`logical_transfer(elements, basis, layout)` is the one route from an optical
+circuit to its post-selected logical matrix: it encodes the logical basis
+states as columns (`ModeLayout.indices`), pushes only those columns through
+each element operator once, and reads the logical rows off.  Tests hold it
+to the rows and columns of the dense `circuit_fock_operator`.  The chained
+gate read this way shares neither `single_photon_transfer` nor permanents
+with `optical.chain_coincidence_block`, so it is the independent check on
+that block.
+
 Two independent routes compute multi-photon amplitudes: `lift_to_fock`
 expands products of creation-operator linear forms, while
 `permanent_amplitude_oracle` evaluates scaled matrix permanents directly.
@@ -87,7 +96,7 @@ class FockBasis:
         return len(self.states)
 
     def index_of(self, occupation) -> int:
-        occ = tuple(int(x) for x in occupation)
+        occ = tuple(map(int, occupation))
         if occ not in self._index:
             raise PhotonNumberError(
                 f"occupation {occ} is not a state of {self.m} modes / {self.n_photons} photons")
@@ -316,7 +325,7 @@ def single_photon_transfer(elements, m: int) -> np.ndarray:
         modes, block = el.mode_block()
         mat[modes] = block @ mat[modes]
     err = np.max(np.abs(mat.conj().T @ mat - np.eye(m)))
-    if err > MODE_UNITARY_TOL:
+    if not err <= MODE_UNITARY_TOL:
         raise ValueError(f"composed mode matrix not unitary (deviation {err:.3e})")
     return mat
 
@@ -358,7 +367,7 @@ def lift_to_fock(mode_matrix: np.ndarray, basis: FockBasis) -> np.ndarray:
     if mode_matrix.shape != (basis.m, basis.m):
         raise ValueError(f"mode matrix shape {mode_matrix.shape} != ({basis.m}, {basis.m})")
     err = np.max(np.abs(mode_matrix.conj().T @ mode_matrix - np.eye(basis.m)))
-    if err > MODE_UNITARY_TOL:
+    if not err <= MODE_UNITARY_TOL:
         raise ValueError(f"mode matrix not unitary (deviation {err:.3e})")
     out = np.zeros((basis.size, basis.size), dtype=complex)
     for col, occ in enumerate(basis.states):
@@ -373,7 +382,8 @@ def apply_elements(state: OpticalState, elements) -> OpticalState:
 
 
 def circuit_fock_operator(elements, basis: FockBasis) -> np.ndarray:
-    """Dense many-photon operator of an ordered element list (Kerr included)."""
+    """Dense many-photon operator of an ordered element list (Kerr included);
+    the reference `logical_transfer` is tested against."""
     op = sparse.identity(basis.size, dtype=complex, format="csr")
     for el in elements:
         op = el.fock_operator(basis) @ op
@@ -555,53 +565,31 @@ class ModeLayout:
     def encode(self, digits, basis: FockBasis) -> OpticalState:
         return OpticalState.fock(basis, self.occupation(digits, basis.m))
 
-    def logical_digits(self, occupation) -> tuple[int, ...] | None:
-        """Digits of a logical basis occupation, or None if it leaks out of
-        the one-photon-per-group subspace."""
-        used = sum(occupation[m] for g in self.groups for m in g)
-        if used != sum(occupation):
-            return None
-        digits = []
-        for group in self.groups:
-            counts = [occupation[m] for m in group]
-            if sum(counts) != 1 or max(counts) != 1:
-                return None
-            digits.append(counts.index(1))
-        return tuple(digits)
+    def indices(self, basis: FockBasis) -> np.ndarray:
+        """Basis index of every logical basis state, in logical index order."""
+        dims = self.wire_dims
+        return np.array([basis.index_of(self.occupation(dims.digits(x), basis.m))
+                         for x in range(dims.total_dim)])
 
     def decode(self, state: OpticalState) -> tuple[PureState, float]:
         """Project onto the logical subspace.  Returns the (unnormalized)
         logical state and the norm that leaked outside it."""
-        dims = self.wire_dims
-        amps = np.zeros(dims.total_dim, dtype=complex)
-        leaked = 0.0
-        for idx, occ in enumerate(state.basis.states):
-            a = state.amps[idx]
-            if a == 0:
-                continue
-            digits = self.logical_digits(occ)
-            if digits is None:
-                leaked += abs(a) ** 2
-            else:
-                amps[dims.index(digits)] = a
-        return PureState(dims, amps), math.sqrt(leaked)
+        idx = self.indices(state.basis)
+        outside = np.ones(state.basis.size, dtype=bool)
+        outside[idx] = False
+        return PureState(self.wire_dims, state.amps[idx]), float(np.linalg.norm(state.amps[outside]))
 
 
-def logical_transfer(operator: np.ndarray, basis: FockBasis,
-                     layout_in: ModeLayout, layout_out: ModeLayout | None = None) -> np.ndarray:
-    """Post-selected logical matrix <enc_out(y)| U |enc_in(x)> over all digit
-    tuples; input and output layouts may differ when a construction relabels
-    its target modes."""
-    layout_out = layout_out or layout_in
-    dims_in = layout_in.wire_dims
-    dims_out = layout_out.wire_dims
-    if dims_in.total_dim != dims_out.total_dim:
-        raise ValueError("input and output layouts have different logical dimensions")
-    rows = [basis.index_of(layout_out.occupation(dims_out.digits(y), basis.m))
-            for y in range(dims_out.total_dim)]
-    cols = [basis.index_of(layout_in.occupation(dims_in.digits(x), basis.m))
-            for x in range(dims_in.total_dim)]
-    return operator[np.ix_(rows, cols)]
+def logical_transfer(elements, basis: FockBasis, layout: ModeLayout) -> np.ndarray:
+    """Post-selected logical matrix <enc(y)| U |enc(x)> of an ordered element
+    list over all digit tuples: only the logical basis states are pushed
+    through the element operators, once, and their logical rows read off."""
+    idx = layout.indices(basis)
+    amps = np.zeros((basis.size, idx.size), dtype=complex)
+    amps[idx, np.arange(idx.size)] = 1.0
+    for el in elements:
+        amps = el.fock_operator(basis) @ amps
+    return amps[idx]
 
 
 # ---------------------------------------------------------------------------
@@ -640,11 +628,12 @@ class OpticalCircuit:
 
 def _parse_value(token: str, line_no: int) -> float:
     try:
-        if "/" in token:
-            return float(Fraction(token))
-        return float(token)
-    except (ValueError, ZeroDivisionError) as exc:
+        value = float(Fraction(token)) if "/" in token else float(token)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise OpticalParseError(line_no, f"bad numeric value {token!r}") from exc
+    if not math.isfinite(value):
+        raise OpticalParseError(line_no, f"numeric value {token!r} is not finite")
+    return value
 
 
 def parse_optical_circuit(text: str) -> OpticalCircuit:

@@ -20,6 +20,13 @@ Four constructions, all on polarization/spatial dual-rail encodings:
   through two coupled interferometers instead (solved numerically by
   `solve_chain_reflectivities`) reaches 1/72.
 
+Every construction is realized by one route, `_realize`: the circuit's
+logical transfer from `fock.logical_transfer` (only the logical inputs
+pushed through the element operators), with the success probability read
+off that transfer.  The exact claimed factor (1, the filter's 1/2, 1/9) is
+reported only when every logical input lands on it; otherwise the simulated
+float is, so a broken element shows up as a mismatch downstream.
+
 Mode bookkeeping for the polarization constructions (modes 0..7):
 a_h, a_v, b_h, b_v, s_h, s_v, t_h, t_v.  The target qubit enters and leaves
 in spatial path t; path s is the working path whose polarization qubit the
@@ -31,8 +38,10 @@ zero rail enters arm_u, is split over (arm_u, arm_l), couples to c1_1 and
 c2_0 through reflectivity-1/3 beamsplitters, and exits on arm_u.  Logical 0
 of each qubit is its first listed mode.  Its 8x8 coincidence amplitudes have
 one route, `chain_coincidence_block` (3x3 permanents of the mode matrix),
-shared by the solver's objective and `verify_chain_parameters`; the lift in
-`chained_ts_gate` is the independent check on it.
+shared by the solver's objective and `verify_chain_parameters`.
+`chained_ts_gate` is the independent check on it: its transfer comes from
+the element operators, sharing neither `single_photon_transfer` nor
+permanents with the block.
 """
 
 from __future__ import annotations
@@ -60,7 +69,6 @@ from .fock import (
     PolarizingBeamsplitter,
     VacuumAttenuator,
     circuit_fock_operator,
-    lift_to_fock,
     logical_transfer,
     single_photon_transfer,
 )
@@ -118,9 +126,11 @@ def analyze_sign_pattern(transfer: np.ndarray, wire_dims) -> SignPattern:
 class GateRealization:
     """An optical circuit together with its logical reading.
 
-    `transfer` is the post-selected logical matrix over the input/output
-    layouts; `success_probability` is exact bookkeeping (a Fraction) for the
-    rational constructions and a float for the optimized one.
+    `transfer` is the post-selected logical matrix over the layout.
+    `success_probability` is read off it: the construction's exact claimed
+    optical factor (a Fraction) when every logical input lands on it, else
+    the simulated float (mean |diagonal|)^2, times any external heralding
+    factor (`cs_success` squared).
     """
 
     name: str
@@ -134,7 +144,7 @@ class GateRealization:
     stages: dict = field(default_factory=dict)
     kerr_count: int = 0
     cs_success: Fraction | None = None
-    filter_success: Fraction | None = None
+    filter_success: Fraction | float | None = None
 
     def fock_operator(self) -> np.ndarray:
         return circuit_fock_operator(self.circuit.elements, self.circuit.basis())
@@ -142,14 +152,12 @@ class GateRealization:
     def input_state(self, logical_amplitudes) -> OpticalState:
         """Encode a logical amplitude vector as an optical input state."""
         basis = self.circuit.basis()
-        dims = self.layout_in.wire_dims
+        idx = self.layout_in.indices(basis)
         amps = np.asarray(logical_amplitudes, dtype=complex)
-        if amps.shape != (dims.total_dim,):
-            raise ValueError(f"need {dims.total_dim} logical amplitudes")
+        if amps.shape != idx.shape:
+            raise ValueError(f"need {idx.size} logical amplitudes")
         out = np.zeros(basis.size, dtype=complex)
-        for x, a in enumerate(amps):
-            if a != 0:
-                out[basis.index_of(self.layout_in.occupation(dims.digits(x), basis.m))] = a
+        out[idx] = amps
         return OpticalState(basis, out)
 
     def sign_pattern(self) -> SignPattern:
@@ -158,6 +166,44 @@ class GateRealization:
     def coincidence_probabilities(self) -> np.ndarray:
         """Per-logical-basis-input success probability from the transfer."""
         return np.sum(np.abs(self.transfer) ** 2, axis=0)
+
+
+EXACT_TOL = 1e-12
+
+
+def _realize(name: str, circuit: OpticalCircuit, layout: ModeLayout,
+             claimed: Fraction | None = None, cs_success: Fraction | None = None,
+             **fields) -> GateRealization:
+    """The one realization route: the logical transfer of the circuit's
+    elements, with its success probability read off the diagonal.
+
+    `claimed` is the construction's exact optical factor; it is returned
+    only if every |diagonal|^2 is within EXACT_TOL of it, else the
+    simulated float.  A `cs_success` (external heralding, per controlled
+    sign) multiplies in squared, and the optical factor becomes
+    `filter_success`."""
+    transfer = logical_transfer(circuit.elements, circuit.basis(), layout)
+    pattern = analyze_sign_pattern(transfer, layout.wire_dims.dims)
+    optical = float(pattern.scale ** 2)
+    if claimed is not None:
+        miss = np.max(np.abs(np.abs(np.diagonal(transfer)) ** 2 - float(claimed)))
+        if miss <= EXACT_TOL:
+            optical = claimed
+    success = optical
+    if cs_success is not None:
+        fields.update(cs_success=cs_success, filter_success=optical)
+        success = cs_success ** 2 * optical
+    return GateRealization(
+        name=name,
+        circuit=circuit,
+        layout_in=layout,
+        layout_out=layout,
+        transfer=transfer,
+        success_probability=success,
+        flipped_component=pattern.flipped,
+        herald_pattern=circuit.pattern,
+        **fields,
+    )
 
 
 # polarization-construction mode indices
@@ -176,21 +222,8 @@ def kerr_cs_gate(chi: float = math.pi) -> GateRealization:
     alone, which is exactly the borrowed-level behaviour the qutrit circuit
     needs.
     """
-    layout = ModeLayout(((0, 1), (2, 3)))
-    circuit = OpticalCircuit(4, 2, (CrossKerr(chi, (1, 3)),))
-    op = circuit_fock_operator(circuit.elements, circuit.basis())
-    transfer = logical_transfer(op, circuit.basis(), layout)
-    pattern = analyze_sign_pattern(transfer, layout.wire_dims.dims)
-    return GateRealization(
-        name="cross-Kerr controlled-sign",
-        circuit=circuit,
-        layout_in=layout,
-        layout_out=layout,
-        transfer=transfer,
-        success_probability=Fraction(1),
-        flipped_component=pattern.flipped,
-        kerr_count=1,
-    )
+    return _realize("cross-Kerr controlled-sign", OpticalCircuit(4, 2, (CrossKerr(chi, (1, 3)),)),
+                    ModeLayout(((0, 1), (2, 3))), claimed=Fraction(1), kerr_count=1)
 
 
 def _ts_front_elements() -> tuple:
@@ -218,21 +251,9 @@ def deterministic_ts_gate() -> GateRealization:
         HalfWavePlate(HADAMARD_HWP_ANGLE, (S_H, S_V)),
         PolarizingBeamsplitter((S_H, S_V), (T_H, T_V)),
     )
-    circuit = OpticalCircuit(8, 3, elements)
-    op = circuit_fock_operator(circuit.elements, circuit.basis())
-    transfer = logical_transfer(op, circuit.basis(), _POLARIZATION_LAYOUT)
-    pattern = analyze_sign_pattern(transfer, (2, 2, 2))
-    return GateRealization(
-        name="deterministic cross-Kerr T-S",
-        circuit=circuit,
-        layout_in=_POLARIZATION_LAYOUT,
-        layout_out=_POLARIZATION_LAYOUT,
-        transfer=transfer,
-        success_probability=Fraction(1),
-        flipped_component=pattern.flipped,
-        stages={"after_front": 5, "end": 9},
-        kerr_count=3,
-    )
+    return _realize("deterministic cross-Kerr T-S", OpticalCircuit(8, 3, elements),
+                    _POLARIZATION_LAYOUT, claimed=Fraction(1),
+                    stages={"after_front": 5, "end": 9}, kerr_count=3)
 
 
 def heralded_ts_gate(cs_success: Fraction = Fraction(1, 4)) -> GateRealization:
@@ -246,31 +267,15 @@ def heralded_ts_gate(cs_success: Fraction = Fraction(1, 4)) -> GateRealization:
     probability exactly 1/2 for every input.  With cs_success = 1/4 the
     total is 1/16 * 1/2 = 1/32, and the sign flip lands on |0,0,1>.
     """
-    cs_success = Fraction(cs_success)
     elements = _ts_front_elements() + (
         HalfWavePlate(HADAMARD_HWP_ANGLE, (S_H, S_V)),
         HalfWavePlate(HADAMARD_HWP_ANGLE, (T_H, T_V)),
         PolarizingBeamsplitter((S_H, S_V), (T_H, T_V)),
     )
-    herald = DetectionPattern.zero((S_H, S_V))
-    circuit = OpticalCircuit(8, 3, elements, herald)
-    op = circuit_fock_operator(circuit.elements, circuit.basis())
-    transfer = logical_transfer(op, circuit.basis(), _POLARIZATION_LAYOUT)
-    pattern = analyze_sign_pattern(transfer, (2, 2, 2))
-    filter_success = Fraction(1, 2)
-    return GateRealization(
-        name="heralded T-S with passive filter",
-        circuit=circuit,
-        layout_in=_POLARIZATION_LAYOUT,
-        layout_out=_POLARIZATION_LAYOUT,
-        transfer=transfer,
-        success_probability=cs_success ** 2 * filter_success,
-        flipped_component=pattern.flipped,
-        herald_pattern=herald,
-        stages={"after_cs2": 5, "after_filter_hwps": 7, "end": 8},
-        cs_success=cs_success,
-        filter_success=filter_success,
-    )
+    circuit = OpticalCircuit(8, 3, elements, DetectionPattern.zero((S_H, S_V)))
+    return _realize("heralded T-S with passive filter", circuit, _POLARIZATION_LAYOUT,
+                    claimed=Fraction(1, 2), cs_success=Fraction(cs_success),
+                    stages={"after_cs2": 5, "after_filter_hwps": 7, "end": 8})
 
 
 def postselected_cs_gate() -> GateRealization:
@@ -290,30 +295,16 @@ def postselected_cs_gate() -> GateRealization:
         VacuumAttenuator(eta, 1, 4),
         VacuumAttenuator(eta, 2, 5),
     )
-    layout = ModeLayout(((0, 1), (2, 3)))
-    herald = DetectionPattern.zero((4, 5))
-    circuit = OpticalCircuit(6, 2, elements, herald)
-    basis = circuit.basis()
-    op = lift_to_fock(single_photon_transfer(elements, 6), basis)
-    transfer = logical_transfer(op, basis, layout)
-    pattern = analyze_sign_pattern(transfer, (2, 2))
-    return GateRealization(
-        name="post-selected controlled-sign",
-        circuit=circuit,
-        layout_in=layout,
-        layout_out=layout,
-        transfer=transfer,
-        success_probability=Fraction(1, 9),
-        flipped_component=pattern.flipped,
-        herald_pattern=herald,
-    )
+    circuit = OpticalCircuit(6, 2, elements, DetectionPattern.zero((4, 5)))
+    return _realize("post-selected controlled-sign", circuit, ModeLayout(((0, 1), (2, 3))),
+                    claimed=Fraction(1, 9))
 
 
-def naive_postselected_chain_probability() -> Fraction:
+def naive_postselected_chain_probability() -> Fraction | float:
     """Two post-selected controlled-sign gates plus the heralded filter:
-    1/9 * 1/9 * 1/2."""
-    chained = heralded_ts_gate(cs_success=Fraction(1, 9))
-    return Fraction(chained.success_probability)
+    1/9 * 1/9 * 1/2, each factor read off its simulated transfer."""
+    cs = postselected_cs_gate().success_probability
+    return heralded_ts_gate(cs_success=cs).success_probability
 
 
 # ---------------------------------------------------------------------------
@@ -555,23 +546,11 @@ def solve_chain_reflectivities(seed: int = 20070, n_starts: int = 16) -> ChainSo
 
 def chained_ts_gate(params: ChainParameters) -> GateRealization:
     """Full realization from a solved parameter point (verification path:
-    the transfer comes from the lifted many-photon operator, not the fast
-    permanent route)."""
-    circuit = chain_topology(params)
-    basis = circuit.basis()
-    op = lift_to_fock(chain_mode_matrix(params), basis)
-    transfer = logical_transfer(op, basis, _CHAIN_LAYOUT)
-    pattern = analyze_sign_pattern(transfer, (2, 2, 2))
-    return GateRealization(
-        name="post-selected T-S, chained interferometers",
-        circuit=circuit,
-        layout_in=_CHAIN_LAYOUT,
-        layout_out=_CHAIN_LAYOUT,
-        transfer=transfer,
-        success_probability=float(pattern.scale ** 2),
-        flipped_component=pattern.flipped,
-        herald_pattern=circuit.pattern,
-    )
+    the transfer comes from the element operators through
+    `logical_transfer`, independent of `chain_coincidence_block`); its
+    success probability is the simulated float."""
+    return _realize("post-selected T-S, chained interferometers", chain_topology(params),
+                    _CHAIN_LAYOUT)
 
 
 SOLUTION_RESOURCE = "chain_solution.json"

@@ -129,7 +129,7 @@ class GateMatrix:
         if mat.shape != (dim, dim):
             raise WireError(f"matrix shape {mat.shape} does not match wire dims {wd}")
         err = np.max(np.abs(mat.conj().T @ mat - np.eye(dim)))
-        if err > NORM_TOL:
+        if not err <= NORM_TOL:
             raise WireError(f"matrix is not unitary (deviation {err:.3e})")
         object.__setattr__(self, "matrix", mat)
 
@@ -175,7 +175,7 @@ def apply_gate(state: PureState, gate: GateMatrix, wires) -> PureState:
     """Gate embedded as identity on all other wires; preserves the norm."""
     new_amps = _apply_to_block(state.amps, gate, wires, state.dims)
     drift = abs(float(np.linalg.norm(new_amps)) - state.norm())
-    if drift > NORM_TOL:
+    if not drift <= NORM_TOL:
         raise WireError(f"norm drifted by {drift:.3e} during gate application")
     return PureState(state.dims, new_amps)
 
@@ -262,7 +262,7 @@ def circuit_unitary(circ: CircuitDescription) -> GateMatrix:
         amps = _apply_to_block(amps, step.gate, step.wires, circ.dims)
     dim = circ.dims.total_dim
     err = np.max(np.abs(amps.conj().T @ amps - np.eye(dim)))
-    if err > PRODUCT_TOL:
+    if not err <= PRODUCT_TOL:
         raise WireError(f"accumulated circuit product not unitary (deviation {err:.3e})")
     # bypass GateMatrix's strict constructor tolerance: products are checked at 1e-10
     gm = object.__new__(GateMatrix)

@@ -117,6 +117,8 @@ def standard_gate_builder(name: str, params, wire_dims) -> GateMatrix:
     if name == "swap" and len(wire_dims) == 1:
         if len(params) != 2:
             raise ValueError("swap takes exactly two level parameters, e.g. swap(1,3)")
+        if not all(isinstance(p, int) or (isinstance(p, float) and p.is_integer()) for p in params):
+            raise ValueError(f"swap levels must be integers, got {params}")
         return gate_level_swap(int(params[0]), int(params[1]), wire_dims[0])
     build = _FIXED_GATES.get((name, len(wire_dims)))
     if build is None:
@@ -142,15 +144,7 @@ def build_ts_circuit() -> CircuitDescription:
     subspace this is diagonal with the single -1 on |1,0,1>; the qutrit level
     is only populated transiently.
     """
-    dims = WireDims((2, 2, 3))
-    steps = (
-        _step("xa", (2,), dims),
-        _step("cnot", (1, 2), dims),
-        _step("cs", (0, 2), dims),
-        _step("cnot", (1, 2), dims),
-        _step("xa", (2,), dims),
-    )
-    return CircuitDescription(dims, steps)
+    return build_n_ts_circuit(2)
 
 
 def build_n_ts_circuit(n: int) -> CircuitDescription:
@@ -260,7 +254,7 @@ def _run_qubit_inputs(circ: CircuitDescription) -> tuple[np.ndarray, int]:
         amps = _apply_to_block(amps, step.gate, step.wires, dims)
         max_level = int(level_of[(np.abs(amps) > 1e-9).any(axis=1)].max(initial=max_level))
     err = np.max(np.abs(amps.conj().T @ amps - np.eye(cols.size)))
-    if err > PRODUCT_TOL:
+    if not err <= PRODUCT_TOL:
         raise WireError(f"circuit not unitary on the qubit inputs (deviation {err:.3e})")
     return amps, max_level
 

@@ -24,6 +24,7 @@ from qudit_toffoli.fock import (
     circuit_fock_operator,
     exhaustive_patterns,
     lift_to_fock,
+    logical_transfer,
     parse_optical_circuit,
     permanent,
     permanent_amplitude_oracle,
@@ -335,6 +336,32 @@ def test_single_photon_transfer_matches_embedded_block_product(m, kinds, seed):
     assert np.max(np.abs(single_photon_transfer(elements, m) - want)) < 1e-12
 
 
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(m=st.integers(4, 8), data=st.data(), kinds=st.lists(st.sampled_from(ELEMENT_KINDS), max_size=8),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_logical_transfer_matches_dense_operator_rows(m, data, kinds, seed):
+    # any dual-rail layout on a subset of the modes; the other modes stay empty
+    rng = np.random.default_rng(seed)
+    k = data.draw(st.integers(1, m // 2))
+    modes = [int(x) for x in rng.permutation(m)[:2 * k]]
+    layout = ModeLayout(tuple(zip(modes[::2], modes[1::2])))
+    basis = FockBasis(m, k)
+    elements = [_random_element(rng, m, kind) for kind in kinds]
+    idx = layout.indices(basis)
+    want = circuit_fock_operator(elements, basis)[np.ix_(idx, idx)]
+    assert np.max(np.abs(logical_transfer(elements, basis, layout) - want)) < 1e-12
+
+
+def test_nan_block_is_rejected_by_single_photon_transfer():
+    with pytest.raises(ValueError, match="not unitary"):
+        single_photon_transfer([HalfWavePlate(float("nan"), (0, 1))], 2)
+
+
+def test_nan_mode_matrix_is_rejected_by_lift_to_fock():
+    with pytest.raises(ValueError, match="not unitary"):
+        lift_to_fock(np.array([[np.nan, 0.0], [0.0, 1.0]]), FockBasis(2, 1))
+
+
 # ---------------------------------------------------------------------------
 # detection and post-selection
 # ---------------------------------------------------------------------------
@@ -467,3 +494,34 @@ def test_parse_optical_errors_carry_line_numbers():
                         ("modes 2\nphotons\n", "line 2")]:
         with pytest.raises(OpticalParseError, match=where):
             parse_optical_circuit(text)
+
+
+@pytest.mark.parametrize("line", ["hwp inf 0 1", "hwp nan 0 1", "kerr inf 0 1", "hwp 1e400 0 1",
+                                  pytest.param("kerr 1" + "0" * 400 + "/1 0 1", id="kerr 10**400/1 0 1")])
+def test_parse_optical_rejects_non_finite_values_with_line_number(line):
+    with pytest.raises(OpticalParseError, match="line 3"):
+        parse_optical_circuit(f"modes 2\nphotons 1\n{line}\n")
+
+
+# a line is a keyword, a value and a few mode or condition tokens, valid or not
+_OPTICAL_HEADS = ("modes", "photons", "bs", "atten", "hwp", "kerr", "pbs", "detect", "warp", "#")
+_OPTICAL_VALUES = ("0", "1", "3", "-1", "1/3", "1/0", "0.5", "22.5", "inf", "nan", "1e400",
+                   "1" + "0" * 400 + "/1", "x", "0=0")
+_OPTICAL_ARGS = ("0", "1", "2", "3", "7", "-1", "x", "dotted=0", "dotted=1", "dotted=9",
+                 "dotted=x", "0=0", "1=2", "9=0", "x=1", "#")
+_OPTICAL_LINES = st.tuples(st.sampled_from(_OPTICAL_HEADS), st.sampled_from(_OPTICAL_VALUES),
+                           st.lists(st.sampled_from(_OPTICAL_ARGS), max_size=4)).map(
+    lambda t: " ".join((t[0], t[1]) + tuple(t[2])))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.one_of(
+    st.text(max_size=120),
+    st.tuples(st.integers(0, 8), st.integers(-1, 3), st.lists(_OPTICAL_LINES, max_size=6)).map(
+        lambda t: "\n".join([f"modes {t[0]}", f"photons {t[1]}"] + t[2])),
+    st.lists(_OPTICAL_LINES, max_size=8).map("\n".join)))
+def test_parse_optical_raises_only_its_own_error(text):
+    try:
+        parse_optical_circuit(text)
+    except OpticalParseError:
+        pass

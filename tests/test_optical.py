@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qudit_toffoli import optical
 from qudit_toffoli.fock import (
     ORACLE_TOL,
     DetectionPattern,
@@ -44,6 +45,7 @@ from qudit_toffoli.optical import (
     solve_chain_reflectivities,
     verify_chain_parameters,
 )
+from qudit_toffoli.report import build_report
 from qudit_toffoli.qudits import circuit_unitary, equiv_up_to_global_phase, random_unitary
 from qudit_toffoli.toffoli import build_ts_circuit, restrict_to_qubit_subspace
 
@@ -355,6 +357,19 @@ def test_postselected_cs_probability_completeness():
     total = sum(postselect(final, p).probability
                 for p in exhaustive_patterns(final.basis, [4, 5]))
     assert abs(total - 1.0) < 1e-9
+
+
+def test_report_reads_probabilities_off_the_simulation(monkeypatch):
+    # wave plates off the Hadamard angle: the filter no longer passes 1/2 of
+    # every input and the Kerr gate loses weight, so the heralded 1/32, the
+    # two-C-S 1/162 and the deterministic 1 must all show as decimal misses
+    monkeypatch.setattr(optical, "HADAMARD_HWP_ANGLE", 0.3)
+    rows = {row.construction: row for row in build_report().rows}
+    for name in ("deterministic cross-Kerr T-S", "heralded T-S, qudit target + filter",
+                 "post-selected T-S, two C-S gates + filter"):
+        assert not rows[name].ok
+        assert "/" not in rows[name].display
+    assert rows["post-selected controlled-sign"].ok
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qudit_toffoli.qudits import (
+    CircuitDescription,
     CircuitParseError,
     GateMatrix,
+    GateStep,
     PureState,
     WireDims,
     WireError,
@@ -18,7 +21,13 @@ from qudit_toffoli.qudits import (
     parse_circuit,
     random_unitary,
 )
-from qudit_toffoli.toffoli import build_ts_circuit, gate_xa, standard_gate_builder
+from qudit_toffoli.toffoli import (
+    build_ts_circuit,
+    gate_xa,
+    oracle_n_toffoli_sign,
+    standard_gate_builder,
+    verify_decomposition,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -250,3 +259,75 @@ def test_parse_error_reports_line_number_unused_parameters(step):
 def test_parse_error_missing_dims():
     with pytest.raises(CircuitParseError, match="dims"):
         parse_circuit("cnot 0 1\n", standard_gate_builder)
+
+
+@pytest.mark.parametrize("step", ["swap(1.5,0) 1", "swap(0,2.5) 1", "swap(1e400,0) 1"])
+def test_parse_error_reports_line_number_non_integer_level(step):
+    with pytest.raises(CircuitParseError, match="line 3: .*integers"):
+        parse_circuit(f"dims 2 4\nxa 1\n{step}\n", standard_gate_builder)
+
+
+# a line is a gate head (name and parameters) and a few wire tokens, valid or not
+_CIRCUIT_HEADS = ("dims", "xa", "xb", "x", "h", "cs", "cnot", "swap", "frobnicate", "swap(1,3)",
+                  "swap(1.5,0)", "swap(1e400,0)", "swap(nan,0)", "swap(1)", "h(0.5)", "cs(1,2)",
+                  "x(", "#")
+_CIRCUIT_ARGS = ("0", "1", "2", "-1", "1.5", "x", ")")
+_CIRCUIT_LINES = st.tuples(st.sampled_from(_CIRCUIT_HEADS),
+                           st.lists(st.sampled_from(_CIRCUIT_ARGS), max_size=2)).map(
+    lambda t: " ".join((t[0],) + tuple(t[1])))
+# the same heads on in-range wires, to get past the first lines
+_CIRCUIT_STEPS = st.tuples(st.sampled_from(_CIRCUIT_HEADS),
+                           st.lists(st.sampled_from(("0", "1")), min_size=1, max_size=2, unique=True)).map(
+    lambda t: " ".join((t[0],) + tuple(t[1])))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.one_of(
+    st.text(max_size=120),
+    st.tuples(st.lists(st.sampled_from(("2", "3", "4")), min_size=2, max_size=3),
+              st.lists(_CIRCUIT_STEPS, max_size=6)).map(
+        lambda t: "\n".join([" ".join(("dims",) + tuple(t[0]))] + t[1])),
+    st.lists(_CIRCUIT_LINES, max_size=8).map("\n".join)))
+def test_parse_circuit_raises_only_its_own_error(text):
+    try:
+        parse_circuit(text, standard_gate_builder)
+    except CircuitParseError:
+        pass
+
+
+# ---------------------------------------------------------------------------
+# a NaN fails every unitarity and norm guard instead of slipping past it
+# ---------------------------------------------------------------------------
+
+def _unchecked_gate(matrix):
+    """A one-qubit GateMatrix built without its unitarity check."""
+    gate = object.__new__(GateMatrix)
+    object.__setattr__(gate, "wire_dims", (2,))
+    object.__setattr__(gate, "matrix", np.asarray(matrix, dtype=complex))
+    return gate
+
+
+def test_gate_matrix_rejects_nan():
+    with pytest.raises(WireError, match="not unitary"):
+        GateMatrix((2,), [[np.nan, 0], [0, 1]])
+
+
+def test_apply_gate_rejects_nan_norm():
+    state = PureState(WireDims((2,)), np.array([np.nan, 0.0]))
+    with pytest.raises(WireError, match="norm drifted"):
+        apply_gate(state, GateMatrix((2,), [[0, 1], [1, 0]]), [0])
+
+
+def test_circuit_unitary_rejects_nan_product():
+    nan_gate = _unchecked_gate([[np.nan, 0], [0, 1]])
+    circ = CircuitDescription(WireDims((2, 2)), (GateStep("nan", (), (0,), nan_gate),))
+    with pytest.raises(WireError, match="not unitary"):
+        circuit_unitary(circ)
+
+
+def test_verify_decomposition_rejects_nan_propagation():
+    circ = build_ts_circuit()
+    corrupted = CircuitDescription(
+        circ.dims, circ.steps + (GateStep("nan", (), (0,), _unchecked_gate([[np.nan, 0], [0, 1]])),))
+    with pytest.raises(WireError, match="not unitary"):
+        verify_decomposition(corrupted, oracle_n_toffoli_sign(2, (1, 0, 1)), 2)
