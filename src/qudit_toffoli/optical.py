@@ -23,9 +23,11 @@ Four constructions, all on polarization/spatial dual-rail encodings:
 Every construction is realized by one route, `_realize`: the circuit's
 logical transfer from `fock.logical_transfer` (only the logical inputs
 pushed through the element operators), with the success probability read
-off that transfer.  The exact claimed factor (1, the filter's 1/2, 1/9) is
-reported only when every logical input lands on it; otherwise the simulated
-float is, so a broken element shows up as a mismatch downstream.
+off that transfer.  Each rational builder states its claimed transfer (an
+exact factor 1, 1/2 or 1/9 times a unit-modulus diagonal), and `certified`,
+the whole transfer within 1e-12 of it, is the one verdict the report and the
+CLI read.  Only a certified realization reports the exact factor, else the
+simulated float, so a broken element shows up as a mismatch downstream.
 
 Mode bookkeeping for the polarization constructions (modes 0..7):
 a_h, a_v, b_h, b_v, s_h, s_v, t_h, t_v.  The target qubit enters and leaves
@@ -97,11 +99,6 @@ class SignPattern:
     flipped: tuple[int, ...]          # digit tuple of the single -1 (if any)
     max_off_diagonal: float
     magnitude_spread: float           # max - min over |diagonal|
-    max_imaginary: float
-
-    @property
-    def is_single_flip(self) -> bool:
-        return sum(1 for s in self.signs if s < 0) == 1
 
 
 def analyze_sign_pattern(transfer: np.ndarray, wire_dims) -> SignPattern:
@@ -118,7 +115,6 @@ def analyze_sign_pattern(transfer: np.ndarray, wire_dims) -> SignPattern:
         flipped=flipped,
         max_off_diagonal=float(np.max(np.abs(off))) if off.size else 0.0,
         magnitude_spread=float(np.max(mags) - np.min(mags)),
-        max_imaginary=float(np.max(np.abs(transfer.imag))),
     )
 
 
@@ -126,11 +122,12 @@ def analyze_sign_pattern(transfer: np.ndarray, wire_dims) -> SignPattern:
 class GateRealization:
     """An optical circuit together with its logical reading.
 
-    `transfer` is the post-selected logical matrix over the layout.
-    `success_probability` is read off it: the construction's exact claimed
-    optical factor (a Fraction) when every logical input lands on it, else
-    the simulated float (mean |diagonal|)^2, times any external heralding
-    factor (`cs_success` squared).
+    `transfer` is the post-selected logical matrix over the layout, and
+    `residual` its largest entrywise distance from the claimed transfer
+    (None if there is no claim); `certified` is residual <= EXACT_TOL.
+    `success_probability` is the exact claimed optical factor (a Fraction)
+    when certified, else the simulated float (mean |diagonal|)^2, times any
+    external heralding factor (`cs_success` squared).
     """
 
     name: str
@@ -145,6 +142,8 @@ class GateRealization:
     kerr_count: int = 0
     cs_success: Fraction | None = None
     filter_success: Fraction | float | None = None
+    residual: float | None = None
+    certified: bool = False
 
     def fock_operator(self) -> np.ndarray:
         return circuit_fock_operator(self.circuit.elements, self.circuit.basis())
@@ -171,23 +170,29 @@ class GateRealization:
 EXACT_TOL = 1e-12
 
 
-def _realize(name: str, circuit: OpticalCircuit, layout: ModeLayout,
-             claimed: Fraction | None = None, cs_success: Fraction | None = None,
-             **fields) -> GateRealization:
-    """The one realization route: the logical transfer of the circuit's
-    elements, with its success probability read off the diagonal.
+def _flip_on(*component: int) -> np.ndarray:
+    """Qubit-register phases: -1 on the basis state `component`, else +1."""
+    return 1 - 2 * (np.arange(2 ** len(component)) == int("".join(map(str, component)), 2))
 
-    `claimed` is the construction's exact optical factor; it is returned
-    only if every |diagonal|^2 is within EXACT_TOL of it, else the
-    simulated float.  A `cs_success` (external heralding, per controlled
-    sign) multiplies in squared, and the optical factor becomes
-    `filter_success`."""
+
+def _realize(name: str, circuit: OpticalCircuit, layout: ModeLayout,
+             claimed: Fraction | None = None, phases=None,
+             cs_success: Fraction | None = None, **fields) -> GateRealization:
+    """The one realization route and the one verdict on it: the logical
+    transfer of the circuit's elements, checked whole against the claimed
+    transfer sqrt(`claimed`) * diag(`phases`).
+
+    Only a certified transfer (residual within EXACT_TOL) reports the exact
+    `claimed` factor, any other the simulated float.  A `cs_success`
+    (external heralding, per controlled sign) multiplies in squared, and the
+    optical factor becomes `filter_success`."""
     transfer = logical_transfer(circuit.elements, circuit.basis(), layout)
     pattern = analyze_sign_pattern(transfer, layout.wire_dims.dims)
     optical = float(pattern.scale ** 2)
     if claimed is not None:
-        miss = np.max(np.abs(np.abs(np.diagonal(transfer)) ** 2 - float(claimed)))
-        if miss <= EXACT_TOL:
+        residual = float(np.max(np.abs(transfer - math.sqrt(claimed) * np.diag(phases))))
+        fields.update(residual=residual, certified=residual <= EXACT_TOL)
+        if fields["certified"]:
             optical = claimed
     success = optical
     if cs_success is not None:
@@ -223,7 +228,8 @@ def kerr_cs_gate(chi: float = math.pi) -> GateRealization:
     needs.
     """
     return _realize("cross-Kerr controlled-sign", OpticalCircuit(4, 2, (CrossKerr(chi, (1, 3)),)),
-                    ModeLayout(((0, 1), (2, 3))), claimed=Fraction(1), kerr_count=1)
+                    ModeLayout(((0, 1), (2, 3))), claimed=Fraction(1),
+                    phases=np.exp(1j * chi * np.array([0, 0, 0, 1])), kerr_count=1)
 
 
 def _ts_front_elements() -> tuple:
@@ -252,7 +258,7 @@ def deterministic_ts_gate() -> GateRealization:
         PolarizingBeamsplitter((S_H, S_V), (T_H, T_V)),
     )
     return _realize("deterministic cross-Kerr T-S", OpticalCircuit(8, 3, elements),
-                    _POLARIZATION_LAYOUT, claimed=Fraction(1),
+                    _POLARIZATION_LAYOUT, claimed=Fraction(1), phases=_flip_on(1, 0, 1),
                     stages={"after_front": 5, "end": 9}, kerr_count=3)
 
 
@@ -274,7 +280,7 @@ def heralded_ts_gate(cs_success: Fraction = Fraction(1, 4)) -> GateRealization:
     )
     circuit = OpticalCircuit(8, 3, elements, DetectionPattern.zero((S_H, S_V)))
     return _realize("heralded T-S with passive filter", circuit, _POLARIZATION_LAYOUT,
-                    claimed=Fraction(1, 2), cs_success=Fraction(cs_success),
+                    claimed=Fraction(1, 2), phases=_flip_on(0, 0, 1), cs_success=Fraction(cs_success),
                     stages={"after_cs2": 5, "after_filter_hwps": 7, "end": 8})
 
 
@@ -297,7 +303,7 @@ def postselected_cs_gate() -> GateRealization:
     )
     circuit = OpticalCircuit(6, 2, elements, DetectionPattern.zero((4, 5)))
     return _realize("post-selected controlled-sign", circuit, ModeLayout(((0, 1), (2, 3))),
-                    claimed=Fraction(1, 9))
+                    claimed=Fraction(1, 9), phases=_flip_on(1, 1))
 
 
 def naive_postselected_chain_probability() -> Fraction | float:
@@ -364,6 +370,12 @@ class ChainParameters:
         missing = [f for f in cls.FIELDS if f not in data]
         if missing:
             raise ValueError(f"missing reflectivities: {', '.join(missing)}")
+        unknown = [k for k in data if k not in cls.FIELDS and k != "coupler_reflectivity"]
+        if unknown:
+            raise ValueError(f"unknown keys: {', '.join(map(str, unknown))}")
+        coupler = data.get("coupler_reflectivity", COUPLER_REFLECTIVITY)
+        if not abs(float(coupler) - COUPLER_REFLECTIVITY) <= 1e-12:
+            raise ValueError(f"coupler_reflectivity = {coupler}, but the couplers are fixed at 1/3")
         return cls(**{f: data[f] for f in cls.FIELDS})
 
     def to_json(self) -> str:

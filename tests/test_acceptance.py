@@ -27,7 +27,6 @@ from qudit_toffoli.optical import (
     load_chain_solution,
     naive_postselected_chain_probability,
     postselected_cs_gate,
-    solve_chain_reflectivities,
     verify_chain_parameters,
 )
 from qudit_toffoli.qudits import WireDims, basis_index, circuit_unitary, equiv_up_to_global_phase, random_unitary
@@ -139,8 +138,8 @@ def test_criterion_07_postselected_controlled_sign():
             f"diag(1,1,1,-1); naive chain = 1/162 exactly")
 
 
-def test_criterion_08_reflectivity_solve_and_committed_point():
-    solved = solve_chain_reflectivities(seed=20070, n_starts=12)
+def test_criterion_08_reflectivity_solve_and_committed_point(solved_chain):
+    solved = solved_chain
     v_solved = solved.verification
     solve_ok = (solved.converged
                 and abs(v_solved.success_probability - 1 / 72) < 1e-6

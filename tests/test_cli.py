@@ -2,11 +2,13 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
-from qudit_toffoli import cli
+from qudit_toffoli import cli, optical
 from qudit_toffoli.cli import main
+from qudit_toffoli.fock import CrossKerr
 from qudit_toffoli.optical import load_chain_solution, save_chain_solution
 
 
@@ -129,7 +131,9 @@ def _without_splitter_in(data):
     _without_splitter_in,
     lambda data: json.dumps(data)[:-1],
     lambda data: json.dumps({**data, "splitter_in": 1.5}),
-], ids=["missing-key", "malformed-json", "reflectivity-1.5"])
+    lambda data: json.dumps({**data, "coupler_reflectivity": 0.5}),
+    lambda data: json.dumps({**data, "bogus_key": 7}),
+], ids=["missing-key", "malformed-json", "reflectivity-1.5", "coupler-0.5", "unknown-key"])
 def test_bad_params_file_is_one_line_usage_error(command, rewrite, tmp_path, capsys, solution_file):
     bad = tmp_path / "bad.json"
     with open(solution_file) as fh:
@@ -167,6 +171,36 @@ def test_wrong_reflectivities_fail_verification(tmp_path, capsys):
         "atten_c1_top": 0.5, "atten_c1_bottom": 0.5, "atten_t_bottom": 0.5,
         "atten_c2_top": 0.5, "atten_c2_bottom": 0.5}))
     assert main(["simulate-optical", "chained", "--params-file", str(bad)]) == 1
+
+
+def test_chain_point_off_by_a_part_per_million_fails_both_commands(tmp_path, capsys):
+    # the probability is still within 1e-6 of 1/72, but the magnitudes
+    # spread by about 6e-8: report-all must agree with simulate-optical
+    params = load_chain_solution()
+    path = tmp_path / "off.json"
+    save_chain_solution(dataclasses.replace(params, atten_c1_top=params.atten_c1_top * (1 + 1e-6)),
+                        path)
+    assert main(["report-all", "--params-file", str(path)]) == 1
+    assert "MISMATCH" in capsys.readouterr().out
+    assert main(["simulate-optical", "chained", "--params-file", str(path)]) == 1
+
+
+def test_kerr_on_the_wrong_control_fails_every_row_that_reads_it(monkeypatch, capsys):
+    # the CS(a) Kerr moved onto control b keeps every magnitude: the heralded
+    # transfer flips |0,0,1> and |1,0,1>, the deterministic one flips nothing
+    front = optical._ts_front_elements()
+    assert front[-1] == CrossKerr(math.pi, (optical.A_V, optical.S_V))
+    rewired = front[:-1] + (CrossKerr(math.pi, (optical.B_V, optical.S_V)),)
+    monkeypatch.setattr(optical, "_ts_front_elements", lambda: rewired)
+    assert main(["--format", "json", "report-all"]) == 1
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert {row["construction"] for row in rows if not row["ok"]} == {
+        "deterministic optical T-S, Kerr interactions",
+        "deterministic cross-Kerr T-S",
+        "heralded T-S, qudit target + filter",
+        "post-selected T-S, two C-S gates + filter",
+    }
+    assert main(["simulate-optical", "heralded"]) == 1
 
 
 def test_report_all_text(capsys):

@@ -1,0 +1,187 @@
+#!/usr/bin/env python3
+"""Mutation catalogue: known ways to break the package, and the tests that
+must catch each one.
+
+    python tools/mutants.py
+
+The runner copies `src/`, `tests/` and `pyproject.toml` into a temporary
+directory and checks that every listed test passes there unmutated.  It then
+applies one mutant at a time (an exact text replacement in one file) and
+runs that mutant's tests, every one of which must fail (for a parametrized
+test, at least one of its cases).  It exits 1 if a mutant survives any of
+its tests, if pytest ends in anything but test failures (a usage or
+collection error), or if a mutant's old text does not occur exactly once in
+its file, so the catalogue has to follow every refactor of the code it
+names.
+
+Standard library only, and outside the pytest suite.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "pyproject.toml")
+
+OPTICAL = "src/qudit_toffoli/optical.py"
+FOCK = "src/qudit_toffoli/fock.py"
+TOFFOLI = "src/qudit_toffoli/toffoli.py"
+REPORT = "src/qudit_toffoli/report.py"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str                  # relative to the repository root
+    old: str                   # must occur exactly once in the file
+    new: str
+    tests: tuple[str, ...]     # pytest node ids that must all fail
+
+
+CATALOGUE = (
+    Mutant("chain block gathered transposed", OPTICAL,
+           "sub = mode_matrix[_CHAIN_MODES[:, None, :, None], _CHAIN_MODES[None, :, None, :]]",
+           "sub = mode_matrix[_CHAIN_MODES[None, :, :, None], _CHAIN_MODES[:, None, None, :]]",
+           ("tests/test_optical.py::test_chain_block_matches_permanent_oracle_on_sampled_entries",)),
+    Mutant("one of the six permutations dropped", OPTICAL,
+           "_PERMUTATIONS_3 = np.array(list(permutations(range(3))))",
+           "_PERMUTATIONS_3 = np.array(list(permutations(range(3)))[1:])",
+           ("tests/test_optical.py::test_chained_coincidence_carries_sign_only_on_000",
+            "tests/test_optical.py::test_committed_solution_verifies_tightly")),
+    Mutant("mode block applied as a column operation", FOCK,
+           "mat[modes] = block @ mat[modes]",
+           "mat[:, modes] = mat[:, modes] @ block",
+           ("tests/test_fock.py::test_single_photon_transfer_matches_embedded_block_product",)),
+    Mutant("leakage read from the qubit rows", TOFFOLI,
+           "leakage = float(np.linalg.norm(amps[~inside], axis=0).max(initial=0.0))",
+           "leakage = float(np.sqrt(np.abs(1 - np.linalg.norm(restricted, axis=0) ** 2))"
+           ".max(initial=0.0))",
+           ("tests/test_toffoli.py::test_verify_matches_dense_references_on_masked_variants",)),
+    Mutant("level scan skips the last step's output", TOFFOLI,
+           "        amps = _apply_to_block(amps, step.gate, step.wires, dims)\n"
+           "        max_level = int(level_of[(np.abs(amps) > 1e-9).any(axis=1)].max(initial=max_level))\n",
+           "        max_level = int(level_of[(np.abs(amps) > 1e-9).any(axis=1)].max(initial=max_level))\n"
+           "        amps = _apply_to_block(amps, step.gate, step.wires, dims)\n",
+           ("tests/test_toffoli.py::test_verify_matches_dense_references_on_masked_variants",)),
+    Mutant("local equivalence without the residual", TOFFOLI,
+           "equivalent = bool(component) and residual < PRODUCT_TOL",
+           "equivalent = bool(component)",
+           ("tests/test_toffoli.py::test_verify_matches_dense_references_on_masked_variants",)),
+    Mutant("PBS relabel swaps h instead of v", FOCK,
+           "out[v1], out[v2] = occ[v2], occ[v1]",
+           "out[h1], out[h2] = occ[h2], occ[h1]",
+           ("tests/test_fock.py::test_element_apply_matches_its_fock_operator",)),
+    Mutant("conjugated Kerr diagonal", FOCK,
+           "np.exp(1j * self.chi * occ[a] * occ[b])",
+           "np.exp(-1j * self.chi * occ[a] * occ[b])",
+           ("tests/test_optical.py::test_kerr_cs_general_strength_phases_delta_term",)),
+    Mutant("claimed Fraction reported without certification", OPTICAL,
+           '        if fields["certified"]:\n            optical = claimed\n',
+           "        optical = claimed\n",
+           ("tests/test_optical.py::test_report_reads_probabilities_off_the_simulation",)),
+    Mutant("logical read-out transposed", FOCK,
+           "    return amps[idx]\n",
+           "    return amps[idx].T\n",
+           ("tests/test_fock.py::test_logical_transfer_matches_dense_operator_rows",)),
+    Mutant("filter's t-path wave plate at 0.3 rad", OPTICAL,
+           "HalfWavePlate(HADAMARD_HWP_ANGLE, (T_H, T_V)),",
+           "HalfWavePlate(0.3, (T_H, T_V)),",
+           ("tests/test_cli.py::test_simulate_heralded", "tests/test_cli.py::test_report_all_text")),
+    Mutant("closing PBS dropped from the deterministic gate", OPTICAL,
+           "        HalfWavePlate(HADAMARD_HWP_ANGLE, (S_H, S_V)),\n"
+           "        PolarizingBeamsplitter((S_H, S_V), (T_H, T_V)),\n"
+           "    )\n"
+           '    return _realize("deterministic',
+           "        HalfWavePlate(HADAMARD_HWP_ANGLE, (S_H, S_V)),\n"
+           "    )\n"
+           '    return _realize("deterministic',
+           ("tests/test_cli.py::test_report_all_text",
+            "tests/test_acceptance.py::test_criterion_05_deterministic_optical_ts")),
+    Mutant("CS(a) Kerr wired to control b", OPTICAL,
+           "CrossKerr(math.pi, (A_V, S_V)),",
+           "CrossKerr(math.pi, (B_V, S_V)),",
+           ("tests/test_cli.py::test_report_all_text", "tests/test_cli.py::test_simulate_heralded")),
+    Mutant("_realize certifies magnitudes only", OPTICAL,
+           "residual = float(np.max(np.abs(transfer - math.sqrt(claimed) * np.diag(phases))))",
+           "residual = float(np.max(np.abs(np.abs(transfer) - math.sqrt(claimed) * np.eye(len(phases)))))",
+           ("tests/test_cli.py::test_kerr_on_the_wrong_control_fails_every_row_that_reads_it",)),
+    Mutant("report's chain row checks the probability only", REPORT,
+           "verification.meets(OPTIMIZED_TOL)",
+           "verification.target_gap < OPTIMIZED_TOL",
+           ("tests/test_cli.py::test_chain_point_off_by_a_part_per_million_fails_both_commands",)),
+    Mutant("report's Kerr-count row ignores the verdict", REPORT,
+           "Fraction(det.kerr_count) if det.certified else Fraction(0)",
+           "Fraction(det.kerr_count)",
+           ("tests/test_optical.py::test_report_reads_probabilities_off_the_simulation",)),
+    Mutant("params file accepts unknown keys", OPTICAL,
+           "        if unknown:\n",
+           "        if False:\n",
+           ("tests/test_cli.py::test_bad_params_file_is_one_line_usage_error",)),
+)
+
+
+def _pytest(workdir: Path, node_ids) -> tuple[int, list[str]]:
+    """pytest's exit code and the ids of the failed tests."""
+    env = dict(os.environ, PYTHONPATH=str(workdir / "src"), PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *node_ids],
+        cwd=workdir, env=env, capture_output=True, text=True)
+    failed = [line.split()[1] for line in run.stdout.splitlines() if line.startswith("FAILED ")]
+    return run.returncode, failed
+
+
+def main() -> int:
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        work = Path(tmp)
+        for name in COPIED:
+            src = ROOT / name
+            if src.is_dir():
+                shutil.copytree(src, work / name, ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy2(src, work / name)
+
+        bad_text = [m.name for m in CATALOGUE if (work / m.path).read_text().count(m.old) != 1]
+        for name in bad_text:
+            print(f"STALE     {name}: old text does not occur exactly once")
+        if bad_text:
+            return 1
+        all_tests = sorted({t for m in CATALOGUE for t in m.tests})
+        code, _ = _pytest(work, all_tests)
+        if code != 0:
+            print(f"the listed tests do not pass unmutated (pytest exit {code})")
+            return 1
+
+        failures = 0
+        for m in CATALOGUE:
+            path = work / m.path
+            original = path.read_text()
+            path.write_text(original.replace(m.old, m.new))
+            t0 = time.perf_counter()
+            code, failed = _pytest(work, m.tests)
+            path.write_text(original)
+            passed = [t for t in m.tests
+                      if not any(f == t or f.startswith(t + "[") for f in failed)]
+            if code not in (0, 1):
+                verdict = f"ERROR     {m.name}: pytest exit {code}"
+            elif passed:
+                verdict = f"SURVIVED  {m.name}: {', '.join(passed)} passed"
+            else:
+                verdict = f"killed    {m.name}"
+            failures += bool(code not in (0, 1) or passed)
+            print(f"{verdict} ({time.perf_counter() - t0:.1f} s)")
+    print(f"{len(CATALOGUE) - failures}/{len(CATALOGUE)} mutants killed "
+          f"in {time.perf_counter() - start:.0f} s")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
