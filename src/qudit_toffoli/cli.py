@@ -8,15 +8,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from fractions import Fraction
 
 from .optical import (
+    CHAINED_TARGET,
     ChainParameters,
-    deterministic_ts_gate,
-    chained_ts_gate,
     heralded_ts_gate,
     kerr_cs_gate,
     naive_postselected_chain_probability,
@@ -143,14 +141,13 @@ def cmd_simulate_optical(args) -> int:
                 _emit(json.dumps(summary, indent=2) if args.format == "json"
                       else f"solver failed to converge; best residual {result.residual:.3e}", args)
                 return FAIL
-        verification = verify_chain_parameters(params)
-        realization = chained_ts_gate(params)
+        realization = verify_chain_parameters(params)
         summary = _realization_summary(realization, {
             "solved_here": solved,
             "parameters": params.to_dict(),
-            "target_gap_vs_1/72": verification.target_gap,
+            "target_gap_vs_1/72": abs(realization.sign_pattern().scale ** 2 - float(CHAINED_TARGET)),
         })
-        ok = verification.meets(probability_tol=max(args.tol, 1e-9))
+        ok = realization.certified
     else:  # pragma: no cover - argparse restricts choices
         return USAGE
     text = json.dumps(summary, indent=2) if args.format == "json" else _summary_text(summary)
@@ -180,16 +177,6 @@ def _int_at_least(lowest: int):
     return parse
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
-    return value
-
-
 def _probability(text: str) -> Fraction:
     try:
         value = Fraction(text)
@@ -206,10 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verify qudit-assisted Toffoli constructions and their optical realizations.")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--out", help="write output to this file instead of stdout")
-    parser.add_argument("--tol", type=_positive_float, default=1e-10,
-                        help="probability tolerance of 'simulate-optical chained' (default "
-                        "1e-10, floored at 1e-9); every other check is its construction's "
-                        "own verdict")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_toffoli = sub.add_parser("verify-toffoli", help="check the n-control construction")

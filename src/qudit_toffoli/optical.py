@@ -20,14 +20,15 @@ Four constructions, all on polarization/spatial dual-rail encodings:
   through two coupled interferometers instead (solved numerically by
   `solve_chain_reflectivities`) reaches 1/72.
 
-Every construction is realized by one route, `_realize`: the circuit's
-logical transfer from `fock.logical_transfer` (only the logical inputs
-pushed through the element operators), with the success probability read
-off that transfer.  Each rational builder states its claimed transfer (an
-exact factor 1, 1/2 or 1/9 times a unit-modulus diagonal), and `certified`,
-the whole transfer within 1e-12 of it, is the one verdict the report and the
-CLI read.  Only a certified realization reports the exact factor, else the
-simulated float, so a broken element shows up as a mismatch downstream.
+Every construction states its claimed logical transfer, an exact factor
+(1, 1/2, 1/9 or 1/72) times a unit-modulus diagonal, and is judged by one
+route, `_realize`: `certified`, the whole transfer within 1e-12 of the
+claim, is the one verdict the report and the CLI read.  The transfer is the
+circuit's logical transfer from `fock.logical_transfer` (only the logical
+inputs pushed through the element operators), or for
+`verify_chain_parameters` the chain's coincidence block.  Only a certified
+realization reports the exact factor, else the simulated float, so a broken
+element shows up as a mismatch downstream.
 
 Mode bookkeeping for the polarization constructions (modes 0..7):
 a_h, a_v, b_h, b_v, s_h, s_v, t_h, t_v.  The target qubit enters and leaves
@@ -41,9 +42,9 @@ c2_0 through reflectivity-1/3 beamsplitters, and exits on arm_u.  Logical 0
 of each qubit is its first listed mode.  Its 8x8 coincidence amplitudes have
 one route, `chain_coincidence_block` (3x3 permanents of the mode matrix),
 shared by the solver's objective and `verify_chain_parameters`.
-`chained_ts_gate` is the independent check on it: its transfer comes from
-the element operators, sharing neither `single_photon_transfer` nor
-permanents with the block.
+`chained_ts_gate` makes the same 1/72 claim as an independent check on it:
+its transfer comes from the element operators, sharing neither
+`single_photon_transfer` nor permanents with the block.
 """
 
 from __future__ import annotations
@@ -120,11 +121,11 @@ def analyze_sign_pattern(transfer: np.ndarray, wire_dims) -> SignPattern:
 
 @dataclass(frozen=True)
 class GateRealization:
-    """An optical circuit together with its logical reading.
+    """An optical circuit together with its logical reading and verdict.
 
     `transfer` is the post-selected logical matrix over the layout, and
-    `residual` its largest entrywise distance from the claimed transfer
-    (None if there is no claim); `certified` is residual <= EXACT_TOL.
+    `residual` its largest entrywise distance from the claimed transfer;
+    `certified` is residual <= EXACT_TOL.
     `success_probability` is the exact claimed optical factor (a Fraction)
     when certified, else the simulated float (mean |diagonal|)^2, times any
     external heralding factor (`cs_success` squared).
@@ -137,13 +138,13 @@ class GateRealization:
     transfer: np.ndarray
     success_probability: Fraction | float
     flipped_component: tuple[int, ...]
+    residual: float
+    certified: bool
     herald_pattern: DetectionPattern | None = None
     stages: dict = field(default_factory=dict)
     kerr_count: int = 0
     cs_success: Fraction | None = None
     filter_success: Fraction | float | None = None
-    residual: float | None = None
-    certified: bool = False
 
     def fock_operator(self) -> np.ndarray:
         return circuit_fock_operator(self.circuit.elements, self.circuit.basis())
@@ -175,25 +176,23 @@ def _flip_on(*component: int) -> np.ndarray:
     return 1 - 2 * (np.arange(2 ** len(component)) == int("".join(map(str, component)), 2))
 
 
-def _realize(name: str, circuit: OpticalCircuit, layout: ModeLayout,
-             claimed: Fraction | None = None, phases=None,
-             cs_success: Fraction | None = None, **fields) -> GateRealization:
-    """The one realization route and the one verdict on it: the logical
-    transfer of the circuit's elements, checked whole against the claimed
-    transfer sqrt(`claimed`) * diag(`phases`).
+def _realize(name: str, circuit: OpticalCircuit, layout: ModeLayout, claimed: Fraction, phases,
+             transfer: np.ndarray | None = None, cs_success: Fraction | None = None,
+             **fields) -> GateRealization:
+    """The one verdict on a construction: its logical transfer checked whole
+    against the claimed transfer sqrt(`claimed`) * diag(`phases`).
 
+    `transfer` defaults to the logical transfer of the circuit's elements.
     Only a certified transfer (residual within EXACT_TOL) reports the exact
     `claimed` factor, any other the simulated float.  A `cs_success`
     (external heralding, per controlled sign) multiplies in squared, and the
     optical factor becomes `filter_success`."""
-    transfer = logical_transfer(circuit.elements, circuit.basis(), layout)
+    if transfer is None:
+        transfer = logical_transfer(circuit.elements, circuit.basis(), layout)
     pattern = analyze_sign_pattern(transfer, layout.wire_dims.dims)
-    optical = float(pattern.scale ** 2)
-    if claimed is not None:
-        residual = float(np.max(np.abs(transfer - math.sqrt(claimed) * np.diag(phases))))
-        fields.update(residual=residual, certified=residual <= EXACT_TOL)
-        if fields["certified"]:
-            optical = claimed
+    residual = float(np.max(np.abs(transfer - math.sqrt(claimed) * np.diag(phases))))
+    certified = residual <= EXACT_TOL
+    optical = claimed if certified else float(pattern.scale ** 2)
     success = optical
     if cs_success is not None:
         fields.update(cs_success=cs_success, filter_success=optical)
@@ -206,6 +205,8 @@ def _realize(name: str, circuit: OpticalCircuit, layout: ModeLayout,
         transfer=transfer,
         success_probability=success,
         flipped_component=pattern.flipped,
+        residual=residual,
+        certified=certified,
         herald_pattern=circuit.pattern,
         **fields,
     )
@@ -322,7 +323,8 @@ C1_0, C1_1, ARM_U, ARM_L, T1, C2_0, C2_1 = range(7)
 N_PRINCIPAL_MODES = 7
 
 _CHAIN_LAYOUT = ModeLayout(((C1_0, C1_1), (ARM_U, T1), (C2_0, C2_1)))
-_CHAIN_TARGET = (-1, 1, 1, 1, 1, 1, 1, 1)   # sign pattern: flip on |0,0,0|
+_CHAIN_TARGET = _flip_on(0, 0, 0)
+_CHAIN_NAME = "post-selected T-S, chained interferometers"
 
 
 @dataclass(frozen=True)
@@ -439,42 +441,18 @@ def chain_diagonal(params_vector: np.ndarray) -> np.ndarray:
     return np.diagonal(chain_coincidence_block(mode)).real
 
 
-@dataclass(frozen=True)
-class ChainVerification:
-    """Checks of a parameter point against the chained-gate contract."""
-
-    success_probability: float        # |lambda|^2
-    target_gap: float                 # |success - 1/72|
-    magnitude_spread: float
-    max_off_diagonal: float
-    sign_pattern_ok: bool
-    flipped_component: tuple[int, ...]
-
-    def meets(self, probability_tol: float, pattern_tol: float = 1e-8) -> bool:
-        return (self.target_gap < probability_tol
-                and self.magnitude_spread < pattern_tol
-                and self.max_off_diagonal < pattern_tol
-                and self.sign_pattern_ok)
-
-
-def verify_chain_parameters(params: ChainParameters) -> ChainVerification:
-    block = chain_coincidence_block(chain_mode_matrix(params))
-    pattern = analyze_sign_pattern(block, (2, 2, 2))
-    sign_ok = pattern.signs == _CHAIN_TARGET and pattern.flipped == (0, 0, 0)
-    return ChainVerification(
-        success_probability=pattern.scale ** 2,
-        target_gap=abs(pattern.scale ** 2 - float(CHAINED_TARGET)),
-        magnitude_spread=pattern.magnitude_spread,
-        max_off_diagonal=pattern.max_off_diagonal,
-        sign_pattern_ok=sign_ok,
-        flipped_component=pattern.flipped,
-    )
+def verify_chain_parameters(params: ChainParameters) -> GateRealization:
+    """The chain's claim checked on the fast route: the coincidence block
+    (3x3 permanents of the mode matrix, shared with the solver) against
+    1/72 times a single sign flip on |0,0,0>."""
+    return _realize(_CHAIN_NAME, chain_topology(params), _CHAIN_LAYOUT, CHAINED_TARGET, _CHAIN_TARGET,
+                    transfer=chain_coincidence_block(chain_mode_matrix(params)))
 
 
 @dataclass(frozen=True)
 class ChainSolveResult:
     params: ChainParameters
-    verification: ChainVerification
+    verification: GateRealization     # verify_chain_parameters(params)
     converged: bool
     residual: float                   # feasibility residual of the polish
     n_starts: int
@@ -483,7 +461,7 @@ class ChainSolveResult:
 
 _PARAM_BOUNDS = (1e-4, 1.0)
 _PENALTY_WEIGHT = 50.0
-_TARGET_SIGNS = np.array(_CHAIN_TARGET, dtype=float)
+_TARGET_SIGNS = _CHAIN_TARGET.astype(float)
 
 
 def _chain_residuals(vec: np.ndarray) -> tuple[np.ndarray, float]:
@@ -545,7 +523,7 @@ def solve_chain_reflectivities(seed: int = 20070, n_starts: int = 16) -> ChainSo
 
     params = ChainParameters.from_vector(solution)
     verification = verify_chain_parameters(params)
-    converged = residual < 1e-10 and verification.sign_pattern_ok
+    converged = residual < 1e-10 and verification.sign_pattern().signs == tuple(_CHAIN_TARGET)
     return ChainSolveResult(
         params=params,
         verification=verification,
@@ -557,12 +535,11 @@ def solve_chain_reflectivities(seed: int = 20070, n_starts: int = 16) -> ChainSo
 
 
 def chained_ts_gate(params: ChainParameters) -> GateRealization:
-    """Full realization from a solved parameter point (verification path:
+    """The same claim as `verify_chain_parameters` on the independent route:
     the transfer comes from the element operators through
-    `logical_transfer`, independent of `chain_coincidence_block`); its
-    success probability is the simulated float."""
-    return _realize("post-selected T-S, chained interferometers", chain_topology(params),
-                    _CHAIN_LAYOUT)
+    `logical_transfer`, sharing neither `single_photon_transfer` nor
+    permanents with `chain_coincidence_block`."""
+    return _realize(_CHAIN_NAME, chain_topology(params), _CHAIN_LAYOUT, CHAINED_TARGET, _CHAIN_TARGET)
 
 
 SOLUTION_RESOURCE = "chain_solution.json"

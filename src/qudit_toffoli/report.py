@@ -2,10 +2,9 @@
 
 Simulated rows are recomputed from the constructions in this package and
 read their verdicts; cited rows are published comparison constants carried
-along for context.  A report is only "ok" if every simulated row passes: an
-exact Fraction for the rational constructions (which only a certified
-transfer reports; a simulated float there is a MISMATCH), and
-`ChainVerification.meets(OPTIMIZED_TOL)` for the optimized one.
+along for context.  A report is only "ok" if every simulated row shows its
+exact Fraction, which only a certified construction reports: a simulated
+float there, the optimized chain's included, is a MISMATCH.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ from . import optical, toffoli
 from .optical import (
     ALTERNATIVE_HERALDED_3PAIR,
     ALTERNATIVE_POSTSELECTED,
+    CHAINED_TARGET,
     ChainParameters,
     NAIVE_HERALDED_CHAIN,
     heralded_ts_gate,
@@ -25,8 +25,6 @@ from .optical import (
     verify_chain_parameters,
 )
 from .toffoli import build_n_ts_circuit, expected_flipped_component, oracle_n_toffoli_sign, verify_decomposition
-
-OPTIMIZED_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -85,9 +83,9 @@ def _frac(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
 
 
-def _simulated(section, construction, resources, value, expected: Fraction | bool) -> ReportRow:
-    """`expected` is the exact Fraction `value` must be, or the verifier's verdict."""
-    ok = (isinstance(value, Fraction) and value == expected) if isinstance(expected, Fraction) else expected
+def _simulated(section, construction, resources, value, expected: Fraction) -> ReportRow:
+    """`expected` is the exact Fraction `value` must be."""
+    ok = isinstance(value, Fraction) and value == expected
     display = _frac(value) if isinstance(value, Fraction) else f"{float(value):.9f}"
     return ReportRow(section, construction, resources, float(value), display, "simulated", ok)
 
@@ -142,9 +140,8 @@ def build_report(chain_params: ChainParameters | None = None) -> Report:
     rows.append(_simulated(probs, "post-selected T-S, two C-S gates + filter", "3 photons",
                            naive_postselected_chain_probability(), Fraction(1, 162)))
     params = chain_params if chain_params is not None else optical.load_chain_solution()
-    verification = verify_chain_parameters(params)
     rows.append(_simulated(probs, "post-selected T-S, chained interferometers", "3 photons",
-                           verification.success_probability, verification.meets(OPTIMIZED_TOL)))
+                           verify_chain_parameters(params).success_probability, CHAINED_TARGET))
     rows.append(_cited(probs, "post-selected Toffoli, alternative architecture", "3 photons",
                        ALTERNATIVE_POSTSELECTED, display="~1/133"))
 

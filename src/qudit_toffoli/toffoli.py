@@ -221,10 +221,10 @@ def toffoli_truth_table(n: int = 2) -> GateMatrix:
 # ---------------------------------------------------------------------------
 
 def qubit_subspace_indices(dims: WireDims) -> np.ndarray:
-    """Indices of basis states with every wire in {0, 1}."""
-    keep = [i for i in range(dims.total_dim)
-            if all(d < 2 for d in basis_digits(i, dims))]
-    return np.array(keep, dtype=int)
+    """Indices of basis states with every wire in {0, 1}, ascending: the
+    2^k binary digit tuples in lexicographic order, ranked big-endian."""
+    k = dims.n_wires
+    return np.ravel_multi_index(np.indices((2,) * k).reshape(k, -1), dims.dims)
 
 
 def restrict_to_qubit_subspace(unitary: GateMatrix, dims: WireDims) -> np.ndarray:
@@ -241,9 +241,10 @@ def qubit_subspace_leakage(unitary: GateMatrix, dims: WireDims) -> float:
     return float(np.max(np.linalg.norm(unitary.matrix[np.ix_(outside, idx)], axis=0)))
 
 
-def _run_qubit_inputs(circ: CircuitDescription) -> tuple[np.ndarray, int]:
-    """Output columns of the all-qubit-levels basis states after one pass, and
-    the highest target (last wire) level holding amplitude after any step."""
+def _run_qubit_inputs(circ: CircuitDescription) -> tuple[np.ndarray, np.ndarray, int]:
+    """Output columns of the all-qubit-levels basis states after one pass,
+    those states' indices (`qubit_subspace_indices`), and the highest target
+    (last wire) level holding amplitude after any step."""
     dims = circ.dims
     cols = qubit_subspace_indices(dims)
     amps = np.zeros((dims.total_dim, cols.size), dtype=complex)
@@ -256,12 +257,12 @@ def _run_qubit_inputs(circ: CircuitDescription) -> tuple[np.ndarray, int]:
     err = np.max(np.abs(amps.conj().T @ amps - np.eye(cols.size)))
     if not err <= PRODUCT_TOL:
         raise WireError(f"circuit not unitary on the qubit inputs (deviation {err:.3e})")
-    return amps, max_level
+    return amps, cols, max_level
 
 
 def max_target_level_used(circ: CircuitDescription) -> int:
     """Highest target (last wire) level occupied while running the qubit-basis inputs."""
-    return _run_qubit_inputs(circ)[1]
+    return _run_qubit_inputs(circ)[2]
 
 
 @dataclass
@@ -343,8 +344,9 @@ def verify_decomposition(circ: CircuitDescription, oracle: GateMatrix, n: int) -
     dims = circ.dims
     if dims.n_wires != n + 1 or oracle.dim != 2 ** (n + 1):
         raise ValueError("circuit / oracle dimensions do not match n")
-    amps, max_level = _run_qubit_inputs(circ)
-    inside = np.isin(np.arange(dims.total_dim), qubit_subspace_indices(dims))
+    amps, cols, max_level = _run_qubit_inputs(circ)
+    inside = np.zeros(dims.total_dim, dtype=bool)
+    inside[cols] = True
     restricted = amps[inside]
     fidelity = float(abs(np.vdot(restricted, oracle.matrix)) / oracle.dim)
     leakage = float(np.linalg.norm(amps[~inside], axis=0).max(initial=0.0))

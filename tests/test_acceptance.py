@@ -142,17 +142,16 @@ def test_criterion_08_reflectivity_solve_and_committed_point(solved_chain):
     solved = solved_chain
     v_solved = solved.verification
     solve_ok = (solved.converged
-                and abs(v_solved.success_probability - 1 / 72) < 1e-6
-                and v_solved.magnitude_spread < 1e-8
-                and v_solved.sign_pattern_ok)
+                and v_solved.certified
+                and v_solved.flipped_component == (0, 0, 0)
+                and v_solved.success_probability == Fraction(1, 72))
     committed = verify_chain_parameters(load_chain_solution())
-    committed_ok = (committed.target_gap < 1e-9
-                    and committed.magnitude_spread < 1e-9
-                    and committed.max_off_diagonal < 1e-9
-                    and committed.flipped_component == (0, 0, 0))
+    committed_ok = (committed.certified
+                    and committed.flipped_component == (0, 0, 0)
+                    and committed.success_probability == Fraction(1, 72))
     _report(8, solve_ok and committed_ok,
-            f"solver reached |lambda|^2 = {v_solved.success_probability:.9f} "
-            f"(1/72 = {1 / 72:.9f}); committed parameter file re-verified to 1e-9; "
+            f"solver reached |lambda|^2 = {float(v_solved.success_probability):.9f} "
+            f"(1/72 = {1 / 72:.9f}); committed parameter file certified to 1e-12; "
             f"single sign flip at |0,0,0>")
 
 

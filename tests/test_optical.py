@@ -385,11 +385,9 @@ def solved_params():
 
 def test_committed_solution_verifies_tightly(solved_params):
     v = verify_chain_parameters(solved_params)
-    assert v.target_gap < 1e-9
-    assert v.magnitude_spread < 1e-9
-    assert v.max_off_diagonal < 1e-9
-    assert v.sign_pattern_ok
+    assert v.certified
     assert v.flipped_component == (0, 0, 0)
+    assert v.success_probability == Fraction(1, 72)
 
 
 def test_first_interferometer_antibalanced_when_control_off(solved_params):
@@ -501,9 +499,9 @@ def test_chained_probability_completeness(solved_params):
 def test_solver_reaches_the_published_operating_point(solved_chain):
     result = solved_chain
     assert result.converged
-    assert abs(result.verification.success_probability - 1 / 72) < 1e-6
-    assert result.verification.magnitude_spread < 1e-8
-    assert result.verification.sign_pattern_ok
+    assert result.verification.certified
+    assert result.verification.flipped_component == (0, 0, 0)
+    assert result.verification.success_probability == Fraction(1, 72)
 
 
 def test_solver_is_deterministic_under_fixed_seed():

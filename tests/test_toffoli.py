@@ -12,6 +12,7 @@ from qudit_toffoli.qudits import (
     PureState,
     WireDims,
     apply_gate,
+    basis_digits,
     basis_index,
     circuit_unitary,
     embed_gate,
@@ -28,6 +29,7 @@ from qudit_toffoli.toffoli import (
     gate_xa,
     gate_xb,
     oracle_n_toffoli_sign,
+    qubit_subspace_indices,
     qubit_subspace_leakage,
     restrict_to_qubit_subspace,
     toffoli_truth_table,
@@ -191,8 +193,6 @@ def test_hadamard_conjugation_gives_toffoli_up_to_bit_flip():
     """H on the target before and after turns the T-S into a Toffoli; ours
     flips on (1,0,1) so it matches the brute-force Toffoli conjugated by a
     bit flip on the middle wire."""
-    from qudit_toffoli.toffoli import qubit_subspace_indices
-
     circ = build_ts_circuit()
     dims = circ.dims
     h_full = embed_gate(gate_h_padded(3), (2,), dims)
@@ -204,6 +204,13 @@ def test_hadamard_conjugation_gives_toffoli_up_to_bit_flip():
     flip_b = embed_gate(gate_x_padded(2), (1,), qdims)
     expected = flip_b @ toffoli_truth_table(2).matrix @ flip_b
     assert np.max(np.abs(restricted - expected)) < 1e-10
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 3), (3, 2, 4), (2,) * 5 + (6,), (5,)])
+def test_qubit_subspace_indices_match_the_digit_definition(dims):
+    wd = WireDims(dims)
+    want = [i for i in range(wd.total_dim) if max(basis_digits(i, wd)) < 2]
+    assert qubit_subspace_indices(wd).tolist() == want
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ OPTICAL = "src/qudit_toffoli/optical.py"
 FOCK = "src/qudit_toffoli/fock.py"
 TOFFOLI = "src/qudit_toffoli/toffoli.py"
 REPORT = "src/qudit_toffoli/report.py"
+CLI = "src/qudit_toffoli/cli.py"
 
 
 @dataclass(frozen=True)
@@ -84,8 +85,8 @@ CATALOGUE = (
            "np.exp(-1j * self.chi * occ[a] * occ[b])",
            ("tests/test_optical.py::test_kerr_cs_general_strength_phases_delta_term",)),
     Mutant("claimed Fraction reported without certification", OPTICAL,
-           '        if fields["certified"]:\n            optical = claimed\n',
-           "        optical = claimed\n",
+           "optical = claimed if certified else float(pattern.scale ** 2)",
+           "optical = claimed",
            ("tests/test_optical.py::test_report_reads_probabilities_off_the_simulation",)),
     Mutant("logical read-out transposed", FOCK,
            "    return amps[idx]\n",
@@ -113,10 +114,15 @@ CATALOGUE = (
            "residual = float(np.max(np.abs(transfer - math.sqrt(claimed) * np.diag(phases))))",
            "residual = float(np.max(np.abs(np.abs(transfer) - math.sqrt(claimed) * np.eye(len(phases)))))",
            ("tests/test_cli.py::test_kerr_on_the_wrong_control_fails_every_row_that_reads_it",)),
-    Mutant("report's chain row checks the probability only", REPORT,
-           "verification.meets(OPTIMIZED_TOL)",
-           "verification.target_gap < OPTIMIZED_TOL",
-           ("tests/test_cli.py::test_chain_point_off_by_a_part_per_million_fails_both_commands",)),
+    Mutant("report's simulated rows accept a value within 1e-6", REPORT,
+           "ok = isinstance(value, Fraction) and value == expected",
+           "ok = abs(value - expected) < 1e-6",
+           ("tests/test_cli.py::test_chain_point_dimmed_by_ten_parts_per_million_fails_both_commands",
+            "tests/test_cli.py::test_chain_point_off_by_a_part_per_million_fails_both_commands")),
+    Mutant("simulate-optical chained ignores the verdict", CLI,
+           "        ok = realization.certified\n    else:",
+           "        ok = True\n    else:",
+           ("tests/test_cli.py::test_chain_point_dimmed_by_ten_parts_per_million_fails_both_commands",)),
     Mutant("report's Kerr-count row ignores the verdict", REPORT,
            "Fraction(det.kerr_count) if det.certified else Fraction(0)",
            "Fraction(det.kerr_count)",
