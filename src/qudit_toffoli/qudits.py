@@ -233,6 +233,8 @@ class CircuitDescription:
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
         for s, step in enumerate(self.steps):
+            if len(set(step.wires)) != len(step.wires):
+                raise WireError(f"step {s}: repeated wire index in {list(step.wires)}")
             for w in step.wires:
                 if not 0 <= w < self.dims.n_wires:
                     raise WireError(f"step {s}: wire index {w} out of range")

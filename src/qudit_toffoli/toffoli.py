@@ -186,8 +186,9 @@ def build_n_ts_circuit(n: int) -> CircuitDescription:
     return CircuitDescription(dims, steps)
 
 
-def oracle_n_toffoli_sign(n: int, flipped_component) -> GateMatrix:
-    """Diagonal +/-1 oracle over n+1 qubits with a single -1.
+def oracle_n_toffoli_sign(n: int, flipped_component) -> np.ndarray:
+    """Diagonal of the +/-1 oracle over n+1 qubits: a length-2^(n+1) vector of
+    +1 with a single -1.
 
     `flipped_component` is either a linear index into the 2^(n+1)-dim space or
     a digit tuple like (1, 0, 1).
@@ -199,9 +200,9 @@ def oracle_n_toffoli_sign(n: int, flipped_component) -> GateMatrix:
         index = int(flipped_component)
         if not 0 <= index < dims.total_dim:
             raise ValueError(f"component index {index} out of range for {dims.total_dim}")
-    diag = np.ones(dims.total_dim, dtype=complex)
+    diag = np.ones(dims.total_dim)
     diag[index] = -1.0
-    return GateMatrix(dims.dims, np.diag(diag))
+    return diag
 
 
 def toffoli_truth_table(n: int = 2) -> GateMatrix:
@@ -241,28 +242,75 @@ def qubit_subspace_leakage(unitary: GateMatrix, dims: WireDims) -> float:
     return float(np.max(np.linalg.norm(unitary.matrix[np.ix_(outside, idx)], axis=0)))
 
 
-def _run_qubit_inputs(circ: CircuitDescription) -> tuple[np.ndarray, np.ndarray, int]:
-    """Output columns of the all-qubit-levels basis states after one pass,
-    those states' indices (`qubit_subspace_indices`), and the highest target
-    (last wire) level holding amplitude after any step."""
-    dims = circ.dims
-    cols = qubit_subspace_indices(dims)
+def _monomial_table(gate: GateMatrix) -> tuple[np.ndarray, np.ndarray] | None:
+    """Row of each column's single nonzero entry and that entry, or None if
+    some column of the gate does not have exactly one nonzero."""
+    nonzero = gate.matrix != 0
+    if not (nonzero.sum(axis=0) == 1).all():
+        return None
+    rows = nonzero.argmax(axis=0)
+    return rows, gate.matrix[rows, np.arange(rows.size)]
+
+
+def _run_dense(steps, dims: WireDims, digits: np.ndarray, phases: np.ndarray, max_level: int):
+    """Finish `_run_qubit_inputs` with dense columns of the full register:
+    scatter each input's (digits, phase), push the columns through the
+    remaining steps, and return the nonzero entries as triplets, the highest
+    target level, and the columns' deviation from orthonormality."""
+    cols = np.arange(phases.size)
     amps = np.zeros((dims.total_dim, cols.size), dtype=complex)
-    amps[cols, np.arange(cols.size)] = 1.0
+    amps[np.ravel_multi_index(digits, dims.dims), cols] = phases
     level_of = np.arange(dims.total_dim) % dims.dims[-1]  # big-endian: last wire is the low digit
-    max_level = 1
-    for step in circ.steps:
+    for step in steps:
         amps = _apply_to_block(amps, step.gate, step.wires, dims)
         max_level = int(level_of[(np.abs(amps) > 1e-9).any(axis=1)].max(initial=max_level))
-    err = np.max(np.abs(amps.conj().T @ amps - np.eye(cols.size)))
+    err = float(np.max(np.abs(amps.conj().T @ amps - np.eye(cols.size))))
+    rows, cols = np.nonzero(amps)
+    return np.array(np.unravel_index(rows, dims.dims)), cols, amps[rows, cols], max_level, err
+
+
+def _run_qubit_inputs(circ: CircuitDescription):
+    """Run the 2^k all-qubit-levels basis inputs through the circuit once.
+
+    Returns the nonzero outputs as (row digits, column, amplitude) triplets,
+    a k x m digit array and two length-m vectors, where the column is the
+    input's rank among the qubit inputs (lexicographic, so it is also its
+    index in the 2^k qubit space), plus the highest target (last wire) level
+    holding amplitude after any step.  While every step is monomial (one
+    nonzero per column) each input stays one basis state: one digit column
+    and one phase, updated by a table lookup on the step's wires.  From the
+    first other step on, `_run_dense` takes over."""
+    dims = circ.dims
+    digits = np.indices((2,) * dims.n_wires).reshape(dims.n_wires, -1)
+    phases = np.ones(digits.shape[1], dtype=complex)
+    max_level = 1
+    for s, step in enumerate(circ.steps):
+        table = _monomial_table(step.gate)
+        if table is None:
+            digits, cols, amps, max_level, err = _run_dense(
+                circ.steps[s:], dims, digits, phases, max_level)
+            break
+        rows, entries = table
+        wires = list(step.wires)
+        local = np.ravel_multi_index(digits[wires], step.gate.wire_dims)
+        digits[wires] = np.unravel_index(rows[local], step.gate.wire_dims)
+        phases = phases * entries[local]
+        max_level = max(max_level, int(digits[-1].max()))
+    else:
+        cols, amps = np.arange(phases.size), phases
+        # the columns are orthonormal iff the outputs are distinct and every phase is unimodular
+        err = float(np.max(np.abs(np.abs(phases) - 1.0)))
+        rows = np.sort(np.ravel_multi_index(digits, dims.dims))
+        if (rows[1:] == rows[:-1]).any():
+            err = max(err, 1.0)
     if not err <= PRODUCT_TOL:
         raise WireError(f"circuit not unitary on the qubit inputs (deviation {err:.3e})")
-    return amps, cols, max_level
+    return digits, cols, amps, max_level
 
 
 def max_target_level_used(circ: CircuitDescription) -> int:
     """Highest target (last wire) level occupied while running the qubit-basis inputs."""
-    return _run_qubit_inputs(circ)[2]
+    return _run_qubit_inputs(circ)[3]
 
 
 @dataclass
@@ -319,38 +367,37 @@ class DecompositionReport:
         }
 
 
-def _detect_flipped_component(restricted: np.ndarray) -> tuple[tuple[int, ...], float]:
-    """Index digits of the single negative diagonal entry, plus how far the
-    matrix is from being such a diagonal.  Works on any near diag(+/-1)."""
-    dim = restricted.shape[0]
-    n_wires = dim.bit_length() - 1
-    dims = WireDims((2,) * n_wires)
-    diag = np.diagonal(restricted)
-    signs = np.where(diag.real < 0, -1.0, 1.0)
-    residual = float(np.max(np.abs(restricted - np.diag(signs))))
-    flipped = np.nonzero(signs < 0)[0]
-    component = basis_digits(int(flipped[0]), dims) if flipped.size == 1 else ()
-    return component, residual
+def verify_decomposition(circ: CircuitDescription, oracle: np.ndarray, n: int) -> DecompositionReport:
+    """Compare a circuit's qubit-subspace action against a diagonal-sign oracle,
+    given as its +/-1 diagonal (`oracle_n_toffoli_sign`).
 
-
-def verify_decomposition(circ: CircuitDescription, oracle: GateMatrix, n: int) -> DecompositionReport:
-    """Compare a circuit's qubit-subspace action against a diagonal-sign oracle.
-
-    Every field comes from one propagation of the 2^(n+1) qubit-basis inputs;
-    the dense `circuit_unitary` is kept as the tests' reference.
-    Fidelity is the phase-insensitive process overlap |tr(U' O)| / dim.  A
-    corrupted circuit reports fidelity < 1 rather than raising.
+    Every field comes from one propagation of the 2^(n+1) qubit-basis inputs
+    (`_run_qubit_inputs`); the dense `circuit_unitary` is kept as the tests'
+    reference.  Fidelity is the phase-insensitive process overlap
+    |tr(U' O)| / dim: only outputs equal to their input count.  A corrupted
+    circuit reports fidelity < 1 rather than raising.
     """
     dims = circ.dims
-    if dims.n_wires != n + 1 or oracle.dim != 2 ** (n + 1):
+    dim = 2 ** (n + 1)
+    if dims.n_wires != n + 1:
         raise ValueError("circuit / oracle dimensions do not match n")
-    amps, cols, max_level = _run_qubit_inputs(circ)
-    inside = np.zeros(dims.total_dim, dtype=bool)
-    inside[cols] = True
-    restricted = amps[inside]
-    fidelity = float(abs(np.vdot(restricted, oracle.matrix)) / oracle.dim)
-    leakage = float(np.linalg.norm(amps[~inside], axis=0).max(initial=0.0))
-    component, residual = _detect_flipped_component(restricted)
+    oracle = np.asarray(oracle)
+    if oracle.shape != (dim,) or not np.isin(oracle, (-1, 1)).all():
+        raise ValueError(f"oracle must be a vector of {dim} entries, each +1 or -1")
+    digits, cols, amps, max_level = _run_qubit_inputs(circ)
+    inside = (digits < 2).all(axis=0)
+    fixed = inside & (np.ravel_multi_index(digits, (2,) * (n + 1), mode="clip") == cols)
+    diag = np.zeros(dim, dtype=complex)
+    diag[cols[fixed]] = amps[fixed]
+    fidelity = float(abs(np.vdot(diag, oracle)) / dim)
+    outside_norm2 = np.bincount(cols[~inside], weights=np.abs(amps[~inside]) ** 2, minlength=dim)
+    leakage = float(np.sqrt(outside_norm2.max()))
+    # distance of the qubit block from diag(signs): its diagonal, then every other qubit row
+    signs = np.where(diag.real < 0, -1.0, 1.0)
+    residual = max(float(np.abs(diag - signs).max()),
+                   float(np.abs(amps[inside & ~fixed]).max(initial=0.0)))
+    flipped = np.flatnonzero(signs < 0)
+    component = basis_digits(int(flipped[0]), WireDims((2,) * (n + 1))) if flipped.size == 1 else ()
     # X flips on the mask permute rows and columns alike and take diag(signs)
     # to the all-ones oracle, so the flipped block is `residual` away from it
     mask = tuple(1 - d for d in component)
@@ -377,11 +424,11 @@ def verify_decomposition(circ: CircuitDescription, oracle: GateMatrix, n: int) -
 
 
 def verification_bytes(n: int) -> int:
-    """Estimated peak bytes of verifying the n-control circuit: three copies of
-    the D x 2^(n+1) complex output columns (D = 2^n (n+1)) and three 2^(n+1)-square
-    complex blocks (oracle, its unitarity check, restricted block)."""
-    qubit_dim = 2 ** (n + 1)
-    return 16 * qubit_dim * (3 * 2 ** n * (n + 1) + 3 * qubit_dim)
+    """Estimated peak bytes of verifying the n-control circuit, which is
+    monomial throughout: per qubit input (2^(n+1) of them), one 8-byte digit
+    for each of the n+1 wires plus 16 words for its phase, its oracle sign and
+    the analysis' temporaries (tracemalloc measured 11-12 at n = 10..16)."""
+    return 8 * 2 ** (n + 1) * (n + 1 + 16)
 
 
 def expected_flipped_component(n: int) -> tuple[int, ...]:

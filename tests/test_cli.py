@@ -161,6 +161,14 @@ def test_oversized_n_is_refused_with_memory_estimate(capsys):
     assert "GiB" in captured.err
 
 
+def test_verify_toffoli_n12_fits_the_memory_guard(capsys):
+    assert main(["--format", "json", "verify-toffoli", "--n", "12"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["passed"] is True
+    assert data["flipped_component"] == [1] * 13
+    assert data["max_level_used"] == 12
+
+
 def test_wrong_reflectivities_fail_verification(tmp_path, capsys):
     # valid parameter ranges, but not an operating point: exit code 1
     bad = tmp_path / "bad.json"

@@ -123,6 +123,12 @@ def test_apply_gate_rejects_repeated_wire():
         apply_gate(state, gate, (0, 0))
 
 
+def test_circuit_rejects_repeated_wire():
+    gate = GateMatrix((2, 2), np.eye(4))
+    with pytest.raises(WireError, match="step 0: repeated wire"):
+        CircuitDescription(WireDims((2, 2)), (GateStep("cs", (), (1, 1), gate),))
+
+
 def test_apply_gate_rejects_dimension_mismatch():
     dims = WireDims((2, 3))
     state = PureState.basis(dims, (0, 0))
@@ -330,4 +336,16 @@ def test_verify_decomposition_rejects_nan_propagation():
     corrupted = CircuitDescription(
         circ.dims, circ.steps + (GateStep("nan", (), (0,), _unchecked_gate([[np.nan, 0], [0, 1]])),))
     with pytest.raises(WireError, match="not unitary"):
+        verify_decomposition(corrupted, oracle_n_toffoli_sign(2, (1, 0, 1)), 2)
+
+
+@pytest.mark.parametrize("matrix", [
+    [[1, 1], [0, 0]],          # one nonzero per column, but both columns land on level 0
+    [[1, 0], [0, 1 + 1e-9]],   # distinct outputs, one phase off the unit circle by 1e-9
+])
+def test_verify_decomposition_rejects_non_unitary_monomial_step(matrix):
+    circ = build_ts_circuit()
+    corrupted = CircuitDescription(
+        circ.dims, circ.steps + (GateStep("bad", (), (0,), _unchecked_gate(matrix)),))
+    with pytest.raises(WireError, match="not unitary on the qubit inputs"):
         verify_decomposition(corrupted, oracle_n_toffoli_sign(2, (1, 0, 1)), 2)

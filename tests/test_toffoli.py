@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qudit_toffoli.qudits import (
     PRODUCT_TOL,
@@ -283,24 +284,37 @@ def test_max_level_used_matches_construction():
 
 def test_oracle_n2_component_101_at_index_5():
     oracle = oracle_n_toffoli_sign(2, (1, 0, 1))
-    diag = np.diagonal(oracle.matrix).real
-    assert diag[5] == -1.0
-    assert np.sum(diag < 0) == 1
+    assert oracle.shape == (8,)
+    assert oracle[5] == -1.0
+    assert np.sum(oracle < 0) == 1
 
 
 def test_oracle_is_involution():
     oracle = oracle_n_toffoli_sign(3, 11)
-    assert np.allclose(oracle.matrix @ oracle.matrix, np.eye(16))
+    assert oracle.shape == (16,)
+    assert (oracle * oracle == 1).all()
 
 
 def test_oracle_n3_all_ones_at_index_15():
     oracle = oracle_n_toffoli_sign(3, (1, 1, 1, 1))
-    assert oracle.matrix[15, 15] == -1.0
+    assert oracle[15] == -1.0
 
 
 def test_oracle_rejects_out_of_range_component():
     with pytest.raises(ValueError):
         oracle_n_toffoli_sign(2, 8)
+
+
+@pytest.mark.parametrize("oracle", [
+    np.ones(4),
+    np.ones((8, 8)),
+    np.r_[np.ones(7), 0.5],
+    np.r_[np.ones(7), np.nan],
+    np.r_[-np.ones(7), 1j],
+])
+def test_verify_rejects_a_meaningless_oracle(oracle):
+    with pytest.raises(ValueError, match="oracle must be a vector of 8 entries, each [+]1 or -1"):
+        verify_decomposition(build_ts_circuit(), oracle, 2)
 
 
 def test_verify_reports_counts_and_references():
@@ -361,7 +375,7 @@ def _dense_equivalent_to_all_ones(restricted, component, n):
         if digit == 0:
             conj = conj @ embed_gate(gate_x_padded(2), (wire,), qdims)
     moved = conj @ restricted @ conj
-    target = oracle_n_toffoli_sign(n, (1,) * (n + 1)).matrix
+    target = np.diag(oracle_n_toffoli_sign(n, (1,) * (n + 1)))
     return bool(np.max(np.abs(moved - target)) < PRODUCT_TOL)
 
 
@@ -386,7 +400,7 @@ def test_verify_matches_dense_references_on_masked_variants(n):
         report = verify_decomposition(circ, oracle, n)
         full = circuit_unitary(circ)
         restricted = restrict_to_qubit_subspace(full, circ.dims)
-        fidelity = abs(np.trace(restricted.conj().T @ oracle.matrix)) / dim
+        fidelity = abs(np.trace(restricted.conj().T @ np.diag(oracle))) / dim
         negative = np.nonzero(np.diagonal(restricted).real < 0)[0]
         component = (WireDims((2,) * (n + 1)).digits(int(negative[0]))
                      if negative.size == 1 else ())
@@ -399,3 +413,47 @@ def test_verify_matches_dense_references_on_masked_variants(n):
         if n <= 5:
             assert report.max_level_used == _prefix_max_level(circ), variant
         assert report.passed == (variant == "masked"), variant
+
+
+@st.composite
+def _monomial_circuits(draw):
+    """(n, circuit, oracle component): n qubit wires and a last wire of 2..5
+    levels, carrying random level swaps on the last wire and `cnot` / `cs` on
+    random wire pairs between two layers of `x` on a random mask.  The second
+    layer is sometimes left out, so that the last step can reach a new level."""
+    n = draw(st.integers(1, 3))
+    dims = WireDims((2,) * n + (draw(st.integers(2, 5)),))
+    wire = st.integers(0, n)
+    steps = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("cs", "cnot", "swap")))
+        if kind == "swap":
+            j, k = draw(st.lists(st.integers(0, dims.dims[n] - 1), min_size=2, max_size=2, unique=True))
+            steps.append(GateStep("swap", (j, k), (n,), gate_level_swap(j, k, dims.dims[n])))
+        else:
+            c, t = draw(st.lists(wire, min_size=2, max_size=2, unique=True))
+            build = gate_cnot_embedded if kind == "cnot" else gate_cs_embedded
+            steps.append(GateStep(kind, (), (c, t), build(dims.dims[c], dims.dims[t])))
+    bits = st.lists(st.integers(0, 1), min_size=n + 1, max_size=n + 1)
+    flips = tuple(GateStep("x", (), (w,), gate_x_padded(dims.dims[w]))
+                  for w, bit in enumerate(draw(bits)) if bit)
+    closing = () if draw(st.booleans()) else flips
+    return n, CircuitDescription(dims, flips + tuple(steps) + closing), tuple(draw(bits))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_monomial_circuits())
+def test_monomial_route_matches_the_dense_unitary(case):
+    n, circ, component = case
+    oracle = oracle_n_toffoli_sign(n, component)
+    report = verify_decomposition(circ, oracle, n)
+    full = circuit_unitary(circ)
+    restricted = restrict_to_qubit_subspace(full, circ.dims)
+    negative = np.nonzero(np.diagonal(restricted).real < 0)[0]
+    flipped = WireDims((2,) * (n + 1)).digits(int(negative[0])) if negative.size == 1 else ()
+    assert abs(report.fidelity_to_oracle
+               - abs(np.trace(restricted.conj().T @ np.diag(oracle))) / oracle.size) < 1e-12
+    assert abs(report.qubit_subspace_leakage - qubit_subspace_leakage(full, circ.dims)) < 1e-12
+    assert report.flipped_component == flipped
+    assert report.locally_equivalent_to_all_ones == _dense_equivalent_to_all_ones(restricted, flipped, n)
+    assert report.max_level_used == _prefix_max_level(circ)

@@ -62,20 +62,34 @@ CATALOGUE = (
            "mat[:, modes] = mat[:, modes] @ block",
            ("tests/test_fock.py::test_single_photon_transfer_matches_embedded_block_product",)),
     Mutant("leakage read from the qubit rows", TOFFOLI,
-           "leakage = float(np.linalg.norm(amps[~inside], axis=0).max(initial=0.0))",
-           "leakage = float(np.sqrt(np.abs(1 - np.linalg.norm(restricted, axis=0) ** 2))"
-           ".max(initial=0.0))",
+           "outside_norm2 = np.bincount(cols[~inside], weights=np.abs(amps[~inside]) ** 2, minlength=dim)",
+           "outside_norm2 = np.abs(1 - np.bincount(cols[inside], weights=np.abs(amps[inside]) ** 2, "
+           "minlength=dim))",
            ("tests/test_toffoli.py::test_verify_matches_dense_references_on_masked_variants",)),
     Mutant("level scan skips the last step's output", TOFFOLI,
-           "        amps = _apply_to_block(amps, step.gate, step.wires, dims)\n"
-           "        max_level = int(level_of[(np.abs(amps) > 1e-9).any(axis=1)].max(initial=max_level))\n",
-           "        max_level = int(level_of[(np.abs(amps) > 1e-9).any(axis=1)].max(initial=max_level))\n"
-           "        amps = _apply_to_block(amps, step.gate, step.wires, dims)\n",
-           ("tests/test_toffoli.py::test_verify_matches_dense_references_on_masked_variants",)),
+           "        digits[wires] = np.unravel_index(rows[local], step.gate.wire_dims)\n"
+           "        phases = phases * entries[local]\n"
+           "        max_level = max(max_level, int(digits[-1].max()))\n",
+           "        max_level = max(max_level, int(digits[-1].max()))\n"
+           "        digits[wires] = np.unravel_index(rows[local], step.gate.wire_dims)\n"
+           "        phases = phases * entries[local]\n",
+           ("tests/test_toffoli.py::test_verify_matches_dense_references_on_masked_variants",
+            "tests/test_toffoli.py::test_monomial_route_matches_the_dense_unitary")),
     Mutant("local equivalence without the residual", TOFFOLI,
            "equivalent = bool(component) and residual < PRODUCT_TOL",
            "equivalent = bool(component)",
-           ("tests/test_toffoli.py::test_verify_matches_dense_references_on_masked_variants",)),
+           ("tests/test_toffoli.py::test_verify_matches_dense_references_on_masked_variants",
+            "tests/test_toffoli.py::test_monomial_route_matches_the_dense_unitary")),
+    Mutant("monomial step drops its phase", TOFFOLI,
+           "phases = phases * entries[local]",
+           "phases = phases",
+           ("tests/test_toffoli.py::test_scaling_and_fidelity",
+            "tests/test_toffoli.py::test_monomial_route_matches_the_dense_unitary")),
+    Mutant("monomial step writes its digits back in reversed wire order", TOFFOLI,
+           "digits[wires] = np.unravel_index(rows[local], step.gate.wire_dims)",
+           "digits[wires[::-1]] = np.unravel_index(rows[local], step.gate.wire_dims)",
+           ("tests/test_toffoli.py::test_scaling_and_fidelity",
+            "tests/test_toffoli.py::test_monomial_route_matches_the_dense_unitary")),
     Mutant("PBS relabel swaps h instead of v", FOCK,
            "out[v1], out[v2] = occ[v2], occ[v1]",
            "out[h1], out[h2] = occ[h2], occ[h1]",
