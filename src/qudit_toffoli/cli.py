@@ -13,7 +13,6 @@ import sys
 from fractions import Fraction
 
 from .optical import (
-    CHAINED_TARGET,
     ChainParameters,
     heralded_ts_gate,
     kerr_cs_gate,
@@ -76,83 +75,41 @@ def cmd_verify_toffoli(args) -> int:
     return PASS if report.passed else FAIL
 
 
-def _realization_summary(realization, residuals: dict) -> dict:
-    pattern = realization.sign_pattern()
-    return {
-        "construction": realization.name,
-        "success_probability": _format_fraction(realization.success_probability),
-        "success_probability_float": float(realization.success_probability),
-        "flipped_component": list(realization.flipped_component),
-        "transfer_scale": pattern.scale,
-        "max_off_diagonal": pattern.max_off_diagonal,
-        "magnitude_spread": pattern.magnitude_spread,
-        **residuals,
-    }
-
-
 def _summary_text(summary: dict) -> str:
-    lines = [f"construction:        {summary['construction']}"]
-    lines.append(f"success probability: {summary['success_probability']}")
-    flipped = ",".join(map(str, summary["flipped_component"]))
-    lines.append(f"flipped component:   |{flipped}>")
-    lines.append(f"transfer scale:      {summary['transfer_scale']:.12f}")
-    lines.append(f"max off-diagonal:    {summary['max_off_diagonal']:.3e}")
-    lines.append(f"magnitude spread:    {summary['magnitude_spread']:.3e}")
-    for key, value in summary.items():
-        if key in ("construction", "success_probability", "success_probability_float",
-                   "flipped_component", "transfer_scale", "max_off_diagonal",
-                   "magnitude_spread"):
-            continue
-        lines.append(f"{key + ':':21s}{value}")
-    return "\n".join(lines)
+    shown = dict(summary, flipped_component=f"|{','.join(map(str, summary['flipped_component']))}>")
+    return "\n".join(f"{key.replace('_', ' ') + ':':27s}{value}" for key, value in shown.items())
 
 
 def cmd_simulate_optical(args) -> int:
     if args.which == "kerr":
-        realization = kerr_cs_gate()
-        summary = _realization_summary(realization, {"residual_vs_diag(1,1,1,-1)": realization.residual})
-        ok = realization.certified
+        realization, extras = kerr_cs_gate(), {}
     elif args.which == "heralded":
         realization = heralded_ts_gate(cs_success=args.cs_success)
-        summary = _realization_summary(realization, {
-            "cs_success": _format_fraction(args.cs_success),
-            "filter_success": _format_fraction(realization.filter_success),
-        })
-        ok = realization.certified
+        extras = {"cs_success": _format_fraction(realization.cs_success),
+                  "filter_success": _format_fraction(realization.filter_success)}
     elif args.which == "postselected-cs":
         realization = postselected_cs_gate()
-        summary = _realization_summary(realization, {
-            "coincidence_probabilities": [float(p) for p in realization.coincidence_probabilities()],
-            "naive_chain_total": _format_fraction(naive_postselected_chain_probability()),
-        })
-        ok = realization.certified
-    elif args.which == "chained":
+        extras = {"coincidence_probabilities": [float(p) for p in realization.coincidence_probabilities()],
+                  "naive_chain_total": _format_fraction(naive_postselected_chain_probability())}
+    else:  # "chained"; argparse restricts the choices
         if args.params_file:
             params = _read_chain_params(args.params_file)
-            solved = False
+            realization, solved = verify_chain_parameters(params), False
         else:
             result = solve_chain_reflectivities(seed=args.seed, n_starts=args.starts)
-            params = result.params
-            solved = True
-            if not result.converged:
-                summary = {"construction": "post-selected T-S, chained interferometers",
-                           "solver_converged": False,
-                           "best_residual": result.residual}
-                _emit(json.dumps(summary, indent=2) if args.format == "json"
-                      else f"solver failed to converge; best residual {result.residual:.3e}", args)
-                return FAIL
-        realization = verify_chain_parameters(params)
-        summary = _realization_summary(realization, {
-            "solved_here": solved,
-            "parameters": params.to_dict(),
-            "target_gap_vs_1/72": abs(realization.sign_pattern().scale ** 2 - float(CHAINED_TARGET)),
-        })
-        ok = realization.certified
-    else:  # pragma: no cover - argparse restricts choices
-        return USAGE
-    text = json.dumps(summary, indent=2) if args.format == "json" else _summary_text(summary)
-    _emit(text, args)
-    return PASS if ok else FAIL
+            params, realization, solved = result.params, result.verification, True
+        extras = {"solved_here": solved, "parameters": params.to_dict()}
+    summary = {
+        "construction": realization.name,
+        "success_probability": _format_fraction(realization.success_probability),
+        "success_probability_float": float(realization.success_probability),
+        "flipped_component": list(realization.flipped_component),
+        "residual": realization.residual,
+        "certified": realization.certified,
+        **extras,
+    }
+    _emit(json.dumps(summary, indent=2) if args.format == "json" else _summary_text(summary), args)
+    return PASS if realization.certified else FAIL
 
 
 def cmd_report_all(args) -> int:
@@ -206,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="heralded C-S success probability as a fraction (default 1/4)")
     p_optical.add_argument("--params-file",
                            help="verify this reflectivity file instead of solving")
-    p_optical.add_argument("--seed", type=int, default=20070, help="solver multistart seed")
+    p_optical.add_argument("--seed", type=_int_at_least(0), default=20070, help="solver multistart seed")
     p_optical.add_argument("--starts", type=_int_at_least(1), default=16, help="solver restarts")
     p_optical.set_defaults(func=cmd_simulate_optical)
 

@@ -476,9 +476,6 @@ class DetectionPattern:
     def matches(self, occupation) -> bool:
         return all(occupation[m] == c for m, c in self.conditions)
 
-    def modes(self) -> tuple[int, ...]:
-        return tuple(m for m, _ in self.conditions)
-
 
 @dataclass(frozen=True)
 class PostselectResult:

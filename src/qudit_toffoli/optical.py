@@ -28,7 +28,9 @@ circuit's logical transfer from `fock.logical_transfer` (only the logical
 inputs pushed through the element operators), or for
 `verify_chain_parameters` the chain's coincidence block.  Only a certified
 realization reports the exact factor, else the simulated float, so a broken
-element shows up as a mismatch downstream.
+element shows up as a mismatch downstream.  A `GateRealization` stores that
+verdict and nothing its circuit already says: the detection pattern is
+`circuit.pattern`, and `kerr_count` counts the `CrossKerr` elements.
 
 Mode bookkeeping for the polarization constructions (modes 0..7):
 a_h, a_v, b_h, b_v, s_h, s_v, t_h, t_v.  The target qubit enters and leaves
@@ -75,7 +77,6 @@ from .fock import (
     logical_transfer,
     single_photon_transfer,
 )
-from .qudits import WireDims, basis_digits
 
 COUPLER_REFLECTIVITY = Fraction(1, 3)
 
@@ -88,63 +89,40 @@ CHAINED_TARGET = Fraction(1, 72)
 
 
 # ---------------------------------------------------------------------------
-# Realization container and sign-pattern analysis
+# Realization container and its verdict
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SignPattern:
-    """Diagonal-sign summary of a post-selected logical transfer matrix."""
-
-    scale: float                      # common magnitude of the diagonal
-    signs: tuple[int, ...]
-    flipped: tuple[int, ...]          # digit tuple of the single -1 (if any)
-    max_off_diagonal: float
-    magnitude_spread: float           # max - min over |diagonal|
-
-
-def analyze_sign_pattern(transfer: np.ndarray, wire_dims) -> SignPattern:
-    diag = np.diagonal(transfer)
-    off = transfer - np.diag(diag)
-    mags = np.abs(diag)
-    signs = tuple(int(np.sign(d.real)) if m > 1e-14 else 0 for d, m in zip(diag, mags))
-    flipped_idx = [i for i, s in enumerate(signs) if s < 0]
-    dims = WireDims(tuple(wire_dims))
-    flipped = basis_digits(flipped_idx[0], dims) if len(flipped_idx) == 1 else ()
-    return SignPattern(
-        scale=float(np.mean(mags)),
-        signs=signs,
-        flipped=flipped,
-        max_off_diagonal=float(np.max(np.abs(off))) if off.size else 0.0,
-        magnitude_spread=float(np.max(mags) - np.min(mags)),
-    )
-
-
-@dataclass(frozen=True)
 class GateRealization:
-    """An optical circuit together with its logical reading and verdict.
+    """An optical construction's verdict: its circuit, the logical transfer
+    read off it, and how that transfer compares with the claim.
 
-    `transfer` is the post-selected logical matrix over the layout, and
-    `residual` its largest entrywise distance from the claimed transfer;
-    `certified` is residual <= EXACT_TOL.
+    `transfer` is the post-selected logical matrix over `layout` (the same
+    layout in and out), and `residual` its largest entrywise distance from
+    the claimed transfer; `certified` is residual <= EXACT_TOL.
     `success_probability` is the exact claimed optical factor (a Fraction)
     when certified, else the simulated float (mean |diagonal|)^2, times any
-    external heralding factor (`cs_success` squared).
+    external heralding factor (`cs_success` squared).  `flipped_component`
+    is the digit tuple of the single negative diagonal entry, () if there is
+    not exactly one.  The detection pattern and the Kerr count are read off
+    `circuit`.
     """
 
     name: str
     circuit: OpticalCircuit
-    layout_in: ModeLayout
-    layout_out: ModeLayout
+    layout: ModeLayout
     transfer: np.ndarray
     success_probability: Fraction | float
     flipped_component: tuple[int, ...]
     residual: float
     certified: bool
-    herald_pattern: DetectionPattern | None = None
     stages: dict = field(default_factory=dict)
-    kerr_count: int = 0
     cs_success: Fraction | None = None
     filter_success: Fraction | float | None = None
+
+    @property
+    def kerr_count(self) -> int:
+        return sum(isinstance(element, CrossKerr) for element in self.circuit.elements)
 
     def fock_operator(self) -> np.ndarray:
         return circuit_fock_operator(self.circuit.elements, self.circuit.basis())
@@ -152,16 +130,13 @@ class GateRealization:
     def input_state(self, logical_amplitudes) -> OpticalState:
         """Encode a logical amplitude vector as an optical input state."""
         basis = self.circuit.basis()
-        idx = self.layout_in.indices(basis)
+        idx = self.layout.indices(basis)
         amps = np.asarray(logical_amplitudes, dtype=complex)
         if amps.shape != idx.shape:
             raise ValueError(f"need {idx.size} logical amplitudes")
         out = np.zeros(basis.size, dtype=complex)
         out[idx] = amps
         return OpticalState(basis, out)
-
-    def sign_pattern(self) -> SignPattern:
-        return analyze_sign_pattern(self.transfer, self.layout_in.wire_dims.dims)
 
     def coincidence_probabilities(self) -> np.ndarray:
         """Per-logical-basis-input success probability from the transfer."""
@@ -189,10 +164,11 @@ def _realize(name: str, circuit: OpticalCircuit, layout: ModeLayout, claimed: Fr
     optical factor becomes `filter_success`."""
     if transfer is None:
         transfer = logical_transfer(circuit.elements, circuit.basis(), layout)
-    pattern = analyze_sign_pattern(transfer, layout.wire_dims.dims)
+    diag = np.diagonal(transfer)
+    flipped = np.flatnonzero((np.abs(diag) > 1e-14) & (diag.real < 0))
     residual = float(np.max(np.abs(transfer - math.sqrt(claimed) * np.diag(phases))))
     certified = residual <= EXACT_TOL
-    optical = claimed if certified else float(pattern.scale ** 2)
+    optical = claimed if certified else float(np.mean(np.abs(diag)) ** 2)
     success = optical
     if cs_success is not None:
         fields.update(cs_success=cs_success, filter_success=optical)
@@ -200,14 +176,12 @@ def _realize(name: str, circuit: OpticalCircuit, layout: ModeLayout, claimed: Fr
     return GateRealization(
         name=name,
         circuit=circuit,
-        layout_in=layout,
-        layout_out=layout,
+        layout=layout,
         transfer=transfer,
         success_probability=success,
-        flipped_component=pattern.flipped,
+        flipped_component=layout.wire_dims.digits(int(flipped[0])) if flipped.size == 1 else (),
         residual=residual,
         certified=certified,
-        herald_pattern=circuit.pattern,
         **fields,
     )
 
@@ -230,7 +204,7 @@ def kerr_cs_gate(chi: float = math.pi) -> GateRealization:
     """
     return _realize("cross-Kerr controlled-sign", OpticalCircuit(4, 2, (CrossKerr(chi, (1, 3)),)),
                     ModeLayout(((0, 1), (2, 3))), claimed=Fraction(1),
-                    phases=np.exp(1j * chi * np.array([0, 0, 0, 1])), kerr_count=1)
+                    phases=np.exp(1j * chi * np.array([0, 0, 0, 1])))
 
 
 def _ts_front_elements() -> tuple:
@@ -259,8 +233,7 @@ def deterministic_ts_gate() -> GateRealization:
         PolarizingBeamsplitter((S_H, S_V), (T_H, T_V)),
     )
     return _realize("deterministic cross-Kerr T-S", OpticalCircuit(8, 3, elements),
-                    _POLARIZATION_LAYOUT, claimed=Fraction(1), phases=_flip_on(1, 0, 1),
-                    stages={"after_front": 5, "end": 9}, kerr_count=3)
+                    _POLARIZATION_LAYOUT, claimed=Fraction(1), phases=_flip_on(1, 0, 1))
 
 
 def heralded_ts_gate(cs_success: Fraction = Fraction(1, 4)) -> GateRealization:
@@ -282,7 +255,7 @@ def heralded_ts_gate(cs_success: Fraction = Fraction(1, 4)) -> GateRealization:
     circuit = OpticalCircuit(8, 3, elements, DetectionPattern.zero((S_H, S_V)))
     return _realize("heralded T-S with passive filter", circuit, _POLARIZATION_LAYOUT,
                     claimed=Fraction(1, 2), phases=_flip_on(0, 0, 1), cs_success=Fraction(cs_success),
-                    stages={"after_cs2": 5, "after_filter_hwps": 7, "end": 8})
+                    stages={"after_cs2": 5, "after_filter_hwps": 7})
 
 
 def postselected_cs_gate() -> GateRealization:
@@ -523,7 +496,7 @@ def solve_chain_reflectivities(seed: int = 20070, n_starts: int = 16) -> ChainSo
 
     params = ChainParameters.from_vector(solution)
     verification = verify_chain_parameters(params)
-    converged = residual < 1e-10 and verification.sign_pattern().signs == tuple(_CHAIN_TARGET)
+    converged = residual < 1e-10 and verification.flipped_component == (0, 0, 0)
     return ChainSolveResult(
         params=params,
         verification=verification,

@@ -53,9 +53,6 @@ class WireDims:
             p *= d
         return p
 
-    def index(self, digits) -> int:
-        return basis_index(digits, self)
-
     def digits(self, index: int) -> tuple[int, ...]:
         return basis_digits(index, self)
 
@@ -132,10 +129,6 @@ class GateMatrix:
         if not err <= NORM_TOL:
             raise WireError(f"matrix is not unitary (deviation {err:.3e})")
         object.__setattr__(self, "matrix", mat)
-
-    @property
-    def arity(self) -> int:
-        return len(self.wire_dims)
 
     @property
     def dim(self) -> int:

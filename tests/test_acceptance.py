@@ -118,7 +118,7 @@ def test_criterion_06_heralded_gate():
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
         state = gate.input_state(amps / np.linalg.norm(amps))
         prob = postselect(OpticalState(state.basis, op @ state.amps),
-                          gate.herald_pattern).probability
+                          gate.circuit.pattern).probability
         worst = max(worst, abs(prob - 0.5))
     total_ok = gate.success_probability == Fraction(1, 32)
     flip_ok = gate.flipped_component == (0, 0, 1)

@@ -8,7 +8,7 @@ import pytest
 
 from qudit_toffoli import cli, optical
 from qudit_toffoli.cli import main
-from qudit_toffoli.fock import CrossKerr
+from qudit_toffoli.fock import CrossKerr, VacuumAttenuator
 from qudit_toffoli.optical import load_chain_solution, save_chain_solution
 
 
@@ -60,6 +60,7 @@ def test_verify_toffoli_usage_error_for_n1():
     ["simulate-optical", "chained", "--starts", "0"],
     ["--tol", "1e-9", "verify-toffoli", "--n", "2"],
     ["verify-toffoli", "--n", "two"],
+    ["simulate-optical", "chained", "--seed", "-1"],
 ])
 def test_bad_values_are_one_line_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
@@ -112,7 +113,50 @@ def test_simulate_chained_json(capsys, solution_file):
                  "--params-file", solution_file]) == 0
     data = json.loads(capsys.readouterr().out)
     assert abs(data["success_probability_float"] - 1 / 72) < 1e-9
-    assert data["target_gap_vs_1/72"] < 1e-9
+    assert data["certified"] is True and data["residual"] <= 1e-12
+
+
+SUMMARY_KEYS = ["construction", "success_probability", "success_probability_float",
+                "flipped_component", "residual", "certified"]
+
+
+@pytest.mark.parametrize("which", [
+    ["kerr"], ["heralded"], ["postselected-cs"], ["chained", "--params-file", "{solution}"],
+], ids=["kerr", "heralded", "postselected-cs", "chained"])
+def test_every_construction_prints_its_certified_verdict(which, capsys, solution_file):
+    argv = ["--format", "json", "simulate-optical"] + [a.format(solution=solution_file) for a in which]
+    assert main(argv) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert list(data)[:len(SUMMARY_KEYS)] == SUMMARY_KEYS
+    assert data["certified"] is True and data["residual"] <= 1e-12
+
+
+def _kerr_on_modes_0_3(elements):
+    assert elements == (CrossKerr(math.pi, (1, 3)),)
+    return (CrossKerr(math.pi, (0, 3)),)
+
+
+def _attenuator_at_0_34(elements):
+    assert elements[1] == VacuumAttenuator(1 / 3, 1, 4)
+    return (elements[0], VacuumAttenuator(0.34, 1, 4)) + elements[2:]
+
+
+@pytest.mark.parametrize("which, name, rewrite", [
+    ("kerr", "cross-Kerr controlled-sign", _kerr_on_modes_0_3),
+    ("postselected-cs", "post-selected controlled-sign", _attenuator_at_0_34),
+], ids=["kerr", "postselected-cs"])
+def test_a_broken_construction_fails_its_verdict(which, name, rewrite, monkeypatch, capsys):
+    realize = optical._realize
+
+    def broken(gate_name, circuit, *args, **kwargs):
+        if gate_name == name:
+            circuit = dataclasses.replace(circuit, elements=rewrite(circuit.elements))
+        return realize(gate_name, circuit, *args, **kwargs)
+
+    monkeypatch.setattr(optical, "_realize", broken)
+    assert main(["--format", "json", "simulate-optical", which]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["certified"] is False and data["residual"] > 1e-12
 
 
 def test_missing_params_file_is_usage_error(capsys):

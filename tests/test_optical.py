@@ -236,9 +236,9 @@ def test_heralded_conditional_output_flips_001():
     alphas = _random_logical(8, rng)
     gate, state = _heralded_input(alphas)
     final = apply_elements(state, gate.circuit.elements)
-    kept = postselect(final, gate.herald_pattern)
+    kept = postselect(final, gate.circuit.pattern)
     assert abs(kept.probability - 0.5) < 1e-12
-    logical, leak = gate.layout_out.decode(kept.state)
+    logical, leak = gate.layout.decode(kept.state)
     assert leak < 1e-12
     expected = alphas.copy() / np.sqrt(2)
     expected[1] *= -1.0          # index 1 == (0,0,1)
@@ -252,7 +252,7 @@ def test_heralded_filter_probability_is_half_for_100_random_inputs():
     for _ in range(100):
         state = gate.input_state(_random_logical(8, rng))
         prob = postselect(OpticalState(state.basis, op @ state.amps),
-                          gate.herald_pattern).probability
+                          gate.circuit.pattern).probability
         assert abs(prob - 0.5) < 1e-12
 
 
@@ -287,7 +287,7 @@ def test_heralded_filter_is_a_fixed_linear_map_on_the_ququit():
         occ[group[level]] = 1
         state = OpticalState.fock(basis, tuple(occ))
         kept = postselect(apply_elements(state, filter_elements),
-                          gate.herald_pattern).state
+                          gate.circuit.pattern).state
         columns.append([kept.amplitude(tuple(1 if m == om else 0 for m in range(8)))
                         for om in out_modes])
     fixed_map = np.array(columns).T
@@ -301,7 +301,7 @@ def test_heralded_filter_is_a_fixed_linear_map_on_the_ququit():
             occ[group[level]] = 1
             amps[basis.index_of(tuple(occ))] = w
         kept = postselect(apply_elements(OpticalState(basis, amps), filter_elements),
-                          gate.herald_pattern).state
+                          gate.circuit.pattern).state
         got = np.array([kept.amplitude(tuple(1 if m == om else 0 for m in range(8)))
                         for om in out_modes])
         assert np.max(np.abs(got - fixed_map @ weights)) < 1e-12

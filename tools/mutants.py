@@ -99,7 +99,7 @@ CATALOGUE = (
            "np.exp(-1j * self.chi * occ[a] * occ[b])",
            ("tests/test_optical.py::test_kerr_cs_general_strength_phases_delta_term",)),
     Mutant("claimed Fraction reported without certification", OPTICAL,
-           "optical = claimed if certified else float(pattern.scale ** 2)",
+           "optical = claimed if certified else float(np.mean(np.abs(diag)) ** 2)",
            "optical = claimed",
            ("tests/test_optical.py::test_report_reads_probabilities_off_the_simulation",)),
     Mutant("logical read-out transposed", FOCK,
@@ -120,6 +120,17 @@ CATALOGUE = (
            '    return _realize("deterministic',
            ("tests/test_cli.py::test_report_all_text",
             "tests/test_acceptance.py::test_criterion_05_deterministic_optical_ts")),
+    Mutant("deterministic gate carries a fourth, idle Kerr", OPTICAL,
+           "        PolarizingBeamsplitter((S_H, S_V), (T_H, T_V)),\n"
+           "    )\n"
+           '    return _realize("deterministic',
+           "        PolarizingBeamsplitter((S_H, S_V), (T_H, T_V)),\n"
+           "        CrossKerr(0.0, (A_V, B_V)),\n"
+           "    )\n"
+           '    return _realize("deterministic',
+           ("tests/test_cli.py::test_report_all_text",
+            "tests/test_optical.py::test_deterministic_uses_three_kerr_interactions",
+            "tests/test_acceptance.py::test_criterion_05_deterministic_optical_ts")),
     Mutant("CS(a) Kerr wired to control b", OPTICAL,
            "CrossKerr(math.pi, (A_V, S_V)),",
            "CrossKerr(math.pi, (B_V, S_V)),",
@@ -133,10 +144,12 @@ CATALOGUE = (
            "ok = abs(value - expected) < 1e-6",
            ("tests/test_cli.py::test_chain_point_dimmed_by_ten_parts_per_million_fails_both_commands",
             "tests/test_cli.py::test_chain_point_off_by_a_part_per_million_fails_both_commands")),
-    Mutant("simulate-optical chained ignores the verdict", CLI,
-           "        ok = realization.certified\n    else:",
-           "        ok = True\n    else:",
-           ("tests/test_cli.py::test_chain_point_dimmed_by_ten_parts_per_million_fails_both_commands",)),
+    Mutant("simulate-optical ignores the verdict", CLI,
+           "    return PASS if realization.certified else FAIL",
+           "    return PASS",
+           ("tests/test_cli.py::test_chain_point_dimmed_by_ten_parts_per_million_fails_both_commands",
+            "tests/test_cli.py::test_a_broken_construction_fails_its_verdict[kerr]",
+            "tests/test_cli.py::test_a_broken_construction_fails_its_verdict[postselected-cs]")),
     Mutant("report's Kerr-count row ignores the verdict", REPORT,
            "Fraction(det.kerr_count) if det.certified else Fraction(0)",
            "Fraction(det.kerr_count)",
