@@ -26,7 +26,7 @@ from .toffoli import (
     build_n_ts_circuit,
     expected_flipped_component,
     oracle_n_toffoli_sign,
-    verification_bytes,
+    verification_gib,
     verify_decomposition,
 )
 
@@ -60,11 +60,11 @@ def _read_chain_params(path: str) -> ChainParameters:
 
 
 def cmd_verify_toffoli(args) -> int:
-    need = verification_bytes(args.n)
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    need = verification_gib(args.n)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2 ** 30
     if need > have:
-        raise UsageError(f"--n {args.n} needs about {need / 2 ** 30:.3g} GiB to verify, "
-                         f"more than the {have / 2 ** 30:.3g} GiB of physical memory")
+        raise UsageError(f"--n {args.n} needs about {need:.3g} GiB to verify, "
+                         f"more than the {have:.3g} GiB of physical memory")
     circuit = build_n_ts_circuit(args.n)
     oracle = oracle_n_toffoli_sign(args.n, expected_flipped_component(args.n))
     report = verify_decomposition(circuit, oracle, args.n)

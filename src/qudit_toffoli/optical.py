@@ -247,6 +247,9 @@ def heralded_ts_gate(cs_success: Fraction = Fraction(1, 4)) -> GateRealization:
     probability exactly 1/2 for every input.  With cs_success = 1/4 the
     total is 1/16 * 1/2 = 1/32, and the sign flip lands on |0,0,1>.
     """
+    cs_success = Fraction(cs_success)
+    if not 0 < cs_success <= 1:
+        raise ValueError(f"cs_success must lie in (0, 1], got {cs_success}")
     elements = _ts_front_elements() + (
         HalfWavePlate(HADAMARD_HWP_ANGLE, (S_H, S_V)),
         HalfWavePlate(HADAMARD_HWP_ANGLE, (T_H, T_V)),
@@ -254,7 +257,7 @@ def heralded_ts_gate(cs_success: Fraction = Fraction(1, 4)) -> GateRealization:
     )
     circuit = OpticalCircuit(8, 3, elements, DetectionPattern.zero((S_H, S_V)))
     return _realize("heralded T-S with passive filter", circuit, _POLARIZATION_LAYOUT,
-                    claimed=Fraction(1, 2), phases=_flip_on(0, 0, 1), cs_success=Fraction(cs_success),
+                    claimed=Fraction(1, 2), phases=_flip_on(0, 0, 1), cs_success=cs_success,
                     stages={"after_cs2": 5, "after_filter_hwps": 7})
 
 
@@ -300,6 +303,16 @@ _CHAIN_TARGET = _flip_on(0, 0, 0)
 _CHAIN_NAME = "post-selected T-S, chained interferometers"
 
 
+def _real(name: str, value) -> float:
+    """`value` as a float; a bool, or a number beyond float range, is a ValueError."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} = {value}, expected a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is beyond float range") from None
+
+
 @dataclass(frozen=True)
 class ChainParameters:
     """Free reflectivities of the chained-interferometer T-S.
@@ -325,7 +338,7 @@ class ChainParameters:
 
     def __post_init__(self):
         for name in self.FIELDS:
-            value = float(getattr(self, name))
+            value = _real(name, getattr(self, name))
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} = {value} outside [0, 1]")
             object.__setattr__(self, name, value)
@@ -349,7 +362,7 @@ class ChainParameters:
         if unknown:
             raise ValueError(f"unknown keys: {', '.join(map(str, unknown))}")
         coupler = data.get("coupler_reflectivity", COUPLER_REFLECTIVITY)
-        if not abs(float(coupler) - COUPLER_REFLECTIVITY) <= 1e-12:
+        if not abs(_real("coupler_reflectivity", coupler) - COUPLER_REFLECTIVITY) <= 1e-12:
             raise ValueError(f"coupler_reflectivity = {coupler}, but the couplers are fixed at 1/3")
         return cls(**{f: data[f] for f in cls.FIELDS})
 
@@ -461,6 +474,8 @@ def solve_chain_reflectivities(seed: int = 20070, n_starts: int = 16) -> ChainSo
     polish refines feasibility to machine precision without re-targeting any
     published value; non-convergence is reported, not papered over.
     """
+    if n_starts < 1:
+        raise ValueError(f"n_starts must be at least 1, got {n_starts}")
     rng = np.random.default_rng(seed)
     lo, hi = _PARAM_BOUNDS
     best = None

@@ -13,18 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import optical, toffoli
-from .optical import (
-    ALTERNATIVE_HERALDED_3PAIR,
-    ALTERNATIVE_POSTSELECTED,
-    CHAINED_TARGET,
-    ChainParameters,
-    NAIVE_HERALDED_CHAIN,
-    heralded_ts_gate,
-    naive_postselected_chain_probability,
-    postselected_cs_gate,
-    verify_chain_parameters,
-)
-from .toffoli import build_n_ts_circuit, expected_flipped_component, oracle_n_toffoli_sign, verify_decomposition
 
 
 @dataclass(frozen=True)
@@ -95,7 +83,7 @@ def _cited(section, construction, resources, value, display=None) -> ReportRow:
     return ReportRow(section, construction, resources, float(value), display, "cited", True)
 
 
-def build_report(chain_params: ChainParameters | None = None) -> Report:
+def build_report(chain_params: optical.ChainParameters | None = None) -> Report:
     """Assemble the full comparison report.
 
     `chain_params` defaults to the committed solver output; pass a freshly
@@ -105,10 +93,10 @@ def build_report(chain_params: ChainParameters | None = None) -> Report:
 
     # ---- gate counts ------------------------------------------------------
     counts = "gate counts"
-    rep3 = verify_decomposition(build_n_ts_circuit(2),
-                                oracle_n_toffoli_sign(2, expected_flipped_component(2)), 2)
-    rep5 = verify_decomposition(build_n_ts_circuit(5),
-                                oracle_n_toffoli_sign(5, expected_flipped_component(5)), 5)
+    rep3 = toffoli.verify_decomposition(
+        toffoli.build_n_ts_circuit(2), toffoli.oracle_n_toffoli_sign(2, toffoli.expected_flipped_component(2)), 2)
+    rep5 = toffoli.verify_decomposition(
+        toffoli.build_n_ts_circuit(5), toffoli.oracle_n_toffoli_sign(5, toffoli.expected_flipped_component(5)), 5)
     rows.append(_cited(counts, "Toffoli, qubits only, controlled-sign gates", "3 qubits",
                        Fraction(toffoli.QUBIT_ONLY_CS_GATES)))
     rows.append(_cited(counts, "Toffoli, qubits only, general two-qubit gates", "3 qubits",
@@ -130,19 +118,19 @@ def build_report(chain_params: ChainParameters | None = None) -> Report:
     rows.append(_simulated(probs, "deterministic cross-Kerr T-S", "3 photons, 3 Kerr",
                            det.success_probability, Fraction(1)))
     rows.append(_simulated(probs, "heralded T-S, qudit target + filter", "2 entangled pairs",
-                           heralded_ts_gate().success_probability, Fraction(1, 32)))
+                           optical.heralded_ts_gate().success_probability, Fraction(1, 32)))
     rows.append(_cited(probs, "heralded Toffoli, chain of 6 C-S gates", "6 entangled pairs",
-                       NAIVE_HERALDED_CHAIN))
+                       optical.NAIVE_HERALDED_CHAIN))
     rows.append(_cited(probs, "heralded Toffoli, dedicated 3-pair scheme", "3 entangled pairs",
-                       ALTERNATIVE_HERALDED_3PAIR))
+                       optical.ALTERNATIVE_HERALDED_3PAIR))
     rows.append(_simulated(probs, "post-selected controlled-sign", "2 photons",
-                           postselected_cs_gate().success_probability, Fraction(1, 9)))
+                           optical.postselected_cs_gate().success_probability, Fraction(1, 9)))
     rows.append(_simulated(probs, "post-selected T-S, two C-S gates + filter", "3 photons",
-                           naive_postselected_chain_probability(), Fraction(1, 162)))
+                           optical.naive_postselected_chain_probability(), Fraction(1, 162)))
     params = chain_params if chain_params is not None else optical.load_chain_solution()
     rows.append(_simulated(probs, "post-selected T-S, chained interferometers", "3 photons",
-                           verify_chain_parameters(params).success_probability, CHAINED_TARGET))
+                           optical.verify_chain_parameters(params).success_probability, optical.CHAINED_TARGET))
     rows.append(_cited(probs, "post-selected Toffoli, alternative architecture", "3 photons",
-                       ALTERNATIVE_POSTSELECTED, display="~1/133"))
+                       optical.ALTERNATIVE_POSTSELECTED, display="~1/133"))
 
     return Report(tuple(rows))

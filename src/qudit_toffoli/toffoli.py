@@ -16,6 +16,7 @@ levels" behaviour is what makes the parking trick work.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import MAX_EMAX, Context, Decimal
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .qudits import (
 )
 
 LEAKAGE_TOL = 1e-12
+_ESTIMATE = Context(prec=6, Emax=MAX_EMAX)
 
 # Published comparison constants for 3-qubit Toffoli decompositions and the
 # 5-control case, reported alongside our counts.
@@ -423,12 +425,15 @@ def verify_decomposition(circ: CircuitDescription, oracle: np.ndarray, n: int) -
     )
 
 
-def verification_bytes(n: int) -> int:
-    """Estimated peak bytes of verifying the n-control circuit, which is
+def verification_gib(n: int) -> Decimal:
+    """Estimated peak GiB of verifying the n-control circuit, which is
     monomial throughout: per qubit input (2^(n+1) of them), one 8-byte digit
     for each of the n+1 wires plus 16 words for its phase, its oracle sign and
-    the analysis' temporaries (tracemalloc measured 11-12 at n = 10..16)."""
-    return 8 * 2 ** (n + 1) * (n + 1 + 16)
+    the analysis' temporaries (tracemalloc measured 11-12 at n = 10..16).
+    Six digits with an unbounded exponent, so that any n is estimated
+    without building the integer 2^(n+1)."""
+    # 2^(n+1) inputs of n+1+16 words, 2^3 bytes a word, 2^30 bytes a GiB
+    return _ESTIMATE.multiply(_ESTIMATE.power(2, (n + 1) + 3 - 30), n + 1 + 16)
 
 
 def expected_flipped_component(n: int) -> tuple[int, ...]:

@@ -175,7 +175,10 @@ def _without_splitter_in(data):
     lambda data: json.dumps({**data, "splitter_in": 1.5}),
     lambda data: json.dumps({**data, "coupler_reflectivity": 0.5}),
     lambda data: json.dumps({**data, "bogus_key": 7}),
-], ids=["missing-key", "malformed-json", "reflectivity-1.5", "coupler-0.5", "unknown-key"])
+    lambda data: json.dumps({**data, "splitter_in": 10 ** 400}),
+    lambda data: json.dumps({**data, "splitter_in": True}),
+], ids=["missing-key", "malformed-json", "reflectivity-1.5", "coupler-0.5", "unknown-key",
+        "reflectivity-400-digits", "reflectivity-true"])
 def test_bad_params_file_is_one_line_usage_error(command, rewrite, tmp_path, capsys, solution_file):
     bad = tmp_path / "bad.json"
     with open(solution_file) as fh:
@@ -197,11 +200,12 @@ def test_directory_path_is_one_line_usage_error(argv, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_oversized_n_is_refused_with_memory_estimate(capsys):
-    assert main(["verify-toffoli", "--n", "40"]) == 2
+@pytest.mark.parametrize("n", [40, 1100, 10 ** 12])
+def test_oversized_n_is_refused_with_memory_estimate(n, capsys):
+    assert main(["verify-toffoli", "--n", str(n)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: --n 40 needs about ") and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: --n {n} needs about ") and captured.err.count("\n") == 1
     assert "GiB" in captured.err
 
 

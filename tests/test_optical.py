@@ -515,6 +515,17 @@ def test_chained_parameters_validate_range():
         ChainParameters(1.5, 0.5, 0.25, 1 / 3, 1.0, 0.125, 1.0, 1 / 3)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: heralded_ts_gate(Fraction(2)),
+    lambda: heralded_ts_gate(Fraction(-1, 2)),
+    lambda: heralded_ts_gate(0),
+    lambda: solve_chain_reflectivities(n_starts=0),
+], ids=["cs_success-2", "cs_success-minus-half", "cs_success-0", "zero-starts"])
+def test_meaningless_inputs_raise_value_error(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_chained_parameters_json_round_trip(solved_params):
     restored = ChainParameters.from_json(solved_params.to_json())
     assert restored == solved_params

@@ -154,6 +154,15 @@ CATALOGUE = (
            "Fraction(det.kerr_count) if det.certified else Fraction(0)",
            "Fraction(det.kerr_count)",
            ("tests/test_optical.py::test_report_reads_probabilities_off_the_simulation",)),
+    Mutant("verify-toffoli guard back on exact integers and a float quotient", TOFFOLI,
+           "return _ESTIMATE.multiply(_ESTIMATE.power(2, (n + 1) + 3 - 30), n + 1 + 16)",
+           "return 8 * 2 ** (n + 1) * (n + 1 + 16) / 2 ** 30",
+           ("tests/test_cli.py::test_oversized_n_is_refused_with_memory_estimate[1100]",)),
+    Mutant("heralded gate accepts any cs_success", OPTICAL,
+           "    if not 0 < cs_success <= 1:\n",
+           "    if False:\n",
+           ("tests/test_optical.py::test_meaningless_inputs_raise_value_error[cs_success-2]",
+            "tests/test_optical.py::test_meaningless_inputs_raise_value_error[cs_success-minus-half]")),
     Mutant("params file accepts unknown keys", OPTICAL,
            "        if unknown:\n",
            "        if False:\n",
