@@ -2,6 +2,9 @@
 chained-interferometer solve, and the comparison report.
 
 Exit codes: 0 every check passed, 1 a verification failed, 2 usage error.
+
+`optical` and `report` (and with them scipy) are imported inside the
+commands that use them, so `verify-toffoli` loads numpy only.
 """
 
 from __future__ import annotations
@@ -12,16 +15,6 @@ import os
 import sys
 from fractions import Fraction
 
-from .optical import (
-    ChainParameters,
-    heralded_ts_gate,
-    kerr_cs_gate,
-    naive_postselected_chain_probability,
-    postselected_cs_gate,
-    solve_chain_reflectivities,
-    verify_chain_parameters,
-)
-from .report import build_report
 from .toffoli import (
     build_n_ts_circuit,
     expected_flipped_component,
@@ -51,7 +44,9 @@ def _format_fraction(value) -> str:
     return f"{float(value):.9f}"
 
 
-def _read_chain_params(path: str) -> ChainParameters:
+def _read_chain_params(path: str):
+    from .optical import ChainParameters
+
     try:
         with open(path) as fh:
             return ChainParameters.from_json(fh.read())
@@ -81,6 +76,15 @@ def _summary_text(summary: dict) -> str:
 
 
 def cmd_simulate_optical(args) -> int:
+    from .optical import (
+        heralded_ts_gate,
+        kerr_cs_gate,
+        naive_postselected_chain_probability,
+        postselected_cs_gate,
+        solve_chain_reflectivities,
+        verify_chain_parameters,
+    )
+
     if args.which == "kerr":
         realization, extras = kerr_cs_gate(), {}
     elif args.which == "heralded":
@@ -113,6 +117,8 @@ def cmd_simulate_optical(args) -> int:
 
 
 def cmd_report_all(args) -> int:
+    from .report import build_report
+
     params = None
     if args.params_file:
         params = _read_chain_params(args.params_file)

@@ -30,19 +30,26 @@ a sparse matrix built once per call, with a cross-Kerr as a diagonal.
 of the element operators.  The polarizing beamsplitter's relabelling `apply`
 is kept as a check on the lift of its permutation block.
 
-`logical_transfer(elements, basis, layout)` is the one route from an optical
-circuit to its post-selected logical matrix: it encodes the logical basis
-states as columns (`ModeLayout.indices`), pushes only those columns through
-each element operator once, and reads the logical rows off.  Tests hold it
-to the rows and columns of the dense `circuit_fock_operator`.  The chained
-gate read this way shares neither `single_photon_transfer` nor permanents
-with `optical.chain_coincidence_block`, so it is the independent check on
-that block.
+`logical_transfer(elements, m, layout)` is the one route from an optical
+circuit to its post-selected logical matrix, and it is first-quantized: each
+logical input is a product of N labelled photons, one per layout group,
+held as a tensor with one mode axis per photon.  A mode-linear element's
+block is applied along every photon axis, a cross-Kerr multiplies by its
+phase on the photon counts, and a logical output's amplitude sums the N!
+orderings of its modes (the permanent).  It builds no `FockBasis` and no
+element operator; each block is checked unitary as it is applied.  The
+chained gate read this way shares neither `single_photon_transfer` nor the
+coincidence block's gather with `optical.chain_coincidence_block`, so it is
+the independent check on that block.
 
-Two independent routes compute multi-photon amplitudes: `lift_to_fock`
-expands products of creation-operator linear forms, while
-`permanent_amplitude_oracle` evaluates scaled matrix permanents directly.
-They must agree; tests hold them to 1e-9 of each other.
+Three routes compute multi-photon amplitudes and tests hold each to
+another.  Second quantization: `circuit_fock_operator` multiplies the
+element operators, which `lift_to_fock` builds by expanding products of
+creation-operator linear forms.  `permanent_amplitude_oracle` evaluates
+scaled matrix permanents directly, and agrees with the lift to 1e-9.  First
+quantization: `logical_transfer` matches the logical rows and columns of
+`circuit_fock_operator` (Kerr included) and the oracle's entries on qudit
+layouts, to 1e-12, sharing only the elements' blocks with either.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 from scipy import sparse
@@ -577,16 +584,42 @@ class ModeLayout:
         return PureState(self.wire_dims, state.amps[idx]), float(np.linalg.norm(state.amps[outside]))
 
 
-def logical_transfer(elements, basis: FockBasis, layout: ModeLayout) -> np.ndarray:
+def logical_transfer(elements, m: int, layout: ModeLayout) -> np.ndarray:
     """Post-selected logical matrix <enc(y)| U |enc(x)> of an ordered element
-    list over all digit tuples: only the logical basis states are pushed
-    through the element operators, once, and their logical rows read off."""
-    idx = layout.indices(basis)
-    amps = np.zeros((basis.size, idx.size), dtype=complex)
-    amps[idx, np.arange(idx.size)] = 1.0
+    list over all digit tuples, propagated in first quantization.
+
+    Logical input x puts photon k on its mode of group k, so the state is a
+    tensor of shape (X,) + (m,) * N with photon k on axis k + 1.  A
+    mode-linear element's block acts as a row operation on its modes along
+    every photon axis; a cross-Kerr multiplies by exp(i chi n_a n_b), n_a
+    counting the axes on mode a.  Output y occupies N distinct modes, so its
+    amplitude is the sum over the N! orderings of those modes (the
+    permanent).  No Fock basis or many-photon operator is built."""
+    dims = layout.wire_dims
+    for mode in (mode for group in layout.groups for mode in group):
+        if not 0 <= mode < m:
+            raise ValueError(f"layout mode {mode} out of range for {m} modes")
+    n = layout.n_photons
+    modes = np.array([[group[d] for group, d in zip(layout.groups, dims.digits(x))]
+                      for x in range(dims.total_dim)]).reshape(dims.total_dim, n)
+    tensor = np.zeros((dims.total_dim,) + (m,) * n, dtype=complex)
+    tensor[(np.arange(dims.total_dim),) + tuple(modes.T)] = 1.0
+    photon_modes = np.indices((m,) * n)   # [k] is photon k's mode at each entry
     for el in elements:
-        amps = el.fock_operator(basis) @ amps
-    return amps[idx]
+        if isinstance(el, CrossKerr):
+            n_a, n_b = (np.sum(photon_modes == mode, axis=0) for mode in el.modes)
+            tensor = tensor * np.exp(1j * el.chi * n_a * n_b)
+            continue
+        rows, block = el.mode_block()
+        err = np.max(np.abs(block.conj().T @ block - np.eye(len(rows))))
+        if not err <= MODE_UNITARY_TOL:
+            raise ValueError(f"{type(el).__name__} block not unitary (deviation {err:.3e})")
+        for axis in range(1, n + 1):
+            view = np.moveaxis(tensor, axis, 0)
+            view[rows] = np.tensordot(block, view[rows], axes=1)
+    amps = sum(tensor[(slice(None),) + tuple(modes[:, k] for k in order)]
+               for order in permutations(range(n)))
+    return amps.T
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ Every construction states its claimed logical transfer, an exact factor
 (1, 1/2, 1/9 or 1/72) times a unit-modulus diagonal, and is judged by one
 route, `_realize`: `certified`, the whole transfer within 1e-12 of the
 claim, is the one verdict the report and the CLI read.  The transfer is the
-circuit's logical transfer from `fock.logical_transfer` (only the logical
-inputs pushed through the element operators), or for
+circuit's logical transfer from `fock.logical_transfer` (the logical inputs
+propagated as labelled photons, first quantized), or for
 `verify_chain_parameters` the chain's coincidence block.  Only a certified
 realization reports the exact factor, else the simulated float, so a broken
 element shows up as a mismatch downstream.  A `GateRealization` stores that
@@ -45,8 +45,8 @@ of each qubit is its first listed mode.  Its 8x8 coincidence amplitudes have
 one route, `chain_coincidence_block` (3x3 permanents of the mode matrix),
 shared by the solver's objective and `verify_chain_parameters`.
 `chained_ts_gate` makes the same 1/72 claim as an independent check on it:
-its transfer comes from the element operators, sharing neither
-`single_photon_transfer` nor permanents with the block.
+its transfer comes from the first-quantized route, sharing neither
+`single_photon_transfer` nor the block's gather.
 """
 
 from __future__ import annotations
@@ -163,7 +163,7 @@ def _realize(name: str, circuit: OpticalCircuit, layout: ModeLayout, claimed: Fr
     (external heralding, per controlled sign) multiplies in squared, and the
     optical factor becomes `filter_success`."""
     if transfer is None:
-        transfer = logical_transfer(circuit.elements, circuit.basis(), layout)
+        transfer = logical_transfer(circuit.elements, circuit.m, layout)
     diag = np.diagonal(transfer)
     flipped = np.flatnonzero((np.abs(diag) > 1e-14) & (diag.real < 0))
     residual = float(np.max(np.abs(transfer - math.sqrt(claimed) * np.diag(phases))))
@@ -524,9 +524,9 @@ def solve_chain_reflectivities(seed: int = 20070, n_starts: int = 16) -> ChainSo
 
 def chained_ts_gate(params: ChainParameters) -> GateRealization:
     """The same claim as `verify_chain_parameters` on the independent route:
-    the transfer comes from the element operators through
-    `logical_transfer`, sharing neither `single_photon_transfer` nor
-    permanents with `chain_coincidence_block`."""
+    the transfer comes from the first-quantized `logical_transfer`, sharing
+    neither `single_photon_transfer` nor the gather of
+    `chain_coincidence_block`."""
     return _realize(_CHAIN_NAME, chain_topology(params), _CHAIN_LAYOUT, CHAINED_TARGET, _CHAIN_TARGET)
 
 

@@ -349,7 +349,46 @@ def test_logical_transfer_matches_dense_operator_rows(m, data, kinds, seed):
     elements = [_random_element(rng, m, kind) for kind in kinds]
     idx = layout.indices(basis)
     want = circuit_fock_operator(elements, basis)[np.ix_(idx, idx)]
-    assert np.max(np.abs(logical_transfer(elements, basis, layout) - want)) < 1e-12
+    assert np.max(np.abs(logical_transfer(elements, m, layout) - want)) < 1e-12
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data(), sizes=st.lists(st.integers(2, 4), min_size=1, max_size=3),
+       kinds=st.lists(st.sampled_from(MODE_LINEAR_KINDS), max_size=10), seed=st.integers(0, 2 ** 32 - 1))
+def test_logical_transfer_matches_permanent_oracle_on_qudit_layouts(data, sizes, kinds, seed):
+    # groups of 2-4 modes, like the ququit target's, on a random subset of the modes
+    m = data.draw(st.integers(max(4, sum(sizes)), 12))
+    rng = np.random.default_rng(seed)
+    modes = [int(x) for x in rng.permutation(m)]
+    layout = ModeLayout(tuple(tuple(modes[sum(sizes[:i]):sum(sizes[:i + 1])]) for i in range(len(sizes))))
+    elements = [_random_element(rng, m, kind) for kind in kinds]
+    transfer = logical_transfer(elements, m, layout)
+    mode = single_photon_transfer(elements, m)
+    dims = layout.wire_dims
+    for y, x in rng.integers(dims.total_dim, size=(8, 2)):
+        oracle = permanent_amplitude_oracle(mode, layout.occupation(dims.digits(int(x)), m),
+                                            layout.occupation(dims.digits(int(y)), m))
+        assert abs(transfer[y, x] - oracle) < 1e-12
+
+
+class _Amplifier(HalfWavePlate):
+    """A wave plate whose block doubles the v mode: not unitary."""
+
+    def mode_block(self):
+        return list(self.modes), np.diag([1.0, 2.0]).astype(complex)
+
+
+@pytest.mark.parametrize("element", [HalfWavePlate(float("nan"), (0, 1)), _Amplifier(0.0, (0, 1))],
+                         ids=["nan", "gain"])
+def test_logical_transfer_rejects_a_non_unitary_block(element):
+    with pytest.raises(ValueError, match="not unitary"):
+        logical_transfer([element], 2, ModeLayout(((0, 1),)))
+
+
+def test_logical_transfer_names_a_layout_mode_out_of_range():
+    with pytest.raises(ValueError, match="layout mode 3 out of range for 3 modes") as exc:
+        logical_transfer([], 3, ModeLayout(((0, 1), (2, 3))))
+    assert "\n" not in str(exc.value)
 
 
 def test_nan_block_is_rejected_by_single_photon_transfer():

@@ -435,7 +435,7 @@ def test_chained_coincidence_carries_sign_only_on_000(solved_params):
     assert np.max(np.abs(off)) < 1e-12
 
 
-def test_chained_full_fock_route_agrees_with_permanent_route(solved_params):
+def test_chained_first_quantized_route_agrees_with_permanent_route(solved_params):
     realization = chained_ts_gate(solved_params)
     block = chain_coincidence_block(chain_mode_matrix(solved_params))
     assert np.max(np.abs(realization.transfer - block)) < 1e-10
@@ -450,7 +450,7 @@ _CHAIN_WIRES = ModeLayout(((C1_0, C1_1), (ARM_U, T1), (C2_0, C2_1)))
 
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(_CHAIN_PARAMS)
-def test_chain_block_matches_lift_route_on_random_parameters(params):
+def test_chain_block_matches_first_quantized_route_on_random_parameters(params):
     block = chain_coincidence_block(chain_mode_matrix(params))
     assert np.max(np.abs(block - chained_ts_gate(params).transfer)) < 1e-10
 

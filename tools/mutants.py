@@ -97,14 +97,29 @@ CATALOGUE = (
     Mutant("conjugated Kerr diagonal", FOCK,
            "np.exp(1j * self.chi * occ[a] * occ[b])",
            "np.exp(-1j * self.chi * occ[a] * occ[b])",
-           ("tests/test_optical.py::test_kerr_cs_general_strength_phases_delta_term",)),
+           ("tests/test_fock.py::test_logical_transfer_matches_dense_operator_rows",)),
+    Mutant("tensor Kerr phase conjugated", FOCK,
+           "tensor = tensor * np.exp(1j * el.chi * n_a * n_b)",
+           "tensor = tensor * np.exp(-1j * el.chi * n_a * n_b)",
+           ("tests/test_optical.py::test_kerr_cs_general_strength_phases_delta_term",
+            "tests/test_fock.py::test_logical_transfer_matches_dense_operator_rows")),
+    Mutant("block applied to one photon axis fewer", FOCK,
+           "for axis in range(1, n + 1):",
+           "for axis in range(1, n):",
+           ("tests/test_fock.py::test_logical_transfer_matches_dense_operator_rows",
+            "tests/test_fock.py::test_logical_transfer_matches_permanent_oracle_on_qudit_layouts")),
+    Mutant("read-out keeps one ordering of the output modes, not the permanent", FOCK,
+           "for order in permutations(range(n)))",
+           "for order in [tuple(range(n))])",
+           ("tests/test_fock.py::test_logical_transfer_matches_permanent_oracle_on_qudit_layouts",
+            "tests/test_optical.py::test_postselected_cs_transfer_and_probability")),
     Mutant("claimed Fraction reported without certification", OPTICAL,
            "optical = claimed if certified else float(np.mean(np.abs(diag)) ** 2)",
            "optical = claimed",
            ("tests/test_optical.py::test_report_reads_probabilities_off_the_simulation",)),
     Mutant("logical read-out transposed", FOCK,
-           "    return amps[idx]\n",
-           "    return amps[idx].T\n",
+           "    return amps.T\n",
+           "    return amps\n",
            ("tests/test_fock.py::test_logical_transfer_matches_dense_operator_rows",)),
     Mutant("filter's t-path wave plate at 0.3 rad", OPTICAL,
            "HalfWavePlate(HADAMARD_HWP_ANGLE, (T_H, T_V)),",
