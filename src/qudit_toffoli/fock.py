@@ -30,6 +30,11 @@ a sparse matrix built once per call, with a cross-Kerr as a diagonal.
 of the element operators.  The polarizing beamsplitter's relabelling `apply`
 is kept as a check on the lift of its permutation block.
 
+`ModeLayout.modes` is the one map from logical states to photons: row x
+holds each photon's mode in logical basis state x, wires big-endian.
+Elements, layouts and patterns refuse a negative or fractional mode, and
+every route from elements to amplitudes refuses an element mode >= m.
+
 `logical_transfer(elements, m, layout)` is the one route from an optical
 circuit to its post-selected logical matrix, and it is first-quantized: each
 logical input is a product of N labelled photons, one per layout group,
@@ -38,9 +43,10 @@ block is applied along every photon axis, a cross-Kerr multiplies by its
 phase on the photon counts, and a logical output's amplitude sums the N!
 orderings of its modes (the permanent).  It builds no `FockBasis` and no
 element operator; each block is checked unitary as it is applied.  The
-chained gate read this way shares neither `single_photon_transfer` nor the
-coincidence block's gather with `optical.chain_coincidence_block`, so it is
-the independent check on that block.
+chained gate read this way shares only the layout table with
+`optical.chain_coincidence_block`, and no code that computes amplitudes
+(neither `single_photon_transfer` nor the block's permanents), so it is the
+independent check on that block.
 
 Three routes compute multi-photon amplitudes and tests hold each to
 another.  Second quantization: `circuit_fock_operator` multiplies the
@@ -55,10 +61,11 @@ layouts, to 1e-12, sharing only the elements' blocks with either.
 from __future__ import annotations
 
 import math
+import numbers
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 from scipy import sparse
@@ -72,6 +79,20 @@ HADAMARD_HWP_ANGLE = math.pi / 8
 
 class PhotonNumberError(ValueError):
     """Occupations do not conserve the total photon number."""
+
+
+def _index(value, what: str = "mode") -> int:
+    """`value` as an int; a negative or non-integer value is a ValueError."""
+    if not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{what} {value!r} is not a non-negative integer")
+    return int(value)
+
+
+def _check_element_modes(elements, m: int) -> None:
+    """Every element's modes lie below m, else a ValueError naming the element."""
+    for el in elements:
+        if max(el.modes) >= m:
+            raise ValueError(f"{el!r}: mode {max(el.modes)} out of range for {m} modes")
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +227,7 @@ class Beamsplitter(OpticalElement):
     def __post_init__(self):
         if not 0.0 <= float(self.eta) <= 1.0:
             raise ValueError(f"reflectivity {self.eta} outside [0, 1]")
+        object.__setattr__(self, "modes", tuple(map(_index, self.modes)))
         if self.modes[0] == self.modes[1]:
             raise ValueError("beamsplitter needs two distinct modes")
         if self.dotted is not None and self.dotted not in self.modes:
@@ -235,6 +257,7 @@ class HalfWavePlate(OpticalElement):
     modes: tuple[int, int]
 
     def __post_init__(self):
+        object.__setattr__(self, "modes", tuple(map(_index, self.modes)))
         if self.modes[0] == self.modes[1]:
             raise ValueError("wave plate needs two distinct modes")
 
@@ -252,21 +275,18 @@ class PolarizingBeamsplitter(OpticalElement):
     path2: tuple[int, int]
 
     def __post_init__(self):
-        all_modes = self.path1 + self.path2
-        if len(set(all_modes)) != 4:
+        object.__setattr__(self, "path1", tuple(map(_index, self.path1)))
+        object.__setattr__(self, "path2", tuple(map(_index, self.path2)))
+        if len(set(self.modes)) != 4:
             raise ValueError("polarizing beamsplitter needs four distinct modes")
 
+    @property
+    def modes(self) -> tuple[int, ...]:
+        return self.path1 + self.path2
+
     def mode_block(self):
-        h1, v1 = self.path1
-        h2, v2 = self.path2
-        block = np.zeros((4, 4), dtype=complex)
-        order = [h1, v1, h2, v2]
-        pos = {mode: i for i, mode in enumerate(order)}
-        block[pos[h1], pos[h1]] = 1.0
-        block[pos[h2], pos[h2]] = 1.0
-        block[pos[v2], pos[v1]] = 1.0
-        block[pos[v1], pos[v2]] = 1.0
-        return order, block
+        # on (h1, v1, h2, v2): the h modes stay, v1 and v2 swap
+        return list(self.modes), np.eye(4, dtype=complex)[[0, 3, 2, 1]]
 
     def apply(self, state: OpticalState) -> OpticalState:
         # permutation: relabel occupations directly, no amplitude mixing
@@ -294,6 +314,7 @@ class CrossKerr(OpticalElement):
     is_mode_linear = False
 
     def __post_init__(self):
+        object.__setattr__(self, "modes", tuple(map(_index, self.modes)))
         if self.modes[0] == self.modes[1]:
             raise ValueError("cross-Kerr needs two distinct modes")
 
@@ -325,6 +346,7 @@ def single_photon_transfer(elements, m: int) -> np.ndarray:
     participate; a cross-Kerr in the list is an error.  The composition is
     checked unitary as an internal bug guard.
     """
+    _check_element_modes(elements, m)
     mat = np.eye(m, dtype=complex)
     for el in elements:
         if not el.is_mode_linear:
@@ -391,6 +413,7 @@ def apply_elements(state: OpticalState, elements) -> OpticalState:
 def circuit_fock_operator(elements, basis: FockBasis) -> np.ndarray:
     """Dense many-photon operator of an ordered element list (Kerr included);
     the reference `logical_transfer` is tested against."""
+    _check_element_modes(elements, basis.m)
     op = sparse.identity(basis.size, dtype=complex, format="csr")
     for el in elements:
         op = el.fock_operator(basis) @ op
@@ -461,15 +484,12 @@ class DetectionPattern:
     conditions: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        conds = tuple(sorted((int(m), int(c)) for m, c in self.conditions))
+        conds = tuple(sorted((_index(m), _index(c, "count")) for m, c in self.conditions))
         if not conds:
             raise ValueError("detection pattern must constrain at least one mode")
         modes = [m for m, _ in conds]
         if len(set(modes)) != len(modes):
             raise ValueError("detection pattern repeats a mode")
-        for m, c in conds:
-            if m < 0 or c < 0:
-                raise ValueError(f"bad condition mode={m} count={c}")
         object.__setattr__(self, "conditions", conds)
 
     @classmethod
@@ -533,12 +553,14 @@ def exhaustive_patterns(basis: FockBasis, modes) -> list[DetectionPattern]:
 @dataclass(frozen=True)
 class ModeLayout:
     """Maps logical wires onto disjoint mode groups: one photon per group,
-    its position within the group being the logical level."""
+    its position within the group being the logical level.  Row x of the
+    (X, N) table `modes` is each photon's mode in logical basis state x."""
 
     groups: tuple[tuple[int, ...], ...]
+    modes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        groups = tuple(tuple(int(m) for m in g) for g in self.groups)
+        groups = tuple(tuple(map(_index, g)) for g in self.groups)
         flat = [m for g in groups for m in g]
         if len(set(flat)) != len(flat):
             raise ValueError("layout groups overlap")
@@ -546,34 +568,30 @@ class ModeLayout:
             if len(g) < 2:
                 raise ValueError("each logical wire needs at least two modes")
         object.__setattr__(self, "groups", groups)
+        modes = np.array(list(product(*groups)), dtype=int)
+        modes.flags.writeable = False     # shared by every route that reads it
+        object.__setattr__(self, "modes", modes)
 
     @property
     def wire_dims(self) -> WireDims:
         return WireDims(tuple(len(g) for g in self.groups))
 
-    @property
-    def n_photons(self) -> int:
-        return len(self.groups)
-
-    def occupation(self, digits, m: int) -> tuple[int, ...]:
-        dims = self.wire_dims
-        if len(digits) != len(self.groups):
-            raise ValueError(f"expected {len(self.groups)} digits, got {len(digits)}")
-        occ = [0] * m
-        for digit, group, d in zip(digits, self.groups, dims.dims):
-            if not 0 <= digit < d:
-                raise ValueError(f"digit {digit} out of range for a {d}-level wire")
-            occ[group[digit]] = 1
-        return tuple(occ)
-
-    def encode(self, digits, basis: FockBasis) -> OpticalState:
-        return OpticalState.fock(basis, self.occupation(digits, basis.m))
-
     def indices(self, basis: FockBasis) -> np.ndarray:
         """Basis index of every logical basis state, in logical index order."""
-        dims = self.wire_dims
-        return np.array([basis.index_of(self.occupation(dims.digits(x), basis.m))
-                         for x in range(dims.total_dim)])
+        occupations = np.zeros((len(self.modes), basis.m), dtype=int)
+        np.put_along_axis(occupations, self.modes, 1, axis=1)
+        return np.array([basis.index_of(occ) for occ in occupations])
+
+    def encode(self, amplitudes, basis: FockBasis) -> OpticalState:
+        """The optical state carrying a logical amplitude vector (a logical
+        basis state is a one-hot vector)."""
+        idx = self.indices(basis)
+        amps = np.asarray(amplitudes, dtype=complex)
+        if amps.shape != idx.shape:
+            raise ValueError(f"need {idx.size} logical amplitudes, got shape {amps.shape}")
+        out = np.zeros(basis.size, dtype=complex)
+        out[idx] = amps
+        return OpticalState(basis, out)
 
     def decode(self, state: OpticalState) -> tuple[PureState, float]:
         """Project onto the logical subspace.  Returns the (unnormalized)
@@ -595,15 +613,13 @@ def logical_transfer(elements, m: int, layout: ModeLayout) -> np.ndarray:
     counting the axes on mode a.  Output y occupies N distinct modes, so its
     amplitude is the sum over the N! orderings of those modes (the
     permanent).  No Fock basis or many-photon operator is built."""
-    dims = layout.wire_dims
-    for mode in (mode for group in layout.groups for mode in group):
-        if not 0 <= mode < m:
-            raise ValueError(f"layout mode {mode} out of range for {m} modes")
-    n = layout.n_photons
-    modes = np.array([[group[d] for group, d in zip(layout.groups, dims.digits(x))]
-                      for x in range(dims.total_dim)]).reshape(dims.total_dim, n)
-    tensor = np.zeros((dims.total_dim,) + (m,) * n, dtype=complex)
-    tensor[(np.arange(dims.total_dim),) + tuple(modes.T)] = 1.0
+    _check_element_modes(elements, m)
+    modes = layout.modes
+    if modes.max() >= m:
+        raise ValueError(f"layout mode {modes.max()} out of range for {m} modes")
+    n_inputs, n = modes.shape
+    tensor = np.zeros((n_inputs,) + (m,) * n, dtype=complex)
+    tensor[(np.arange(n_inputs),) + tuple(modes.T)] = 1.0
     photon_modes = np.indices((m,) * n)   # [k] is photon k's mode at each entry
     for el in elements:
         if isinstance(el, CrossKerr):

@@ -45,8 +45,9 @@ of each qubit is its first listed mode.  Its 8x8 coincidence amplitudes have
 one route, `chain_coincidence_block` (3x3 permanents of the mode matrix),
 shared by the solver's objective and `verify_chain_parameters`.
 `chained_ts_gate` makes the same 1/72 claim as an independent check on it:
-its transfer comes from the first-quantized route, sharing neither
-`single_photon_transfer` nor the block's gather.
+its transfer comes from the first-quantized route, which shares the layout
+table `ModeLayout.modes` with the block's gather but no code that computes
+amplitudes.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
-from itertools import permutations, product
+from itertools import permutations
 
 import numpy as np
 from scipy import optimize
@@ -65,18 +66,16 @@ from .fock import (
     Beamsplitter,
     CrossKerr,
     DetectionPattern,
-    FockBasis,
     HalfWavePlate,
     HADAMARD_HWP_ANGLE,
     ModeLayout,
     OpticalCircuit,
-    OpticalState,
     PolarizingBeamsplitter,
     VacuumAttenuator,
-    circuit_fock_operator,
     logical_transfer,
     single_photon_transfer,
 )
+from .toffoli import oracle_n_toffoli_sign
 
 COUPLER_REFLECTIVITY = Fraction(1, 3)
 
@@ -124,31 +123,12 @@ class GateRealization:
     def kerr_count(self) -> int:
         return sum(isinstance(element, CrossKerr) for element in self.circuit.elements)
 
-    def fock_operator(self) -> np.ndarray:
-        return circuit_fock_operator(self.circuit.elements, self.circuit.basis())
-
-    def input_state(self, logical_amplitudes) -> OpticalState:
-        """Encode a logical amplitude vector as an optical input state."""
-        basis = self.circuit.basis()
-        idx = self.layout.indices(basis)
-        amps = np.asarray(logical_amplitudes, dtype=complex)
-        if amps.shape != idx.shape:
-            raise ValueError(f"need {idx.size} logical amplitudes")
-        out = np.zeros(basis.size, dtype=complex)
-        out[idx] = amps
-        return OpticalState(basis, out)
-
     def coincidence_probabilities(self) -> np.ndarray:
         """Per-logical-basis-input success probability from the transfer."""
         return np.sum(np.abs(self.transfer) ** 2, axis=0)
 
 
 EXACT_TOL = 1e-12
-
-
-def _flip_on(*component: int) -> np.ndarray:
-    """Qubit-register phases: -1 on the basis state `component`, else +1."""
-    return 1 - 2 * (np.arange(2 ** len(component)) == int("".join(map(str, component)), 2))
 
 
 def _realize(name: str, circuit: OpticalCircuit, layout: ModeLayout, claimed: Fraction, phases,
@@ -233,7 +213,7 @@ def deterministic_ts_gate() -> GateRealization:
         PolarizingBeamsplitter((S_H, S_V), (T_H, T_V)),
     )
     return _realize("deterministic cross-Kerr T-S", OpticalCircuit(8, 3, elements),
-                    _POLARIZATION_LAYOUT, claimed=Fraction(1), phases=_flip_on(1, 0, 1))
+                    _POLARIZATION_LAYOUT, Fraction(1), oracle_n_toffoli_sign(2, (1, 0, 1)))
 
 
 def heralded_ts_gate(cs_success: Fraction = Fraction(1, 4)) -> GateRealization:
@@ -257,7 +237,7 @@ def heralded_ts_gate(cs_success: Fraction = Fraction(1, 4)) -> GateRealization:
     )
     circuit = OpticalCircuit(8, 3, elements, DetectionPattern.zero((S_H, S_V)))
     return _realize("heralded T-S with passive filter", circuit, _POLARIZATION_LAYOUT,
-                    claimed=Fraction(1, 2), phases=_flip_on(0, 0, 1), cs_success=cs_success,
+                    Fraction(1, 2), oracle_n_toffoli_sign(2, (0, 0, 1)), cs_success=cs_success,
                     stages={"after_cs2": 5, "after_filter_hwps": 7})
 
 
@@ -280,7 +260,7 @@ def postselected_cs_gate() -> GateRealization:
     )
     circuit = OpticalCircuit(6, 2, elements, DetectionPattern.zero((4, 5)))
     return _realize("post-selected controlled-sign", circuit, ModeLayout(((0, 1), (2, 3))),
-                    claimed=Fraction(1, 9), phases=_flip_on(1, 1))
+                    claimed=Fraction(1, 9), phases=oracle_n_toffoli_sign(1, (1, 1)))
 
 
 def naive_postselected_chain_probability() -> Fraction | float:
@@ -299,7 +279,7 @@ C1_0, C1_1, ARM_U, ARM_L, T1, C2_0, C2_1 = range(7)
 N_PRINCIPAL_MODES = 7
 
 _CHAIN_LAYOUT = ModeLayout(((C1_0, C1_1), (ARM_U, T1), (C2_0, C2_1)))
-_CHAIN_TARGET = _flip_on(0, 0, 0)
+_CHAIN_TARGET = oracle_n_toffoli_sign(2, (0, 0, 0))
 _CHAIN_NAME = "post-selected T-S, chained interferometers"
 
 
@@ -403,8 +383,6 @@ def chain_mode_matrix(params: ChainParameters) -> np.ndarray:
     return single_photon_transfer(chain_elements(params), 12)
 
 
-# the single-photon modes of logical basis state x = (c1, t, c2), row x
-_CHAIN_MODES = np.array(list(product(*_CHAIN_LAYOUT.groups)))
 _PERMUTATIONS_3 = np.array(list(permutations(range(3))))
 
 
@@ -414,8 +392,9 @@ def chain_coincidence_block(mode_matrix: np.ndarray) -> np.ndarray:
     Entry (y, x) is the permanent of the 3x3 submatrix on output modes y and
     input modes x (one photon per logical wire, nothing anywhere else): all
     64 submatrices are gathered at once and their six permutation products
-    summed.  `chained_ts_gate`'s lift is the independent check."""
-    sub = mode_matrix[_CHAIN_MODES[:, None, :, None], _CHAIN_MODES[None, :, None, :]]
+    summed.  `chained_ts_gate` is the independent check."""
+    modes = _CHAIN_LAYOUT.modes
+    sub = mode_matrix[modes[:, None, :, None], modes[None, :, None, :]]
     return sub[..., np.arange(3), _PERMUTATIONS_3].prod(axis=-1).sum(axis=-1)
 
 
@@ -447,15 +426,14 @@ class ChainSolveResult:
 
 _PARAM_BOUNDS = (1e-4, 1.0)
 _PENALTY_WEIGHT = 50.0
-_TARGET_SIGNS = _CHAIN_TARGET.astype(float)
 
 
 def _chain_residuals(vec: np.ndarray) -> tuple[np.ndarray, float]:
     """Equal-magnitude/sign-pattern residuals d_i - t_i * mu, and mu, the
     projection of the diagonal onto the target pattern."""
     diag = chain_diagonal(vec)
-    mu = float(diag @ _TARGET_SIGNS) / 8.0
-    return diag - _TARGET_SIGNS * mu, mu
+    mu = float(diag @ _CHAIN_TARGET) / 8.0
+    return diag - _CHAIN_TARGET * mu, mu
 
 
 def _chain_objective(vec: np.ndarray) -> float:
@@ -524,9 +502,9 @@ def solve_chain_reflectivities(seed: int = 20070, n_starts: int = 16) -> ChainSo
 
 def chained_ts_gate(params: ChainParameters) -> GateRealization:
     """The same claim as `verify_chain_parameters` on the independent route:
-    the transfer comes from the first-quantized `logical_transfer`, sharing
-    neither `single_photon_transfer` nor the gather of
-    `chain_coincidence_block`."""
+    the transfer comes from the first-quantized `logical_transfer`, which
+    shares the layout table with `chain_coincidence_block` but neither
+    `single_photon_transfer` nor the block's permanents."""
     return _realize(_CHAIN_NAME, chain_topology(params), _CHAIN_LAYOUT, CHAINED_TARGET, _CHAIN_TARGET)
 
 

@@ -12,6 +12,7 @@ from qudit_toffoli.fock import (
     FockBasis,
     OpticalState,
     apply_elements,
+    circuit_fock_operator,
     exhaustive_patterns,
     lift_to_fock,
     permanent_amplitude_oracle,
@@ -111,12 +112,12 @@ def test_criterion_05_deterministic_optical_ts():
 
 def test_criterion_06_heralded_gate():
     gate = heralded_ts_gate()
-    op = gate.fock_operator()
+    op = circuit_fock_operator(gate.circuit.elements, gate.circuit.basis())
     rng = np.random.default_rng(606)
     worst = 0.0
     for _ in range(100):
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        state = gate.input_state(amps / np.linalg.norm(amps))
+        state = gate.layout.encode(amps / np.linalg.norm(amps), gate.circuit.basis())
         prob = postselect(OpticalState(state.basis, op @ state.amps),
                           gate.circuit.pattern).probability
         worst = max(worst, abs(prob - 0.5))
@@ -182,7 +183,7 @@ def test_criterion_10_probability_completeness():
 
     heralded = heralded_ts_gate()
     amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-    state = heralded.input_state(amps / np.linalg.norm(amps))
+    state = heralded.layout.encode(amps / np.linalg.norm(amps), heralded.circuit.basis())
     final = apply_elements(state, heralded.circuit.elements)
     total = sum(postselect(final, p).probability
                 for p in exhaustive_patterns(final.basis, [4, 5]))
@@ -190,7 +191,7 @@ def test_criterion_10_probability_completeness():
 
     ps = postselected_cs_gate()
     amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-    state = ps.input_state(amps / np.linalg.norm(amps))
+    state = ps.layout.encode(amps / np.linalg.norm(amps), ps.circuit.basis())
     final = apply_elements(state, ps.circuit.elements)
     total = sum(postselect(final, p).probability
                 for p in exhaustive_patterns(final.basis, [4, 5]))
@@ -199,7 +200,7 @@ def test_criterion_10_probability_completeness():
     params = load_chain_solution()
     chained = chained_ts_gate(params)
     amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-    state = chained.input_state(amps / np.linalg.norm(amps))
+    state = chained.layout.encode(amps / np.linalg.norm(amps), chained.circuit.basis())
     final = apply_elements(state, chain_topology(params).elements)
     total = sum(postselect(final, p).probability
                 for p in exhaustive_patterns(final.basis, [ARM_L, 7, 8, 9, 10, 11]))

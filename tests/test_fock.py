@@ -31,12 +31,21 @@ from qudit_toffoli.fock import (
     postselect,
     single_photon_transfer,
 )
-from qudit_toffoli.qudits import random_unitary
+from qudit_toffoli.qudits import basis_index, random_unitary
 
 
 def _random_state(basis, rng):
     amps = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
     return OpticalState(basis, amps / np.linalg.norm(amps))
+
+
+def _logical_occupation(layout, digits, m):
+    """Occupation of a logical basis state, read off the layout's groups
+    rather than its `modes` table."""
+    occ = [0] * m
+    for group, digit in zip(layout.groups, digits):
+        occ[group[digit]] = 1
+    return tuple(occ)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +356,8 @@ def test_logical_transfer_matches_dense_operator_rows(m, data, kinds, seed):
     layout = ModeLayout(tuple(zip(modes[::2], modes[1::2])))
     basis = FockBasis(m, k)
     elements = [_random_element(rng, m, kind) for kind in kinds]
-    idx = layout.indices(basis)
+    dims = layout.wire_dims
+    idx = [basis.index_of(_logical_occupation(layout, dims.digits(x), m)) for x in range(dims.total_dim)]
     want = circuit_fock_operator(elements, basis)[np.ix_(idx, idx)]
     assert np.max(np.abs(logical_transfer(elements, m, layout) - want)) < 1e-12
 
@@ -366,8 +376,8 @@ def test_logical_transfer_matches_permanent_oracle_on_qudit_layouts(data, sizes,
     mode = single_photon_transfer(elements, m)
     dims = layout.wire_dims
     for y, x in rng.integers(dims.total_dim, size=(8, 2)):
-        oracle = permanent_amplitude_oracle(mode, layout.occupation(dims.digits(int(x)), m),
-                                            layout.occupation(dims.digits(int(y)), m))
+        oracle = permanent_amplitude_oracle(mode, _logical_occupation(layout, dims.digits(int(x)), m),
+                                            _logical_occupation(layout, dims.digits(int(y)), m))
         assert abs(transfer[y, x] - oracle) < 1e-12
 
 
@@ -388,6 +398,56 @@ def test_logical_transfer_rejects_a_non_unitary_block(element):
 def test_logical_transfer_names_a_layout_mode_out_of_range():
     with pytest.raises(ValueError, match="layout mode 3 out of range for 3 modes") as exc:
         logical_transfer([], 3, ModeLayout(((0, 1), (2, 3))))
+    assert "\n" not in str(exc.value)
+
+
+def _element_on(kind, mode):
+    """An element of `kind` whose last mode is `mode`; its others are 0-2."""
+    if kind == "bs":
+        return Beamsplitter(0.5, (0, mode))
+    if kind == "atten":
+        return VacuumAttenuator(0.5, 0, mode)
+    if kind == "hwp":
+        return HalfWavePlate(0.3, (0, mode))
+    if kind == "pbs":
+        return PolarizingBeamsplitter((0, 1), (2, mode))
+    return CrossKerr(np.pi, (0, mode))
+
+
+# the three routes that read an element's modes against the mode count
+_ROUTES = {
+    "logical": lambda elements, m: logical_transfer(elements, m, ModeLayout(((0, 1),))),
+    "single-photon": single_photon_transfer,
+    "fock": lambda elements, m: circuit_fock_operator(elements, FockBasis(m, 1)),
+}
+
+
+@pytest.mark.parametrize("route", _ROUTES)
+@pytest.mark.parametrize("bad", ["-1", "m", "1.5"])
+@pytest.mark.parametrize("kind", ELEMENT_KINDS)
+def test_a_bad_element_mode_is_a_one_line_value_error(kind, bad, route):
+    # a negative or fractional mode is refused when the element is built, a
+    # mode >= m by whichever route reads the element
+    m = 4
+    mode = {"-1": -1, "m": m, "1.5": 1.5}[bad]
+    with pytest.raises(ValueError) as exc:
+        _ROUTES[route]([_element_on(kind, mode)], m)
+    message = str(exc.value)
+    assert "\n" not in message
+    assert f"mode {mode} " in message
+    if bad == "m":
+        assert type(_element_on(kind, m)).__name__ in message
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ModeLayout(((0, 1.5),)),
+    lambda: ModeLayout(((-1, 0),)),
+    lambda: DetectionPattern(((1.5, 0),)),
+    lambda: DetectionPattern(((-1, 0),)),
+], ids=["layout-1.5", "layout-minus-1", "pattern-1.5", "pattern-minus-1"])
+def test_layouts_and_patterns_reject_a_negative_or_fractional_mode(build):
+    with pytest.raises(ValueError, match="is not a non-negative integer") as exc:
+        build()
     assert "\n" not in str(exc.value)
 
 
@@ -457,7 +517,7 @@ def test_exhaustive_patterns_partition_probability():
 def test_encode_qutrit_level_two():
     layout = ModeLayout(((0, 1, 2),))
     basis = FockBasis(3, 1)
-    state = layout.encode((2,), basis)
+    state = layout.encode([0, 0, 1], basis)
     assert abs(state.amplitude((0, 0, 1)) - 1.0) < 1e-15
 
 
@@ -467,7 +527,7 @@ def test_encode_decode_round_trip():
     basis = FockBasis(7, 3)
     for _ in range(10):
         digits = (int(rng.integers(2)), int(rng.integers(3)), int(rng.integers(2)))
-        state = layout.encode(digits, basis)
+        state = layout.encode(np.eye(12)[basis_index(digits, layout.wire_dims)], basis)
         logical, leak = layout.decode(state)
         assert leak == 0.0
         assert abs(logical.amplitude(digits) - 1.0) < 1e-15
@@ -483,6 +543,26 @@ def test_decode_reports_leakage():
     logical, leak = layout.decode(state)
     assert abs(leak - 0.5) < 1e-12
     assert abs(abs(logical.amplitude((0, 1))) ** 2 - 0.75) < 1e-12
+
+
+def test_encode_rejects_the_wrong_number_of_amplitudes():
+    layout = ModeLayout(((0, 1), (2, 3)))
+    with pytest.raises(ValueError, match="need 4 logical amplitudes"):
+        layout.encode(np.ones(3), FockBasis(4, 2))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(sizes=st.lists(st.integers(2, 4), min_size=1, max_size=3), seed=st.integers(0, 2 ** 32 - 1))
+def test_layout_table_row_x_holds_each_wires_mode_at_its_digit(sizes, seed):
+    # groups of 2-4 modes on a random subset of the modes
+    rng = np.random.default_rng(seed)
+    modes = [int(x) for x in rng.permutation(sum(sizes) + 2)]
+    layout = ModeLayout(tuple(tuple(modes[sum(sizes[:i]):sum(sizes[:i + 1])]) for i in range(len(sizes))))
+    dims = layout.wire_dims
+    assert layout.modes.shape == (dims.total_dim, len(sizes))
+    assert layout.modes.dtype.kind == "i"
+    for x in range(dims.total_dim):
+        assert list(layout.modes[x]) == [layout.groups[k][d] for k, d in enumerate(dims.digits(x))]
 
 
 def test_layout_rejects_overlapping_groups():

@@ -127,7 +127,7 @@ def test_deterministic_applied_twice_is_identity():
 
 def test_deterministic_is_fully_unitary_with_unit_success():
     gate = deterministic_ts_gate()
-    op = gate.fock_operator()
+    op = circuit_fock_operator(gate.circuit.elements, gate.circuit.basis())
     assert np.max(np.abs(op.conj().T @ op - np.eye(op.shape[0]))) < 1e-9
     assert np.max(np.abs(np.sum(np.abs(gate.transfer) ** 2, axis=0) - 1.0)) < 1e-12
 
@@ -141,7 +141,7 @@ A_H, A_V, B_H, B_V, S_H, S_V, T_H, T_V = range(8)
 
 def _heralded_input(alphas):
     gate = heralded_ts_gate()
-    return gate, gate.input_state(alphas.reshape(-1))
+    return gate, gate.layout.encode(alphas.reshape(-1), gate.circuit.basis())
 
 
 def _occupation(**kw):
@@ -247,10 +247,10 @@ def test_heralded_conditional_output_flips_001():
 
 def test_heralded_filter_probability_is_half_for_100_random_inputs():
     gate = heralded_ts_gate()
-    op = gate.fock_operator()
+    op = circuit_fock_operator(gate.circuit.elements, gate.circuit.basis())
     rng = np.random.default_rng(35)
     for _ in range(100):
-        state = gate.input_state(_random_logical(8, rng))
+        state = gate.layout.encode(_random_logical(8, rng), gate.circuit.basis())
         prob = postselect(OpticalState(state.basis, op @ state.amps),
                           gate.circuit.pattern).probability
         assert abs(prob - 0.5) < 1e-12
@@ -310,7 +310,7 @@ def test_heralded_filter_is_a_fixed_linear_map_on_the_ququit():
 def test_heralded_probability_completeness():
     gate = heralded_ts_gate()
     rng = np.random.default_rng(37)
-    state = gate.input_state(_random_logical(8, rng))
+    state = gate.layout.encode(_random_logical(8, rng), gate.circuit.basis())
     final = apply_elements(state, gate.circuit.elements)
     total = sum(postselect(final, p).probability
                 for p in exhaustive_patterns(final.basis, [S_H, S_V]))
@@ -352,7 +352,7 @@ def test_postselected_chain_total():
 def test_postselected_cs_probability_completeness():
     gate = postselected_cs_gate()
     rng = np.random.default_rng(38)
-    state = gate.input_state(_random_logical(4, rng))
+    state = gate.layout.encode(_random_logical(4, rng), gate.circuit.basis())
     final = apply_elements(state, gate.circuit.elements)
     total = sum(postselect(final, p).probability
                 for p in exhaustive_patterns(final.basis, [4, 5]))
@@ -448,6 +448,15 @@ _CHAIN_PARAMS = st.lists(st.floats(1e-4, 1.0), min_size=8, max_size=8).map(
 _CHAIN_WIRES = ModeLayout(((C1_0, C1_1), (ARM_U, T1), (C2_0, C2_1)))
 
 
+def _logical_occupation(layout, digits, m):
+    """Occupation of a logical basis state, read off the layout's groups
+    rather than its `modes` table."""
+    occ = [0] * m
+    for group, digit in zip(layout.groups, digits):
+        occ[group[digit]] = 1
+    return tuple(occ)
+
+
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(_CHAIN_PARAMS)
 def test_chain_block_matches_first_quantized_route_on_random_parameters(params):
@@ -465,8 +474,8 @@ def test_chain_block_matches_permanent_oracle_on_sampled_entries(params, seed, e
     for mode in (chain_mode_matrix(params), random_unitary(12, np.random.default_rng(seed))):
         block = chain_coincidence_block(mode)
         for y, x in entries:
-            want = permanent_amplitude_oracle(mode, _CHAIN_WIRES.occupation(digits(x), 12),
-                                              _CHAIN_WIRES.occupation(digits(y), 12))
+            want = permanent_amplitude_oracle(mode, _logical_occupation(_CHAIN_WIRES, digits(x), 12),
+                                              _logical_occupation(_CHAIN_WIRES, digits(y), 12))
             assert abs(block[y, x] - want) < ORACLE_TOL
 
 
@@ -489,7 +498,7 @@ def test_chained_probability_completeness(solved_params):
     circuit = chain_topology(solved_params)
     rng = np.random.default_rng(39)
     realization = chained_ts_gate(solved_params)
-    state = realization.input_state(_random_logical(8, rng))
+    state = realization.layout.encode(_random_logical(8, rng), circuit.basis())
     final = apply_elements(state, circuit.elements)
     total = sum(postselect(final, p).probability
                 for p in exhaustive_patterns(final.basis, [ARM_L, 7, 8, 9, 10, 11]))

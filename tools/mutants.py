@@ -49,9 +49,19 @@ class Mutant:
 
 CATALOGUE = (
     Mutant("chain block gathered transposed", OPTICAL,
-           "sub = mode_matrix[_CHAIN_MODES[:, None, :, None], _CHAIN_MODES[None, :, None, :]]",
-           "sub = mode_matrix[_CHAIN_MODES[None, :, :, None], _CHAIN_MODES[:, None, None, :]]",
+           "sub = mode_matrix[modes[:, None, :, None], modes[None, :, None, :]]",
+           "sub = mode_matrix[modes[None, :, :, None], modes[:, None, None, :]]",
            ("tests/test_optical.py::test_chain_block_matches_permanent_oracle_on_sampled_entries",)),
+    Mutant("layout table in little-endian order", FOCK,
+           "np.array(list(product(*groups)), dtype=int)",
+           "np.array([row[::-1] for row in product(*groups[::-1])], dtype=int)",
+           ("tests/test_fock.py::test_layout_table_row_x_holds_each_wires_mode_at_its_digit",
+            "tests/test_fock.py::test_logical_transfer_matches_dense_operator_rows",
+            "tests/test_optical.py::test_chain_block_matches_permanent_oracle_on_sampled_entries")),
+    Mutant("mode range check dropped", FOCK,
+           "        if max(el.modes) >= m:\n",
+           "        if False:\n",
+           ("tests/test_fock.py::test_a_bad_element_mode_is_a_one_line_value_error",)),
     Mutant("one of the six permutations dropped", OPTICAL,
            "_PERMUTATIONS_3 = np.array(list(permutations(range(3))))",
            "_PERMUTATIONS_3 = np.array(list(permutations(range(3)))[1:])",
