@@ -10,6 +10,7 @@ commands that use them, so `verify-toffoli` loads numpy only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -150,7 +151,10 @@ def _probability(text: str) -> Fraction:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; `parse_args` keeps no state in it
+    between calls, so every `main` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="qudit-toffoli",
         description="Verify qudit-assisted Toffoli constructions and their optical realizations.")

@@ -32,18 +32,20 @@ is kept as a check on the lift of its permutation block.
 
 `ModeLayout.modes` is the one map from logical states to photons: row x
 holds each photon's mode in logical basis state x, wires big-endian.
-Elements, layouts and patterns refuse a negative or fractional mode, and
-every route from elements to amplitudes refuses an element mode >= m.
+Elements, layouts and patterns refuse a negative or fractional mode, every
+route from elements to amplitudes refuses an element mode >= m, and every
+route that reads a layout against m modes refuses a layout mode >= m.
 
 `logical_transfer(elements, m, layout)` is the one route from an optical
 circuit to its post-selected logical matrix, and it is first-quantized: each
 logical input is a product of N labelled photons, one per layout group,
-held as a tensor with one mode axis per photon.  A mode-linear element's
-block is applied along every photon axis, a cross-Kerr multiplies by its
-phase on the photon counts, and a logical output's amplitude sums the N!
-orderings of its modes (the permanent).  It builds no `FockBasis` and no
-element operator; each block is checked unitary as it is applied.  The
-chained gate read this way shares only the layout table with
+held as a tensor with one mode axis per photon.  Each Kerr-free run of
+mode-linear elements is composed into one mode matrix and then applied once
+per photon axis, a cross-Kerr multiplies by its phase on the photon counts,
+and a logical output's amplitude sums the N! orderings of its modes (the
+permanent).  It builds no `FockBasis` and no element operator; each block is
+checked unitary on its own, before it joins its run.  The chained gate read
+this way shares only the element blocks and the layout table with
 `optical.chain_coincidence_block`, and no code that computes amplitudes
 (neither `single_photon_transfer` nor the block's permanents), so it is the
 independent check on that block.
@@ -93,6 +95,13 @@ def _check_element_modes(elements, m: int) -> None:
     for el in elements:
         if max(el.modes) >= m:
             raise ValueError(f"{el!r}: mode {max(el.modes)} out of range for {m} modes")
+
+
+def _check_layout_modes(layout, m: int) -> None:
+    """Every mode of the layout lies below m, else a one-line ValueError."""
+    top = layout.modes.max(initial=-1)
+    if top >= m:
+        raise ValueError(f"layout mode {top} out of range for {m} modes")
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +587,7 @@ class ModeLayout:
 
     def indices(self, basis: FockBasis) -> np.ndarray:
         """Basis index of every logical basis state, in logical index order."""
+        _check_layout_modes(self, basis.m)
         occupations = np.zeros((len(self.modes), basis.m), dtype=int)
         np.put_along_axis(occupations, self.modes, 1, axis=1)
         return np.array([basis.index_of(occ) for occ in occupations])
@@ -602,27 +612,42 @@ class ModeLayout:
         return PureState(self.wire_dims, state.amps[idx]), float(np.linalg.norm(state.amps[outside]))
 
 
+def _apply_to_each_photon(mode_matrix: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+    """An m x m mode matrix applied along every photon axis of a tensor of
+    shape (X,) + (m,) * N: one batched matrix product per axis."""
+    shape = tensor.shape
+    m = len(mode_matrix)
+    for axis in range(1, tensor.ndim):
+        tensor = np.matmul(mode_matrix, tensor.reshape(math.prod(shape[:axis]), m, -1))
+    return tensor.reshape(shape)
+
+
 def logical_transfer(elements, m: int, layout: ModeLayout) -> np.ndarray:
     """Post-selected logical matrix <enc(y)| U |enc(x)> of an ordered element
     list over all digit tuples, propagated in first quantization.
 
     Logical input x puts photon k on its mode of group k, so the state is a
-    tensor of shape (X,) + (m,) * N with photon k on axis k + 1.  A
-    mode-linear element's block acts as a row operation on its modes along
-    every photon axis; a cross-Kerr multiplies by exp(i chi n_a n_b), n_a
-    counting the axes on mode a.  Output y occupies N distinct modes, so its
-    amplitude is the sum over the N! orderings of those modes (the
-    permanent).  No Fock basis or many-photon operator is built."""
+    tensor of shape (X,) + (m,) * N with photon k on axis k + 1.  Photons do
+    not interact between two cross-Kerrs, so each maximal Kerr-free run of
+    mode-linear elements is composed into one m x m mode matrix (each block
+    a row operation on its modes, and checked unitary on its own), which is
+    then applied once along each photon axis.  A cross-Kerr multiplies by
+    exp(i chi n_a n_b), n_a counting the axes on mode a.  Output y occupies N
+    distinct modes, so its amplitude is the sum over the N! orderings of
+    those modes (the permanent).  No Fock basis or many-photon operator is
+    built."""
     _check_element_modes(elements, m)
+    _check_layout_modes(layout, m)
     modes = layout.modes
-    if modes.max() >= m:
-        raise ValueError(f"layout mode {modes.max()} out of range for {m} modes")
     n_inputs, n = modes.shape
     tensor = np.zeros((n_inputs,) + (m,) * n, dtype=complex)
     tensor[(np.arange(n_inputs),) + tuple(modes.T)] = 1.0
     photon_modes = np.indices((m,) * n)   # [k] is photon k's mode at each entry
+    pending = None                        # the current Kerr-free run, composed
     for el in elements:
         if isinstance(el, CrossKerr):
+            if pending is not None:
+                tensor, pending = _apply_to_each_photon(pending, tensor), None
             n_a, n_b = (np.sum(photon_modes == mode, axis=0) for mode in el.modes)
             tensor = tensor * np.exp(1j * el.chi * n_a * n_b)
             continue
@@ -630,9 +655,11 @@ def logical_transfer(elements, m: int, layout: ModeLayout) -> np.ndarray:
         err = np.max(np.abs(block.conj().T @ block - np.eye(len(rows))))
         if not err <= MODE_UNITARY_TOL:
             raise ValueError(f"{type(el).__name__} block not unitary (deviation {err:.3e})")
-        for axis in range(1, n + 1):
-            view = np.moveaxis(tensor, axis, 0)
-            view[rows] = np.tensordot(block, view[rows], axes=1)
+        if pending is None:
+            pending = np.eye(m, dtype=complex)
+        pending[rows] = block @ pending[rows]
+    if pending is not None:
+        tensor = _apply_to_each_photon(pending, tensor)
     amps = sum(tensor[(slice(None),) + tuple(modes[:, k] for k in order)]
                for order in permutations(range(n)))
     return amps.T

@@ -300,3 +300,28 @@ def test_output_file_option(tmp_path, capsys):
     assert main(["--out", str(out_path), "verify-toffoli", "--n", "2"]) == 0
     assert capsys.readouterr().out == ""
     assert "PASS" in out_path.read_text()
+
+
+def test_the_one_parser_carries_no_state_from_call_to_call(capsys):
+    # every command runs on the process's one parser, after a refused value;
+    # each JSON equals that of a call on a freshly built parser
+    def run(argv, fresh):
+        if fresh:
+            cli.build_parser.cache_clear()
+        code = main(["--format", "json", *argv])
+        return code, capsys.readouterr().out
+
+    parser = cli.build_parser()
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--format", "json", "simulate-optical", "heralded", "--cs-success", "2"])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
+    commands = (["simulate-optical", "heralded", "--cs-success", "1/9"],
+                ["simulate-optical", "heralded"],
+                ["verify-toffoli", "--n", "3"])
+    reused = [run(argv, fresh=False) for argv in commands]
+    assert cli.build_parser() is parser
+    assert reused == [run(argv, fresh=True) for argv in commands]
+    assert [code for code, _ in reused] == [0, 0, 0]
+    assert json.loads(reused[1][1])["cs_success"] == "1/4"
+    assert json.loads(reused[1][1])["success_probability"] == "1/32"

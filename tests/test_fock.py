@@ -345,21 +345,45 @@ def test_single_photon_transfer_matches_embedded_block_product(m, kinds, seed):
     assert np.max(np.abs(single_photon_transfer(elements, m) - want)) < 1e-12
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(m=st.integers(4, 8), data=st.data(), kinds=st.lists(st.sampled_from(ELEMENT_KINDS), max_size=8),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_logical_transfer_matches_dense_operator_rows(m, data, kinds, seed):
-    # any dual-rail layout on a subset of the modes; the other modes stay empty
-    rng = np.random.default_rng(seed)
-    k = data.draw(st.integers(1, m // 2))
+def _assert_logical_transfer_matches_dense_operator_rows(elements, m, k, rng):
+    # a random dual-rail layout of k wires on a subset of the modes; the other
+    # modes stay empty
     modes = [int(x) for x in rng.permutation(m)[:2 * k]]
     layout = ModeLayout(tuple(zip(modes[::2], modes[1::2])))
     basis = FockBasis(m, k)
-    elements = [_random_element(rng, m, kind) for kind in kinds]
     dims = layout.wire_dims
     idx = [basis.index_of(_logical_occupation(layout, dims.digits(x), m)) for x in range(dims.total_dim)]
     want = circuit_fock_operator(elements, basis)[np.ix_(idx, idx)]
     assert np.max(np.abs(logical_transfer(elements, m, layout) - want)) < 1e-12
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(m=st.integers(4, 8), data=st.data(), kinds=st.lists(st.sampled_from(ELEMENT_KINDS), max_size=8),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_logical_transfer_matches_dense_operator_rows(m, data, kinds, seed):
+    rng = np.random.default_rng(seed)
+    k = data.draw(st.integers(1, m // 2))
+    elements = [_random_element(rng, m, kind) for kind in kinds]
+    _assert_logical_transfer_matches_dense_operator_rows(elements, m, k, rng)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(m=st.integers(4, 7), data=st.data(),
+       runs=st.lists(st.lists(st.sampled_from(MODE_LINEAR_KINDS), min_size=1, max_size=3),
+                     min_size=3, max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_logical_transfer_applies_each_run_between_its_cross_kerrs(m, data, runs, seed):
+    # mode-linear runs with a cross-Kerr between each two, so two or more
+    # Kerrs; a run applied on the wrong side of a Kerr changes the rows.  At
+    # least two photons, so that a Kerr can find both its modes occupied.
+    rng = np.random.default_rng(seed)
+    k = data.draw(st.integers(2, m // 2))
+    elements = []
+    for i, run in enumerate(runs):
+        if i:
+            elements.append(_random_element(rng, m, "kerr"))
+        elements += [_random_element(rng, m, kind) for kind in run]
+    _assert_logical_transfer_matches_dense_operator_rows(elements, m, k, rng)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -388,11 +412,27 @@ class _Amplifier(HalfWavePlate):
         return list(self.modes), np.diag([1.0, 2.0]).astype(complex)
 
 
+class _Deamplifier(HalfWavePlate):
+    """A wave plate whose block halves the v mode: the amplifier's inverse."""
+
+    def mode_block(self):
+        return list(self.modes), np.diag([1.0, 0.5]).astype(complex)
+
+
 @pytest.mark.parametrize("element", [HalfWavePlate(float("nan"), (0, 1)), _Amplifier(0.0, (0, 1))],
                          ids=["nan", "gain"])
 def test_logical_transfer_rejects_a_non_unitary_block(element):
     with pytest.raises(ValueError, match="not unitary"):
         logical_transfer([element], 2, ModeLayout(((0, 1),)))
+
+
+def test_a_unitary_run_of_non_unitary_blocks_is_still_rejected():
+    # the gain and its inverse compose to the identity; each block is checked
+    # on its own before it joins the run
+    elements = [_Amplifier(0.0, (0, 1)), _Deamplifier(0.0, (0, 1))]
+    assert np.allclose(_embedded_block_product(elements, 2), np.eye(2))
+    with pytest.raises(ValueError, match="_Amplifier block not unitary"):
+        logical_transfer(elements, 2, ModeLayout(((0, 1),)))
 
 
 def test_logical_transfer_names_a_layout_mode_out_of_range():
@@ -543,6 +583,18 @@ def test_decode_reports_leakage():
     logical, leak = layout.decode(state)
     assert abs(leak - 0.5) < 1e-12
     assert abs(abs(logical.amplitude((0, 1))) ** 2 - 0.75) < 1e-12
+
+
+@pytest.mark.parametrize("read", [
+    lambda layout, basis: layout.indices(basis),
+    lambda layout, basis: layout.encode(np.eye(4)[0], basis),
+    lambda layout, basis: layout.decode(OpticalState.fock(basis, (1, 1, 0))),
+], ids=["indices", "encode", "decode"])
+def test_layout_reads_name_a_layout_mode_out_of_range(read):
+    # the same one-line error as logical_transfer's
+    with pytest.raises(ValueError, match="layout mode 3 out of range for 3 modes") as exc:
+        read(ModeLayout(((0, 1), (2, 3))), FockBasis(3, 2))
+    assert "\n" not in str(exc.value)
 
 
 def test_encode_rejects_the_wrong_number_of_amplitudes():

@@ -114,10 +114,21 @@ CATALOGUE = (
            ("tests/test_optical.py::test_kerr_cs_general_strength_phases_delta_term",
             "tests/test_fock.py::test_logical_transfer_matches_dense_operator_rows")),
     Mutant("block applied to one photon axis fewer", FOCK,
-           "for axis in range(1, n + 1):",
-           "for axis in range(1, n):",
+           "for axis in range(1, tensor.ndim):",
+           "for axis in range(1, tensor.ndim - 1):",
            ("tests/test_fock.py::test_logical_transfer_matches_dense_operator_rows",
             "tests/test_fock.py::test_logical_transfer_matches_permanent_oracle_on_qudit_layouts")),
+    Mutant("run composed in reverse order", FOCK,
+           "pending[rows] = block @ pending[rows]",
+           "pending[:, rows] = pending[:, rows] @ block",
+           ("tests/test_fock.py::test_logical_transfer_matches_dense_operator_rows",
+            "tests/test_fock.py::test_logical_transfer_matches_permanent_oracle_on_qudit_layouts")),
+    Mutant("run not applied before a cross-Kerr", FOCK,
+           "            if pending is not None:\n"
+           "                tensor, pending = _apply_to_each_photon(pending, tensor), None\n",
+           "",
+           ("tests/test_fock.py::test_logical_transfer_applies_each_run_between_its_cross_kerrs",
+            "tests/test_acceptance.py::test_criterion_05_deterministic_optical_ts")),
     Mutant("read-out keeps one ordering of the output modes, not the permanent", FOCK,
            "for order in permutations(range(n)))",
            "for order in [tuple(range(n))])",
