@@ -614,11 +614,14 @@ class ModeLayout:
 
 def _apply_to_each_photon(mode_matrix: np.ndarray, tensor: np.ndarray) -> np.ndarray:
     """An m x m mode matrix applied along every photon axis of a tensor of
-    shape (X,) + (m,) * N: one batched matrix product per axis."""
+    shape (X,) + (m,) * N: one batched matrix product per axis but the last,
+    and one 2-D product for the last, whose rows are contiguous."""
     shape = tensor.shape
     m = len(mode_matrix)
-    for axis in range(1, tensor.ndim):
+    for axis in range(1, tensor.ndim - 1):
         tensor = np.matmul(mode_matrix, tensor.reshape(math.prod(shape[:axis]), m, -1))
+    if tensor.ndim > 1:
+        tensor = tensor.reshape(-1, m) @ mode_matrix.T
     return tensor.reshape(shape)
 
 
@@ -725,6 +728,8 @@ def parse_optical_circuit(text: str) -> OpticalCircuit:
             if len(parts) != 2 or not re.fullmatch(r"\d+", parts[1]) or int(parts[1]) < lowest:
                 raise OpticalParseError(
                     line_no, f"{kind} needs one integer >= {lowest}, got {' '.join(parts[1:])!r}")
+            if (m if kind == "modes" else n_photons) is not None:
+                raise OpticalParseError(line_no, f"repeated '{kind}' directive")
             if kind == "modes":
                 m = int(parts[1])
             else:
@@ -768,6 +773,8 @@ def parse_optical_circuit(text: str) -> OpticalCircuit:
                 modes = want_modes(parts[1:], 4)
                 elements.append(PolarizingBeamsplitter(modes[:2], modes[2:]))
             elif kind == "detect":
+                if pattern is not None:
+                    raise OpticalParseError(line_no, "repeated 'detect' directive")
                 conds = []
                 for token in parts[1:]:
                     if not re.fullmatch(r"\d+=\d+", token):

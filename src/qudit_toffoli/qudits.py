@@ -11,8 +11,10 @@ operation mutates its inputs.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -112,8 +114,23 @@ class PureState:
 
 
 @dataclass(frozen=True)
+class MonomialTable:
+    """A monomial gate (one nonzero per column) as lookup arrays over its k
+    wires: local input index = strides @ input digits, and input column j
+    goes to the output digits digits[:, j] with the factor entries[j]."""
+
+    strides: np.ndarray   # (k,) big-endian place values of the gate's wires
+    digits: np.ndarray    # (k, dim) output digits of each input column
+    entries: np.ndarray   # (dim,) each column's nonzero entry
+
+
+@dataclass(frozen=True)
 class GateMatrix:
-    """Unitary acting on a (sub)register with the given per-wire dimensions."""
+    """Unitary acting on a (sub)register with the given per-wire dimensions.
+
+    The constructor keeps a read-only copy of the matrix, so one gate can be
+    shared by many circuit steps and its cached `monomial` table stays true to
+    it; the caller's array is left writable."""
 
     wire_dims: tuple[int, ...]
     matrix: np.ndarray
@@ -121,18 +138,32 @@ class GateMatrix:
     def __post_init__(self):
         wd = tuple(int(d) for d in self.wire_dims)
         object.__setattr__(self, "wire_dims", wd)
-        mat = np.asarray(self.matrix, dtype=complex)
-        dim = int(np.prod(wd))
+        mat = np.array(self.matrix, dtype=complex)
+        dim = math.prod(wd)
         if mat.shape != (dim, dim):
             raise WireError(f"matrix shape {mat.shape} does not match wire dims {wd}")
         err = np.max(np.abs(mat.conj().T @ mat - np.eye(dim)))
         if not err <= NORM_TOL:
             raise WireError(f"matrix is not unitary (deviation {err:.3e})")
+        mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.wire_dims))
+        return math.prod(self.wire_dims)
+
+    @cached_property
+    def monomial(self) -> MonomialTable | None:
+        """The gate's `MonomialTable`, or None if some column does not have
+        exactly one nonzero.  Built on first use and kept on the gate (also on
+        gates made with `object.__new__`, which skip `__post_init__`)."""
+        nonzero = self.matrix != 0
+        if not (nonzero.sum(axis=0) == 1).all():
+            return None
+        rows = nonzero.argmax(axis=0)
+        strides = np.array([math.prod(self.wire_dims[w + 1:]) for w in range(len(self.wire_dims))])
+        return MonomialTable(strides, np.array(np.unravel_index(rows, self.wire_dims)),
+                             self.matrix[rows, np.arange(rows.size)])
 
 
 def _apply_to_block(amps: np.ndarray, gate: GateMatrix, wires, dims: WireDims) -> np.ndarray:

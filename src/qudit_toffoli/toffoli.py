@@ -11,6 +11,12 @@ two-qubit gates) for the plain-qubit 3-qubit case and dozens for larger n.
 Controlled gates here act on the {0,1} sub-block of their target and do
 nothing on any higher target level; that "acts as identity on borrowed
 levels" behaviour is what makes the parking trick work.
+
+`build_n_ts_circuit` builds each distinct gate once per circuit, so its
+steps share gate objects.  `verify_decomposition` runs the 2^(n+1) qubit
+inputs through the circuit as digit columns and phases, each monomial step
+a gather from its gate's `monomial` table (built once per gate), and keeps
+the dense `circuit_unitary` only as the tests' reference.
 """
 
 from __future__ import annotations
@@ -130,9 +136,15 @@ def standard_gate_builder(name: str, params, wire_dims) -> GateMatrix:
     return build(*wire_dims)
 
 
-def _step(name: str, wires, dims: WireDims, params=()) -> GateStep:
-    wire_dims = tuple(dims.dims[w] for w in wires)
-    return GateStep(name, tuple(params), tuple(wires), standard_gate_builder(name, params, wire_dims))
+def _step(gates: dict, name: str, wires, dims: WireDims, params=()) -> GateStep:
+    """A step of the named gate on `wires`; `gates` memoizes one GateMatrix per
+    (name, params, wire dims), so repeated steps share a gate and its table."""
+    params, wire_dims = tuple(params), tuple(dims.dims[w] for w in wires)
+    key = (name, params, wire_dims)
+    gate = gates.get(key)
+    if gate is None:
+        gate = gates[key] = standard_gate_builder(name, params, wire_dims)
+    return GateStep(name, params, tuple(wires), gate)
 
 
 # ---------------------------------------------------------------------------
@@ -170,21 +182,22 @@ def build_n_ts_circuit(n: int) -> CircuitDescription:
         raise ValueError(f"need at least 2 controls, got {n}")
     dims = WireDims((2,) * n + (n + 1,))
     target = n
-    first_half: list[GateStep] = [_step("xa", (target,), dims)]
+    gates: dict = {}
+    first_half: list[GateStep] = [_step(gates, "xa", (target,), dims)]
     survivor_level = 1
     next_free = 3
     for control in range(n - 1, 0, -1):
-        first_half.append(_step("cnot", (control, target), dims))
+        first_half.append(_step(gates, "cnot", (control, target), dims))
         failed_level = survivor_level
         survivor_level = 1 - survivor_level
         if control > 1:
             name = "xb" if (failed_level, next_free) == (1, 3) else "swap"
             params = () if name == "xb" else (failed_level, next_free)
-            first_half.append(_step(name, (target,), dims, params))
+            first_half.append(_step(gates, name, (target,), dims, params))
             next_free += 1
     if n >= 3 and survivor_level == 0:
-        first_half.append(_step("x", (target,), dims))
-    steps = tuple(first_half) + (_step("cs", (0, target), dims),) + tuple(reversed(first_half))
+        first_half.append(_step(gates, "x", (target,), dims))
+    steps = tuple(first_half) + (_step(gates, "cs", (0, target), dims),) + tuple(reversed(first_half))
     return CircuitDescription(dims, steps)
 
 
@@ -244,16 +257,6 @@ def qubit_subspace_leakage(unitary: GateMatrix, dims: WireDims) -> float:
     return float(np.max(np.linalg.norm(unitary.matrix[np.ix_(outside, idx)], axis=0)))
 
 
-def _monomial_table(gate: GateMatrix) -> tuple[np.ndarray, np.ndarray] | None:
-    """Row of each column's single nonzero entry and that entry, or None if
-    some column of the gate does not have exactly one nonzero."""
-    nonzero = gate.matrix != 0
-    if not (nonzero.sum(axis=0) == 1).all():
-        return None
-    rows = nonzero.argmax(axis=0)
-    return rows, gate.matrix[rows, np.arange(rows.size)]
-
-
 def _run_dense(steps, dims: WireDims, digits: np.ndarray, phases: np.ndarray, max_level: int):
     """Finish `_run_qubit_inputs` with dense columns of the full register:
     scatter each input's (digits, phase), push the columns through the
@@ -280,23 +283,25 @@ def _run_qubit_inputs(circ: CircuitDescription):
     index in the 2^k qubit space), plus the highest target (last wire) level
     holding amplitude after any step.  While every step is monomial (one
     nonzero per column) each input stays one basis state: one digit column
-    and one phase, updated by a table lookup on the step's wires.  From the
-    first other step on, `_run_dense` takes over."""
+    and one phase.  A step reads its gate's cached `monomial` table: the dot
+    of the table's strides with the digits on the step's wires is each
+    input's local index, whose column of the table's digits replaces those
+    digits and whose entry multiplies the phase.  From the first other step
+    on, `_run_dense` takes over."""
     dims = circ.dims
     digits = np.indices((2,) * dims.n_wires).reshape(dims.n_wires, -1)
     phases = np.ones(digits.shape[1], dtype=complex)
     max_level = 1
     for s, step in enumerate(circ.steps):
-        table = _monomial_table(step.gate)
+        table = step.gate.monomial
         if table is None:
             digits, cols, amps, max_level, err = _run_dense(
                 circ.steps[s:], dims, digits, phases, max_level)
             break
-        rows, entries = table
-        wires = list(step.wires)
-        local = np.ravel_multi_index(digits[wires], step.gate.wire_dims)
-        digits[wires] = np.unravel_index(rows[local], step.gate.wire_dims)
-        phases = phases * entries[local]
+        wires = np.array(step.wires)  # an index array: numpy gathers by it faster than by a list
+        local = table.strides @ digits[wires]
+        digits[wires] = table.digits.take(local, axis=1)
+        phases = phases * table.entries[local]
         max_level = max(max_level, int(digits[-1].max()))
     else:
         cols, amps = np.arange(phases.size), phases

@@ -435,6 +435,10 @@ def test_a_unitary_run_of_non_unitary_blocks_is_still_rejected():
         logical_transfer(elements, 2, ModeLayout(((0, 1),)))
 
 
+def test_logical_transfer_of_a_layout_without_photons_is_the_empty_product():
+    assert logical_transfer([Beamsplitter(0.5, (0, 1))], 2, ModeLayout(())).tolist() == [1]
+
+
 def test_logical_transfer_names_a_layout_mode_out_of_range():
     with pytest.raises(ValueError, match="layout mode 3 out of range for 3 modes") as exc:
         logical_transfer([], 3, ModeLayout(((0, 1), (2, 3))))
@@ -665,6 +669,16 @@ def test_parse_optical_errors_carry_line_numbers():
                         ("modes 2\nphotons\n", "line 2")]:
         with pytest.raises(OpticalParseError, match=where):
             parse_optical_circuit(text)
+
+
+@pytest.mark.parametrize("text, directive", [
+    ("modes 4\nphotons 2\nbs 1/3 2 3\nmodes 2\n", "modes"),
+    ("modes 4\nphotons 2\nbs 1/3 2 3\nphotons 1\n", "photons"),
+    ("modes 4\nphotons 2\ndetect 2=0\ndetect 3=0\n", "detect"),
+])
+def test_parse_optical_rejects_a_repeated_directive_with_line_number(text, directive):
+    with pytest.raises(OpticalParseError, match=f"line 4: repeated '{directive}'"):
+        parse_optical_circuit(text)
 
 
 @pytest.mark.parametrize("line", ["hwp inf 0 1", "hwp nan 0 1", "kerr inf 0 1", "hwp 1e400 0 1",

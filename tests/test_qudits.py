@@ -1,5 +1,7 @@
 """Mixed-radix register engine: indexing, gate embedding, circuit products."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -151,6 +153,36 @@ def test_disjoint_wire_gates_commute():
 def test_gate_matrix_rejects_non_unitary():
     with pytest.raises(WireError, match="unitary"):
         GateMatrix((2,), np.array([[1.0, 0.0], [0.0, 2.0]]))
+
+
+def test_gate_matrix_keeps_a_read_only_copy():
+    mine = np.eye(2, dtype=complex)
+    gate = GateMatrix((2,), mine)
+    with pytest.raises(ValueError, match="read-only"):
+        gate.matrix[0, 0] = -1
+    mine[0, 0] = -1                  # the caller's array stays writable and apart from the gate's
+    assert gate.matrix[0, 0] == 1
+
+
+@pytest.mark.parametrize("wire_dims", [(3,), (2, 3), (3, 2, 2)])
+def test_monomial_table_rebuilds_a_random_monomial_gate(wire_dims):
+    rng = np.random.default_rng(sum(wire_dims))
+    dim = math.prod(wire_dims)
+    order = rng.permutation(dim)
+    perm = np.empty(dim, dtype=int)
+    perm[order] = np.roll(order, 1)  # one dim-cycle, so the gate is not its own transpose
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[perm, np.arange(dim)] = np.exp(2j * np.pi * rng.random(dim))
+    table = GateMatrix(wire_dims, mat).monomial
+    assert np.array_equal(table.strides @ np.indices(wire_dims).reshape(len(wire_dims), -1),
+                          np.arange(dim))
+    rebuilt = np.zeros_like(mat)
+    rebuilt[np.ravel_multi_index(table.digits, wire_dims), np.arange(dim)] = table.entries
+    assert np.array_equal(rebuilt, mat)
+
+
+def test_monomial_table_is_none_for_a_gate_with_a_spread_column():
+    assert GateMatrix((2,), np.array([[1, 1], [1, -1]]) / np.sqrt(2)).monomial is None
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +343,12 @@ def _unchecked_gate(matrix):
     object.__setattr__(gate, "wire_dims", (2,))
     object.__setattr__(gate, "matrix", np.asarray(matrix, dtype=complex))
     return gate
+
+
+def test_monomial_table_of_an_unchecked_gate_is_built_on_first_use():
+    gate = _unchecked_gate([[0, 1], [1, 0]])
+    assert gate.monomial is gate.monomial
+    assert gate.monomial.digits.tolist() == [[1, 0]]
 
 
 def test_gate_matrix_rejects_nan():

@@ -239,6 +239,16 @@ def test_n5_needs_nine_gates():
     assert circ.two_qudit_gate_count() == 9
 
 
+def test_each_distinct_gate_is_built_once_per_circuit():
+    circ = build_n_ts_circuit(6)
+    cnots = [step.gate for step in circ.steps if step.name == "cnot"]
+    assert len(cnots) == 10 and all(gate is cnots[0] for gate in cnots)
+    swaps = [step for step in circ.steps if step.name == "swap"]
+    assert {step.params for step in swaps} == {(0, 4), (1, 5), (0, 6)}
+    for step in swaps:
+        assert np.array_equal(step.gate.matrix, gate_level_swap(*step.params, 7).matrix)
+
+
 def test_rejects_fewer_than_two_controls():
     with pytest.raises(ValueError):
         build_n_ts_circuit(1)

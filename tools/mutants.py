@@ -34,6 +34,7 @@ COPIED = ("src", "tests", "pyproject.toml")
 OPTICAL = "src/qudit_toffoli/optical.py"
 FOCK = "src/qudit_toffoli/fock.py"
 TOFFOLI = "src/qudit_toffoli/toffoli.py"
+QUDITS = "src/qudit_toffoli/qudits.py"
 REPORT = "src/qudit_toffoli/report.py"
 CLI = "src/qudit_toffoli/cli.py"
 
@@ -77,12 +78,12 @@ CATALOGUE = (
            "minlength=dim))",
            ("tests/test_toffoli.py::test_verify_matches_dense_references_on_masked_variants",)),
     Mutant("level scan skips the last step's output", TOFFOLI,
-           "        digits[wires] = np.unravel_index(rows[local], step.gate.wire_dims)\n"
-           "        phases = phases * entries[local]\n"
+           "        digits[wires] = table.digits.take(local, axis=1)\n"
+           "        phases = phases * table.entries[local]\n"
            "        max_level = max(max_level, int(digits[-1].max()))\n",
            "        max_level = max(max_level, int(digits[-1].max()))\n"
-           "        digits[wires] = np.unravel_index(rows[local], step.gate.wire_dims)\n"
-           "        phases = phases * entries[local]\n",
+           "        digits[wires] = table.digits.take(local, axis=1)\n"
+           "        phases = phases * table.entries[local]\n",
            ("tests/test_toffoli.py::test_verify_matches_dense_references_on_masked_variants",
             "tests/test_toffoli.py::test_monomial_route_matches_the_dense_unitary")),
     Mutant("local equivalence without the residual", TOFFOLI,
@@ -91,15 +92,24 @@ CATALOGUE = (
            ("tests/test_toffoli.py::test_verify_matches_dense_references_on_masked_variants",
             "tests/test_toffoli.py::test_monomial_route_matches_the_dense_unitary")),
     Mutant("monomial step drops its phase", TOFFOLI,
-           "phases = phases * entries[local]",
+           "phases = phases * table.entries[local]",
            "phases = phases",
            ("tests/test_toffoli.py::test_scaling_and_fidelity",
             "tests/test_toffoli.py::test_monomial_route_matches_the_dense_unitary")),
     Mutant("monomial step writes its digits back in reversed wire order", TOFFOLI,
-           "digits[wires] = np.unravel_index(rows[local], step.gate.wire_dims)",
-           "digits[wires[::-1]] = np.unravel_index(rows[local], step.gate.wire_dims)",
+           "digits[wires] = table.digits.take(local, axis=1)",
+           "digits[wires[::-1]] = table.digits.take(local, axis=1)",
            ("tests/test_toffoli.py::test_scaling_and_fidelity",
             "tests/test_toffoli.py::test_monomial_route_matches_the_dense_unitary")),
+    Mutant("gate memo keyed without params", TOFFOLI,
+           "key = (name, params, wire_dims)",
+           "key = (name, wire_dims)",
+           ("tests/test_toffoli.py::test_each_distinct_gate_is_built_once_per_circuit",
+            "tests/test_toffoli.py::test_scaling_and_fidelity")),
+    Mutant("table built along rows", QUDITS,
+           "rows = nonzero.argmax(axis=0)",
+           "rows = nonzero.argmax(axis=1)",
+           ("tests/test_qudits.py::test_monomial_table_rebuilds_a_random_monomial_gate",)),
     Mutant("PBS relabel swaps h instead of v", FOCK,
            "out[v1], out[v2] = occ[v2], occ[v1]",
            "out[h1], out[h2] = occ[h2], occ[h1]",
@@ -114,8 +124,8 @@ CATALOGUE = (
            ("tests/test_optical.py::test_kerr_cs_general_strength_phases_delta_term",
             "tests/test_fock.py::test_logical_transfer_matches_dense_operator_rows")),
     Mutant("block applied to one photon axis fewer", FOCK,
-           "for axis in range(1, tensor.ndim):",
-           "for axis in range(1, tensor.ndim - 1):",
+           "tensor = tensor.reshape(-1, m) @ mode_matrix.T",
+           "tensor = tensor.reshape(-1, m)",
            ("tests/test_fock.py::test_logical_transfer_matches_dense_operator_rows",
             "tests/test_fock.py::test_logical_transfer_matches_permanent_oracle_on_qudit_layouts")),
     Mutant("run composed in reverse order", FOCK,
