@@ -25,7 +25,8 @@ Conventions, fixed once and used everywhere:
   exp(i * chi * n_a * n_b); it is diagonal and not a mode-linear element.
 
 Every element has one route into Fock space, `element.fock_operator(basis)`:
-a sparse matrix built once per call, with a cross-Kerr as a diagonal.
+the `lift_to_fock` of its own block embedded in the m x m identity, a dense
+matrix built once per call; a cross-Kerr's is the diagonal of its phases.
 `element.apply` multiplies by it and `circuit_fock_operator` is the product
 of the element operators.  The polarizing beamsplitter's relabelling `apply`
 is kept as a check on the lift of its permutation block.
@@ -51,13 +52,14 @@ this way shares only the element blocks and the layout table with
 independent check on that block.
 
 Three routes compute multi-photon amplitudes and tests hold each to
-another.  Second quantization: `circuit_fock_operator` multiplies the
-element operators, which `lift_to_fock` builds by expanding products of
-creation-operator linear forms.  `permanent_amplitude_oracle` evaluates
-scaled matrix permanents directly, and agrees with the lift to 1e-9.  First
-quantization: `logical_transfer` matches the logical rows and columns of
-`circuit_fock_operator` (Kerr included) and the oracle's entries on qudit
-layouts, to 1e-12, sharing only the elements' blocks with either.
+another.  Second quantization: `lift_to_fock` expands products of
+creation-operator linear forms over the nonzero entries of each column of
+the mode matrix; every element operator is such a lift, and
+`circuit_fock_operator` multiplies them.  `permanent_amplitude_oracle`
+evaluates scaled matrix permanents directly, and agrees with the lift to
+1e-9.  First quantization: `logical_transfer` matches the logical rows and
+columns of `circuit_fock_operator` (Kerr included) and the oracle's entries
+on qudit layouts, to 1e-12, sharing only the elements' blocks with either.
 """
 
 from __future__ import annotations
@@ -70,7 +72,6 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
-from scipy import sparse
 
 from .qudits import PureState, WireDims
 
@@ -195,30 +196,10 @@ class OpticalElement:
         """(modes, block) for mode-linear elements."""
         raise NotImplementedError
 
-    def fock_operator(self, basis: FockBasis) -> sparse.csr_matrix:
-        """Sparse many-photon operator on `basis`.  Basis states are grouped
-        by the photon count inside the block's modes; each group is moved by
-        the lift of the block at that count, the other modes unchanged."""
-        modes, block = self.mode_block()
-        lifts: dict[int, tuple[FockBasis, np.ndarray]] = {}
-        rows, cols, vals = [], [], []
-        for col, occ in enumerate(basis.states):
-            inner = tuple(occ[i] for i in modes)
-            n_inner = sum(inner)
-            if n_inner not in lifts:
-                sub_basis = FockBasis(len(modes), n_inner)
-                lifts[n_inner] = (sub_basis, lift_to_fock(block, sub_basis))
-            sub_basis, lifted = lifts[n_inner]
-            out = list(occ)
-            for sub_occ, c in zip(sub_basis.states, lifted[:, sub_basis.index_of(inner)]):
-                if c == 0:
-                    continue
-                for mode, n in zip(modes, sub_occ):
-                    out[mode] = n
-                rows.append(basis.index_of(out))
-                cols.append(col)
-                vals.append(c)
-        return sparse.csr_matrix((vals, (rows, cols)), shape=(basis.size, basis.size), dtype=complex)
+    def fock_operator(self, basis: FockBasis) -> np.ndarray:
+        """Dense many-photon operator on `basis`: the lift of the element's
+        block embedded in the m x m identity."""
+        return lift_to_fock(single_photon_transfer((self,), basis.m), basis)
 
     def apply(self, state: OpticalState) -> OpticalState:
         return OpticalState(state.basis, self.fock_operator(state.basis) @ state.amps)
@@ -302,6 +283,7 @@ class PolarizingBeamsplitter(OpticalElement):
         h1, v1 = self.path1
         h2, v2 = self.path2
         basis = state.basis
+        _check_element_modes((self,), basis.m)
         amps = np.zeros_like(state.amps)
         for idx, occ in enumerate(basis.states):
             if state.amps[idx] == 0:
@@ -331,13 +313,14 @@ class CrossKerr(OpticalElement):
         raise TypeError("cross-Kerr is not a mode-linear element")
 
     def _phases(self, basis: FockBasis) -> np.ndarray:
+        _check_element_modes((self,), basis.m)
         a, b = self.modes
         return np.array([
             np.exp(1j * self.chi * occ[a] * occ[b]) if occ[a] and occ[b] else 1.0
             for occ in basis.states], dtype=complex)
 
-    def fock_operator(self, basis: FockBasis) -> sparse.csr_matrix:
-        return sparse.diags(self._phases(basis), format="csr")
+    def fock_operator(self, basis: FockBasis) -> np.ndarray:
+        return np.diag(self._phases(basis))
 
     def apply(self, state: OpticalState) -> OpticalState:
         return OpticalState(state.basis, state.amps * self._phases(state.basis))
@@ -368,29 +351,23 @@ def single_photon_transfer(elements, m: int) -> np.ndarray:
     return mat
 
 
-def _expand_creation_product(mode_matrix: np.ndarray, occupation, basis: FockBasis) -> np.ndarray:
-    """Column of the lifted operator for one input occupation, by expanding
-    prod_j (sum_i U[i,j] a_i^dag)^{n_j} |vac> with ladder factors."""
-    m = basis.m
-    current: dict[tuple[int, ...], complex] = {(0,) * m: 1.0 + 0.0j}
+def _expand_creation_product(columns, occupation) -> dict[tuple[int, ...], complex]:
+    """Output occupations and amplitudes for one input occupation, by
+    expanding prod_j (sum_i U[i,j] a_i^dag)^{n_j} |vac> with ladder factors;
+    `columns[j]` holds the nonzero pairs (i, U[i,j]) of column j."""
+    current: dict[tuple[int, ...], complex] = {(0,) * len(occupation): 1.0 + 0.0j}
     for j, nj in enumerate(occupation):
         for _ in range(nj):
             nxt: dict[tuple[int, ...], complex] = {}
             for occ, coeff in current.items():
-                for i in range(m):
-                    u = mode_matrix[i, j]
-                    if u == 0:
-                        continue
+                for i, u in columns[j]:
                     out = list(occ)
                     out[i] += 1
                     key = tuple(out)
                     nxt[key] = nxt.get(key, 0.0) + coeff * u * math.sqrt(out[i])
             current = nxt
     norm = math.sqrt(math.prod(math.factorial(n) for n in occupation))
-    column = np.zeros(basis.size, dtype=complex)
-    for occ, coeff in current.items():
-        column[basis.index_of(occ)] = coeff / norm
-    return column
+    return {occ: coeff / norm for occ, coeff in current.items()}
 
 
 def lift_to_fock(mode_matrix: np.ndarray, basis: FockBasis) -> np.ndarray:
@@ -407,9 +384,11 @@ def lift_to_fock(mode_matrix: np.ndarray, basis: FockBasis) -> np.ndarray:
     err = np.max(np.abs(mode_matrix.conj().T @ mode_matrix - np.eye(basis.m)))
     if not err <= MODE_UNITARY_TOL:
         raise ValueError(f"mode matrix not unitary (deviation {err:.3e})")
+    columns = [[(i, u) for i, u in enumerate(column) if u != 0] for column in mode_matrix.T.tolist()]
     out = np.zeros((basis.size, basis.size), dtype=complex)
     for col, occ in enumerate(basis.states):
-        out[:, col] = _expand_creation_product(mode_matrix, occ, basis)
+        for occ_out, amp in _expand_creation_product(columns, occ).items():
+            out[basis.index_of(occ_out), col] = amp
     return out
 
 
@@ -422,11 +401,10 @@ def apply_elements(state: OpticalState, elements) -> OpticalState:
 def circuit_fock_operator(elements, basis: FockBasis) -> np.ndarray:
     """Dense many-photon operator of an ordered element list (Kerr included);
     the reference `logical_transfer` is tested against."""
-    _check_element_modes(elements, basis.m)
-    op = sparse.identity(basis.size, dtype=complex, format="csr")
+    op = np.eye(basis.size, dtype=complex)
     for el in elements:
         op = el.fock_operator(basis) @ op
-    return op.toarray()
+    return op
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +548,8 @@ class ModeLayout:
 
     def __post_init__(self):
         groups = tuple(tuple(map(_index, g)) for g in self.groups)
+        if not groups:
+            raise ValueError("layout needs at least one wire")
         flat = [m for g in groups for m in g]
         if len(set(flat)) != len(flat):
             raise ValueError("layout groups overlap")
@@ -620,8 +600,7 @@ def _apply_to_each_photon(mode_matrix: np.ndarray, tensor: np.ndarray) -> np.nda
     m = len(mode_matrix)
     for axis in range(1, tensor.ndim - 1):
         tensor = np.matmul(mode_matrix, tensor.reshape(math.prod(shape[:axis]), m, -1))
-    if tensor.ndim > 1:
-        tensor = tensor.reshape(-1, m) @ mode_matrix.T
+    tensor = tensor.reshape(-1, m) @ mode_matrix.T
     return tensor.reshape(shape)
 
 

@@ -389,7 +389,7 @@ def verify_decomposition(circ: CircuitDescription, oracle: np.ndarray, n: int) -
     if dims.n_wires != n + 1:
         raise ValueError("circuit / oracle dimensions do not match n")
     oracle = np.asarray(oracle)
-    if oracle.shape != (dim,) or not np.isin(oracle, (-1, 1)).all():
+    if oracle.shape != (dim,) or not ((oracle == 1) | (oracle == -1)).all():
         raise ValueError(f"oracle must be a vector of {dim} entries, each +1 or -1")
     digits, cols, amps, max_level = _run_qubit_inputs(circ)
     inside = (digits < 2).all(axis=0)

@@ -435,8 +435,10 @@ def test_a_unitary_run_of_non_unitary_blocks_is_still_rejected():
         logical_transfer(elements, 2, ModeLayout(((0, 1),)))
 
 
-def test_logical_transfer_of_a_layout_without_photons_is_the_empty_product():
-    assert logical_transfer([Beamsplitter(0.5, (0, 1))], 2, ModeLayout(())).tolist() == [1]
+def test_a_layout_without_wires_is_a_one_line_value_error():
+    with pytest.raises(ValueError, match="layout needs at least one wire") as exc:
+        ModeLayout(())
+    assert "\n" not in str(exc.value)
 
 
 def test_logical_transfer_names_a_layout_mode_out_of_range():
@@ -458,11 +460,13 @@ def _element_on(kind, mode):
     return CrossKerr(np.pi, (0, mode))
 
 
-# the three routes that read an element's modes against the mode count
+# the routes that read an element's modes against the mode count
 _ROUTES = {
     "logical": lambda elements, m: logical_transfer(elements, m, ModeLayout(((0, 1),))),
     "single-photon": single_photon_transfer,
     "fock": lambda elements, m: circuit_fock_operator(elements, FockBasis(m, 1)),
+    "element-operator": lambda elements, m: elements[0].fock_operator(FockBasis(m, 1)),
+    "element-apply": lambda elements, m: elements[0].apply(OpticalState(FockBasis(m, 1), np.eye(m)[0])),
 }
 
 

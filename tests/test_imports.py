@@ -1,5 +1,5 @@
-"""Import layering: the register layers and the command line load numpy
-only, and scipy's optimizer loads with `optical` alone."""
+"""Import layering: the register layers, the Fock engine and the command
+line load numpy only, and scipy loads with `optical` alone."""
 
 import os
 import subprocess
@@ -18,7 +18,7 @@ SRC = Path(qudit_toffoli.__file__).resolve().parent.parent
     ("qudit_toffoli.qudits", "scipy"),
     ("qudit_toffoli.toffoli", "scipy"),
     ("qudit_toffoli.cli", "scipy"),
-    ("qudit_toffoli.fock", "scipy.optimize"),
+    ("qudit_toffoli.fock", "scipy"),
 ])
 def test_module_imports_without(module, absent):
     code = (f"import sys, {module}\n"

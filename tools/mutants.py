@@ -110,6 +110,18 @@ CATALOGUE = (
            "rows = nonzero.argmax(axis=0)",
            "rows = nonzero.argmax(axis=1)",
            ("tests/test_qudits.py::test_monomial_table_rebuilds_a_random_monomial_gate",)),
+    Mutant("lift drops the ladder factor", FOCK,
+           "coeff * u * math.sqrt(out[i])",
+           "coeff * u",
+           ("tests/test_fock.py::test_hong_ou_mandel_dip",
+            "tests/test_fock.py::test_lift_agrees_with_oracle_random_interferometers",
+            "tests/test_acceptance.py::test_criterion_09_lift_agrees_with_permanent_oracle")),
+    Mutant("lift reads the mode matrix transposed", FOCK,
+           "for column in mode_matrix.T.tolist()]",
+           "for column in mode_matrix.tolist()]",
+           ("tests/test_fock.py::test_lift_agrees_with_oracle_random_interferometers",
+            "tests/test_fock.py::test_circuit_operator_matches_lift_and_permanent_oracle",
+            "tests/test_acceptance.py::test_criterion_09_lift_agrees_with_permanent_oracle")),
     Mutant("PBS relabel swaps h instead of v", FOCK,
            "out[v1], out[v2] = occ[v2], occ[v1]",
            "out[h1], out[h2] = occ[h2], occ[h1]",
@@ -124,8 +136,8 @@ CATALOGUE = (
            ("tests/test_optical.py::test_kerr_cs_general_strength_phases_delta_term",
             "tests/test_fock.py::test_logical_transfer_matches_dense_operator_rows")),
     Mutant("block applied to one photon axis fewer", FOCK,
-           "tensor = tensor.reshape(-1, m) @ mode_matrix.T",
-           "tensor = tensor.reshape(-1, m)",
+           "    tensor = tensor.reshape(-1, m) @ mode_matrix.T\n    return tensor.reshape(shape)\n",
+           "    return tensor.reshape(shape)\n",
            ("tests/test_fock.py::test_logical_transfer_matches_dense_operator_rows",
             "tests/test_fock.py::test_logical_transfer_matches_permanent_oracle_on_qudit_layouts")),
     Mutant("run composed in reverse order", FOCK,
