@@ -66,9 +66,7 @@ from __future__ import annotations
 
 import math
 import numbers
-import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
@@ -443,11 +441,18 @@ def permanent_amplitude_oracle(mode_matrix: np.ndarray, in_occupation, out_occup
     """Transfer amplitude <out| Phi(U) |in> = per(U[out, in]) / sqrt(prod n! prod n'!).
 
     The submatrix repeats row i out_i times and column j in_j times.  This is
-    the independent check on lift_to_fock.
+    the independent check on lift_to_fock.  A non-square matrix, an
+    occupation whose length is not m, or a negative or fractional count is a
+    one-line ValueError.
     """
     mode_matrix = np.asarray(mode_matrix, dtype=complex)
-    in_occ = tuple(int(x) for x in in_occupation)
-    out_occ = tuple(int(x) for x in out_occupation)
+    if mode_matrix.ndim != 2 or mode_matrix.shape[0] != mode_matrix.shape[1]:
+        raise ValueError(f"mode matrix shape {mode_matrix.shape} is not square")
+    m = len(mode_matrix)
+    in_occ = tuple(_index(x, "photon number") for x in in_occupation)
+    out_occ = tuple(_index(x, "photon number") for x in out_occupation)
+    if len(in_occ) != m or len(out_occ) != m:
+        raise ValueError(f"occupations of length {len(in_occ)} and {len(out_occ)} for {m} modes")
     if sum(in_occ) != sum(out_occ):
         raise PhotonNumberError(
             f"photon number mismatch: {sum(in_occ)} in, {sum(out_occ)} out")
@@ -478,10 +483,6 @@ class DetectionPattern:
         if len(set(modes)) != len(modes):
             raise ValueError("detection pattern repeats a mode")
         object.__setattr__(self, "conditions", conds)
-
-    @classmethod
-    def exact(cls, counts: dict) -> "DetectionPattern":
-        return cls(tuple(counts.items()))
 
     @classmethod
     def zero(cls, modes) -> "DetectionPattern":
@@ -648,29 +649,13 @@ def logical_transfer(elements, m: int, layout: ModeLayout) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Optical circuit text format
+# Optical circuits
 # ---------------------------------------------------------------------------
-#
-#   modes 8
-#   photons 3
-#   pbs 4 5 6 7          # path1 h v, path2 h v
-#   hwp 22.5 4 5         # angle in degrees, then h v
-#   kerr 180 1 5         # phase in degrees (180 = pi), two modes
-#   bs 1/3 0 3           # reflectivity (fraction or float), two modes
-#   bs 1/3 0 3 dotted=0  # move the phase-flip surface to the first mode
-#   atten 1/3 1 4        # stay probability, mode, vacuum ancilla
-#   detect 4=0 5=0       # exact per-mode photon counts
-
-class OpticalParseError(ValueError):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
-
 
 @dataclass(frozen=True)
 class OpticalCircuit:
-    """Parsed optical circuit: mode count, photon number, ordered elements,
-    optional detection pattern."""
+    """An optical construction: mode count, photon number, ordered elements
+    and an optional detection pattern."""
 
     m: int
     n_photons: int
@@ -679,96 +664,3 @@ class OpticalCircuit:
 
     def basis(self) -> FockBasis:
         return FockBasis(self.m, self.n_photons)
-
-
-def _parse_value(token: str, line_no: int) -> float:
-    try:
-        value = float(Fraction(token)) if "/" in token else float(token)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise OpticalParseError(line_no, f"bad numeric value {token!r}") from exc
-    if not math.isfinite(value):
-        raise OpticalParseError(line_no, f"numeric value {token!r} is not finite")
-    return value
-
-
-def parse_optical_circuit(text: str) -> OpticalCircuit:
-    m: int | None = None
-    n_photons: int | None = None
-    elements: list = []
-    pattern: DetectionPattern | None = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        kind = parts[0].lower()
-        if kind in ("modes", "photons"):
-            lowest = 1 if kind == "modes" else 0
-            if len(parts) != 2 or not re.fullmatch(r"\d+", parts[1]) or int(parts[1]) < lowest:
-                raise OpticalParseError(
-                    line_no, f"{kind} needs one integer >= {lowest}, got {' '.join(parts[1:])!r}")
-            if (m if kind == "modes" else n_photons) is not None:
-                raise OpticalParseError(line_no, f"repeated '{kind}' directive")
-            if kind == "modes":
-                m = int(parts[1])
-            else:
-                n_photons = int(parts[1])
-            continue
-        if m is None or n_photons is None:
-            raise OpticalParseError(line_no, "'modes' and 'photons' must come first")
-
-        def want_modes(tokens, count):
-            try:
-                idx = tuple(int(t) for t in tokens)
-            except ValueError as exc:
-                raise OpticalParseError(line_no, f"bad mode list {tokens}") from exc
-            if len(idx) != count:
-                raise OpticalParseError(line_no, f"{kind} needs {count} modes, got {len(idx)}")
-            for i in idx:
-                if not 0 <= i < m:
-                    raise OpticalParseError(line_no, f"mode {i} out of range")
-            return idx
-
-        try:
-            if kind == "bs":
-                dotted = None
-                tokens = parts[1:]
-                if tokens and tokens[-1].startswith("dotted="):
-                    dotted = int(tokens[-1].split("=", 1)[1])
-                    tokens = tokens[:-1]
-                eta = _parse_value(tokens[0], line_no)
-                elements.append(Beamsplitter(eta, want_modes(tokens[1:], 2), dotted))
-            elif kind == "atten":
-                eta = _parse_value(parts[1], line_no)
-                mode, anc = want_modes(parts[2:], 2)
-                elements.append(VacuumAttenuator(eta, mode, anc))
-            elif kind == "hwp":
-                theta = math.radians(_parse_value(parts[1], line_no))
-                elements.append(HalfWavePlate(theta, want_modes(parts[2:], 2)))
-            elif kind == "kerr":
-                chi = math.radians(_parse_value(parts[1], line_no))
-                elements.append(CrossKerr(chi, want_modes(parts[2:], 2)))
-            elif kind == "pbs":
-                modes = want_modes(parts[1:], 4)
-                elements.append(PolarizingBeamsplitter(modes[:2], modes[2:]))
-            elif kind == "detect":
-                if pattern is not None:
-                    raise OpticalParseError(line_no, "repeated 'detect' directive")
-                conds = []
-                for token in parts[1:]:
-                    if not re.fullmatch(r"\d+=\d+", token):
-                        raise OpticalParseError(line_no, f"bad detection condition {token!r}")
-                    mode, count = token.split("=")
-                    if not 0 <= int(mode) < m:
-                        raise OpticalParseError(line_no, f"mode {mode} out of range")
-                    conds.append((int(mode), int(count)))
-                pattern = DetectionPattern(tuple(conds))
-            else:
-                raise OpticalParseError(line_no, f"unknown element {kind!r}")
-        except OpticalParseError:
-            raise
-        except (ValueError, IndexError) as exc:
-            raise OpticalParseError(line_no, str(exc)) from exc
-    if m is None or n_photons is None:
-        raise OpticalParseError(1, "missing 'modes' or 'photons' directive")
-    return OpticalCircuit(m, n_photons, tuple(elements), pattern)

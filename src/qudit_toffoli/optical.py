@@ -75,6 +75,7 @@ from .fock import (
     logical_transfer,
     single_photon_transfer,
 )
+from .qudits import basis_digits
 from .toffoli import oracle_n_toffoli_sign
 
 COUPLER_REFLECTIVITY = Fraction(1, 3)
@@ -159,7 +160,7 @@ def _realize(name: str, circuit: OpticalCircuit, layout: ModeLayout, claimed: Fr
         layout=layout,
         transfer=transfer,
         success_probability=success,
-        flipped_component=layout.wire_dims.digits(int(flipped[0])) if flipped.size == 1 else (),
+        flipped_component=basis_digits(int(flipped[0]), layout.wire_dims) if flipped.size == 1 else (),
         residual=residual,
         certified=certified,
         **fields,

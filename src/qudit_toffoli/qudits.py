@@ -55,9 +55,6 @@ class WireDims:
             p *= d
         return p
 
-    def digits(self, index: int) -> tuple[int, ...]:
-        return basis_digits(index, self)
-
 
 def basis_index(digits, dims: WireDims) -> int:
     """Linear index of the basis ket with the given per-wire levels (big-endian)."""

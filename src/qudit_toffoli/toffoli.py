@@ -151,16 +151,6 @@ def _step(gates: dict, name: str, wires, dims: WireDims, params=()) -> GateStep:
 # Circuit builders
 # ---------------------------------------------------------------------------
 
-def build_ts_circuit() -> CircuitDescription:
-    """Three-wire T-S circuit on (qubit a, qubit b, qutrit target).
-
-    Sequence: X_A(c), CNOT(b,c), CS(a,c), CNOT(b,c), X_A(c).  On the qubit
-    subspace this is diagonal with the single -1 on |1,0,1>; the qutrit level
-    is only populated transiently.
-    """
-    return build_n_ts_circuit(2)
-
-
 def build_n_ts_circuit(n: int) -> CircuitDescription:
     """n-control T-S circuit on (n qubits, one (n+1)-level target).
 
@@ -175,8 +165,9 @@ def build_n_ts_circuit(n: int) -> CircuitDescription:
     flip re-aligns it so the CS picks out the all-ones component.  The mirror
     sequence then restores the target to its qubit levels.
 
-    The flipped component is |1,0,1> for n=2 (matching build_ts_circuit) and
-    |1,1,...,1> for n >= 3.
+    The flipped component is |1,0,1> for n=2, where the circuit is X_A(c),
+    CNOT(b,c), CS(a,c), CNOT(b,c), X_A(c) on (qubit a, qubit b, qutrit c),
+    and |1,1,...,1> for n >= 3.
     """
     if n < 2:
         raise ValueError(f"need at least 2 controls, got {n}")

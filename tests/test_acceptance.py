@@ -33,7 +33,6 @@ from qudit_toffoli.optical import (
 from qudit_toffoli.qudits import WireDims, basis_index, circuit_unitary, equiv_up_to_global_phase, random_unitary
 from qudit_toffoli.toffoli import (
     build_n_ts_circuit,
-    build_ts_circuit,
     expected_flipped_component,
     oracle_n_toffoli_sign,
     qubit_subspace_leakage,
@@ -48,7 +47,7 @@ def _report(number: int, ok: bool, detail: str):
 
 
 def test_criterion_01_three_gate_circuit_reproduction():
-    circ = build_ts_circuit()
+    circ = build_n_ts_circuit(2)
     unitary = circuit_unitary(circ)
     restricted = restrict_to_qubit_subspace(unitary, circ.dims)
     expected = np.eye(8, dtype=complex)
@@ -102,7 +101,7 @@ def test_criterion_04_cross_kerr_controlled_sign():
 
 def test_criterion_05_deterministic_optical_ts():
     gate = deterministic_ts_gate()
-    circ = build_ts_circuit()
+    circ = build_n_ts_circuit(2)
     reference = restrict_to_qubit_subspace(circuit_unitary(circ), circ.dims)
     ok, lam = equiv_up_to_global_phase(gate.transfer, reference, 1e-10)
     _report(5, gate.kerr_count == 3 and ok,

@@ -1,6 +1,7 @@
 """Fock-space engine: element unitaries, the permanent oracle, detection."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from qudit_toffoli.fock import (
     HalfWavePlate,
     ModeLayout,
     ORACLE_TOL,
-    OpticalParseError,
     OpticalState,
     PhotonNumberError,
     PolarizingBeamsplitter,
@@ -25,13 +25,12 @@ from qudit_toffoli.fock import (
     exhaustive_patterns,
     lift_to_fock,
     logical_transfer,
-    parse_optical_circuit,
     permanent,
     permanent_amplitude_oracle,
     postselect,
     single_photon_transfer,
 )
-from qudit_toffoli.qudits import basis_index, random_unitary
+from qudit_toffoli.qudits import basis_digits, basis_index, random_unitary
 
 
 def _random_state(basis, rng):
@@ -160,6 +159,19 @@ def test_identity_oracle_amplitude_is_one():
 def test_oracle_rejects_photon_mismatch():
     with pytest.raises(PhotonNumberError):
         permanent_amplitude_oracle(np.eye(2), (1, 0), (1, 1))
+
+
+@pytest.mark.parametrize("mode, occ_in, occ_out, fragment", [
+    (np.eye(2), (0, 0, 1), (0, 0, 1), "occupations of length 3 and 3 for 2 modes"),
+    (np.eye(3), (1, 0), (1, 0), "occupations of length 2 and 2 for 3 modes"),
+    (np.eye(2), (1.5, 0), (1, 0), "photon number 1.5 is not a non-negative integer"),
+    (np.eye(2), (-1, 1), (0, 0), "photon number -1 is not a non-negative integer"),
+    (np.full((2, 3), 0.5), (1, 0), (1, 0), "mode matrix shape (2, 3) is not square"),
+], ids=["occupation-too-long", "occupation-too-short", "fractional-count", "negative-count", "2x3-matrix"])
+def test_oracle_refuses_a_malformed_matrix_or_occupation(mode, occ_in, occ_out, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)) as exc:
+        permanent_amplitude_oracle(mode, occ_in, occ_out)
+    assert "\n" not in str(exc.value)
 
 
 def test_permanent_small_cases():
@@ -352,7 +364,7 @@ def _assert_logical_transfer_matches_dense_operator_rows(elements, m, k, rng):
     layout = ModeLayout(tuple(zip(modes[::2], modes[1::2])))
     basis = FockBasis(m, k)
     dims = layout.wire_dims
-    idx = [basis.index_of(_logical_occupation(layout, dims.digits(x), m)) for x in range(dims.total_dim)]
+    idx = [basis.index_of(_logical_occupation(layout, basis_digits(x, dims), m)) for x in range(dims.total_dim)]
     want = circuit_fock_operator(elements, basis)[np.ix_(idx, idx)]
     assert np.max(np.abs(logical_transfer(elements, m, layout) - want)) < 1e-12
 
@@ -400,8 +412,8 @@ def test_logical_transfer_matches_permanent_oracle_on_qudit_layouts(data, sizes,
     mode = single_photon_transfer(elements, m)
     dims = layout.wire_dims
     for y, x in rng.integers(dims.total_dim, size=(8, 2)):
-        oracle = permanent_amplitude_oracle(mode, _logical_occupation(layout, dims.digits(int(x)), m),
-                                            _logical_occupation(layout, dims.digits(int(y)), m))
+        oracle = permanent_amplitude_oracle(mode, _logical_occupation(layout, basis_digits(int(x), dims), m),
+                                            _logical_occupation(layout, basis_digits(int(y), dims), m))
         assert abs(transfer[y, x] - oracle) < 1e-12
 
 
@@ -537,7 +549,7 @@ def test_postselect_probability_and_renormalization():
 def test_postselect_impossible_pattern_flagged():
     basis = FockBasis(2, 1)
     state = OpticalState.fock(basis, (1, 0))
-    result = postselect(state, DetectionPattern.exact({0: 0, 1: 0}))
+    result = postselect(state, DetectionPattern.zero((0, 1)))
     assert result.probability == 0.0
     assert not result.possible
     assert result.normalized() is None
@@ -622,7 +634,7 @@ def test_layout_table_row_x_holds_each_wires_mode_at_its_digit(sizes, seed):
     assert layout.modes.shape == (dims.total_dim, len(sizes))
     assert layout.modes.dtype.kind == "i"
     for x in range(dims.total_dim):
-        assert list(layout.modes[x]) == [layout.groups[k][d] for k, d in enumerate(dims.digits(x))]
+        assert list(layout.modes[x]) == [layout.groups[k][d] for k, d in enumerate(basis_digits(x, dims))]
 
 
 def test_layout_rejects_overlapping_groups():
@@ -631,86 +643,38 @@ def test_layout_rejects_overlapping_groups():
 
 
 # ---------------------------------------------------------------------------
-# optical circuit text format
+# one-line guards
 # ---------------------------------------------------------------------------
 
-OPTICAL_TEXT = """\
-# post-selected controlled-sign
-modes 6
-photons 2
-bs 1/3 0 3
-atten 1/3 1 4
-atten 1/3 2 5
-detect 4=0 5=0
-"""
-
-
-def test_parse_optical_circuit_round_trips_elements():
-    circ = parse_optical_circuit(OPTICAL_TEXT)
-    assert circ.m == 6 and circ.n_photons == 2
-    assert isinstance(circ.elements[0], Beamsplitter)
-    assert abs(circ.elements[0].eta - 1 / 3) < 1e-15
-    assert circ.pattern == DetectionPattern.zero([4, 5])
-
-
-def test_parse_optical_hwp_degrees():
-    circ = parse_optical_circuit("modes 2\nphotons 1\nhwp 22.5 0 1\n")
-    _, block = circ.elements[0].mode_block()
-    assert np.max(np.abs(block - np.array([[1, 1], [1, -1]]) / np.sqrt(2))) < 1e-12
-
-
-def test_parse_optical_errors_carry_line_numbers():
-    with pytest.raises(OpticalParseError, match="line 3"):
-        parse_optical_circuit("modes 2\nphotons 1\nwarp 0 1\n")
-    with pytest.raises(OpticalParseError, match="line 3"):
-        parse_optical_circuit("modes 2\nphotons 1\nbs 0.5 0 9\n")
-    with pytest.raises(OpticalParseError, match="modes"):
-        parse_optical_circuit("bs 0.5 0 1\n")
-    for text, where in [("modes\nphotons 1\n", "line 1"),
-                        ("modes x\nphotons 1\n", "line 1"),
-                        ("modes 0\nphotons 1\n", "line 1"),
-                        ("modes 2\nphotons -1\n", "line 2"),
-                        ("modes 2\nphotons\n", "line 2")]:
-        with pytest.raises(OpticalParseError, match=where):
-            parse_optical_circuit(text)
-
-
-@pytest.mark.parametrize("text, directive", [
-    ("modes 4\nphotons 2\nbs 1/3 2 3\nmodes 2\n", "modes"),
-    ("modes 4\nphotons 2\nbs 1/3 2 3\nphotons 1\n", "photons"),
-    ("modes 4\nphotons 2\ndetect 2=0\ndetect 3=0\n", "detect"),
+@pytest.mark.parametrize("call, error, fragment", [
+    pytest.param(lambda: FockBasis(0, 1), ValueError, "bad basis shape m=0, N=1", id="basis-no-modes"),
+    pytest.param(lambda: FockBasis(2, -1), ValueError, "bad basis shape m=2, N=-1", id="basis-negative-N"),
+    pytest.param(lambda: OpticalState(FockBasis(2, 1), np.ones(3)), ValueError,
+                 "amplitude vector length (3,) != basis size 2", id="state-length"),
+    pytest.param(lambda: OpticalState(FockBasis(2, 1), np.zeros(2)).normalized(), ValueError,
+                 "cannot normalize a zero state", id="normalize-zero"),
+    pytest.param(lambda: Beamsplitter(0.5, (1, 1)), ValueError,
+                 "beamsplitter needs two distinct modes", id="bs-repeated-mode"),
+    pytest.param(lambda: HalfWavePlate(0.3, (1, 1)), ValueError,
+                 "wave plate needs two distinct modes", id="hwp-repeated-mode"),
+    pytest.param(lambda: PolarizingBeamsplitter((0, 1), (1, 2)), ValueError,
+                 "polarizing beamsplitter needs four distinct modes", id="pbs-repeated-mode"),
+    pytest.param(lambda: CrossKerr(np.pi, (1, 1)), ValueError,
+                 "cross-Kerr needs two distinct modes", id="kerr-repeated-mode"),
+    pytest.param(lambda: Beamsplitter(0.5, (0, 1), dotted=2), ValueError,
+                 "dotted mode 2 is not one of (0, 1)", id="dotted-outside-pair"),
+    pytest.param(lambda: CrossKerr(np.pi, (0, 1)).mode_block(), TypeError,
+                 "cross-Kerr is not a mode-linear element", id="kerr-mode-block"),
+    pytest.param(lambda: lift_to_fock(np.eye(3), FockBasis(2, 1)), ValueError,
+                 "mode matrix shape (3, 3) != (2, 2)", id="lift-shape"),
+    pytest.param(lambda: DetectionPattern(((0, 0), (0, 1))), ValueError,
+                 "detection pattern repeats a mode", id="pattern-repeated-mode"),
+    pytest.param(lambda: postselect(OpticalState.fock(FockBasis(2, 1), (1, 0)), DetectionPattern.zero((2,))),
+                 ValueError, "pattern mode 2 out of range for 2 modes", id="postselect-mode-m"),
+    pytest.param(lambda: ModeLayout(((0,),)), ValueError,
+                 "each logical wire needs at least two modes", id="layout-one-mode-group"),
 ])
-def test_parse_optical_rejects_a_repeated_directive_with_line_number(text, directive):
-    with pytest.raises(OpticalParseError, match=f"line 4: repeated '{directive}'"):
-        parse_optical_circuit(text)
-
-
-@pytest.mark.parametrize("line", ["hwp inf 0 1", "hwp nan 0 1", "kerr inf 0 1", "hwp 1e400 0 1",
-                                  pytest.param("kerr 1" + "0" * 400 + "/1 0 1", id="kerr 10**400/1 0 1")])
-def test_parse_optical_rejects_non_finite_values_with_line_number(line):
-    with pytest.raises(OpticalParseError, match="line 3"):
-        parse_optical_circuit(f"modes 2\nphotons 1\n{line}\n")
-
-
-# a line is a keyword, a value and a few mode or condition tokens, valid or not
-_OPTICAL_HEADS = ("modes", "photons", "bs", "atten", "hwp", "kerr", "pbs", "detect", "warp", "#")
-_OPTICAL_VALUES = ("0", "1", "3", "-1", "1/3", "1/0", "0.5", "22.5", "inf", "nan", "1e400",
-                   "1" + "0" * 400 + "/1", "x", "0=0")
-_OPTICAL_ARGS = ("0", "1", "2", "3", "7", "-1", "x", "dotted=0", "dotted=1", "dotted=9",
-                 "dotted=x", "0=0", "1=2", "9=0", "x=1", "#")
-_OPTICAL_LINES = st.tuples(st.sampled_from(_OPTICAL_HEADS), st.sampled_from(_OPTICAL_VALUES),
-                           st.lists(st.sampled_from(_OPTICAL_ARGS), max_size=4)).map(
-    lambda t: " ".join((t[0], t[1]) + tuple(t[2])))
-
-
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(st.one_of(
-    st.text(max_size=120),
-    st.tuples(st.integers(0, 8), st.integers(-1, 3), st.lists(_OPTICAL_LINES, max_size=6)).map(
-        lambda t: "\n".join([f"modes {t[0]}", f"photons {t[1]}"] + t[2])),
-    st.lists(_OPTICAL_LINES, max_size=8).map("\n".join)))
-def test_parse_optical_raises_only_its_own_error(text):
-    try:
-        parse_optical_circuit(text)
-    except OpticalParseError:
-        pass
+def test_each_guard_is_a_one_line_error(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)) as exc:
+        call()
+    assert "\n" not in str(exc.value)

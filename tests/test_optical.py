@@ -46,8 +46,8 @@ from qudit_toffoli.optical import (
     verify_chain_parameters,
 )
 from qudit_toffoli.report import build_report
-from qudit_toffoli.qudits import circuit_unitary, equiv_up_to_global_phase, random_unitary
-from qudit_toffoli.toffoli import build_ts_circuit, restrict_to_qubit_subspace
+from qudit_toffoli.qudits import basis_digits, circuit_unitary, equiv_up_to_global_phase, random_unitary
+from qudit_toffoli.toffoli import build_n_ts_circuit, restrict_to_qubit_subspace
 
 
 def _random_logical(n, rng):
@@ -113,7 +113,7 @@ def test_deterministic_single_flip_on_all_equal_input():
 
 def test_deterministic_matches_qutrit_circuit_under_encoding():
     gate = deterministic_ts_gate()
-    circ = build_ts_circuit()
+    circ = build_n_ts_circuit(2)
     reference = restrict_to_qubit_subspace(circuit_unitary(circ), circ.dims)
     ok, lam = equiv_up_to_global_phase(gate.transfer, reference, 1e-10)
     assert ok
@@ -470,12 +470,12 @@ def test_chain_block_matches_first_quantized_route_on_random_parameters(params):
 def test_chain_block_matches_permanent_oracle_on_sampled_entries(params, seed, entries):
     # the chain's own block is diagonal, so a generic unitary covers the
     # off-diagonal entries
-    digits = _CHAIN_WIRES.wire_dims.digits
+    dims = _CHAIN_WIRES.wire_dims
     for mode in (chain_mode_matrix(params), random_unitary(12, np.random.default_rng(seed))):
         block = chain_coincidence_block(mode)
         for y, x in entries:
-            want = permanent_amplitude_oracle(mode, _logical_occupation(_CHAIN_WIRES, digits(x), 12),
-                                              _logical_occupation(_CHAIN_WIRES, digits(y), 12))
+            want = permanent_amplitude_oracle(mode, _logical_occupation(_CHAIN_WIRES, basis_digits(x, dims), 12),
+                                              _logical_occupation(_CHAIN_WIRES, basis_digits(y, dims), 12))
             assert abs(block[y, x] - want) < ORACLE_TOL
 
 

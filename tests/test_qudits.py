@@ -1,6 +1,7 @@
 """Mixed-radix register engine: indexing, gate embedding, circuit products."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from qudit_toffoli.qudits import (
     random_unitary,
 )
 from qudit_toffoli.toffoli import (
-    build_ts_circuit,
+    build_n_ts_circuit,
     gate_xa,
     oracle_n_toffoli_sign,
     standard_gate_builder,
@@ -199,7 +200,7 @@ def test_empty_circuit_is_identity():
 def test_ts_circuit_unitary_restricted_diagonal():
     # the three-gate T-S: -1 exactly on |1,0,1>, +1 on the other qubit states
     from qudit_toffoli.toffoli import restrict_to_qubit_subspace
-    circ = build_ts_circuit()
+    circ = build_n_ts_circuit(2)
     u = circuit_unitary(circ)
     r = restrict_to_qubit_subspace(u, circ.dims)
     expected = np.diag([1, 1, 1, 1, 1, -1, 1, 1]).astype(complex)
@@ -209,7 +210,7 @@ def test_ts_circuit_unitary_restricted_diagonal():
 def test_two_ts_circuits_cancel_on_qubit_subspace():
     # self-inverse of a +-1 diagonal, checked by direct matrix product
     from qudit_toffoli.toffoli import restrict_to_qubit_subspace
-    circ = build_ts_circuit()
+    circ = build_n_ts_circuit(2)
     u = circuit_unitary(circ)
     squared = u.matrix @ u.matrix
     idx = [0, 1, 3, 4, 6, 7, 9, 10]
@@ -259,7 +260,7 @@ xa 2
 
 def test_parse_ts_circuit_matches_builder():
     parsed = parse_circuit(TS_CIRCUIT_TEXT, standard_gate_builder)
-    built = build_ts_circuit()
+    built = build_n_ts_circuit(2)
     assert parsed.dims == built.dims
     assert [s.name for s in parsed.steps] == [s.name for s in built.steps]
     assert np.allclose(circuit_unitary(parsed).matrix, circuit_unitary(built).matrix)
@@ -370,7 +371,7 @@ def test_circuit_unitary_rejects_nan_product():
 
 
 def test_verify_decomposition_rejects_nan_propagation():
-    circ = build_ts_circuit()
+    circ = build_n_ts_circuit(2)
     corrupted = CircuitDescription(
         circ.dims, circ.steps + (GateStep("nan", (), (0,), _unchecked_gate([[np.nan, 0], [0, 1]])),))
     with pytest.raises(WireError, match="not unitary"):
@@ -382,8 +383,41 @@ def test_verify_decomposition_rejects_nan_propagation():
     [[1, 0], [0, 1 + 1e-9]],   # distinct outputs, one phase off the unit circle by 1e-9
 ])
 def test_verify_decomposition_rejects_non_unitary_monomial_step(matrix):
-    circ = build_ts_circuit()
+    circ = build_n_ts_circuit(2)
     corrupted = CircuitDescription(
         circ.dims, circ.steps + (GateStep("bad", (), (0,), _unchecked_gate(matrix)),))
     with pytest.raises(WireError, match="not unitary on the qubit inputs"):
         verify_decomposition(corrupted, oracle_n_toffoli_sign(2, (1, 0, 1)), 2)
+
+
+# ---------------------------------------------------------------------------
+# one-line guards
+# ---------------------------------------------------------------------------
+
+_BIT = GateMatrix((2,), np.eye(2))
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    pytest.param(lambda: basis_index((0,), WireDims((2, 2))), WireError,
+                 "expected 2 digits, got 1", id="index-digit-count"),
+    pytest.param(lambda: basis_digits(4, WireDims((2, 2))), WireError,
+                 "index 4 out of range for total dimension 4", id="digits-index-range"),
+    pytest.param(lambda: PureState(WireDims((2,)), np.ones(3)), WireError,
+                 "amplitude vector has length (3,), register needs 2", id="state-length"),
+    pytest.param(lambda: GateMatrix((2,), np.eye(3)), WireError,
+                 "matrix shape (3, 3) does not match wire dims (2,)", id="gate-shape"),
+    pytest.param(lambda: apply_gate(PureState.basis(WireDims((2, 2)), (0, 0)), _BIT, (2,)), WireError,
+                 "wire index 2 out of range for 2 wires", id="apply-wire-range"),
+    pytest.param(lambda: CircuitDescription(WireDims((2, 2)), (GateStep("x", (), (2,), _BIT),)), WireError,
+                 "step 0: wire index 2 out of range", id="circuit-wire-range"),
+    pytest.param(lambda: CircuitDescription(WireDims((2, 3)), (GateStep("x", (), (1,), _BIT),)), WireError,
+                 "step 0: wire 1 has dimension 3, gate x expects 2", id="circuit-dimension"),
+    pytest.param(lambda: parse_circuit("dims 2\n1x 0", standard_gate_builder), CircuitParseError,
+                 "line 2: cannot parse step '1x 0'", id="parse-step"),
+    pytest.param(lambda: parse_circuit("dims 2\nx", standard_gate_builder), CircuitParseError,
+                 "line 2: step names no target wires", id="parse-no-wires"),
+])
+def test_each_guard_is_a_one_line_error(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)) as exc:
+        call()
+    assert "\n" not in str(exc.value)

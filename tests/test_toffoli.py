@@ -1,6 +1,7 @@
 """Qutrit/qudit Toffoli-sign constructions against brute-force oracles."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from qudit_toffoli.qudits import (
 )
 from qudit_toffoli.toffoli import (
     build_n_ts_circuit,
-    build_ts_circuit,
     expected_flipped_component,
     gate_cnot_embedded,
     gate_cs_embedded,
@@ -152,7 +152,7 @@ def test_ts_circuit_intermediate_states():
     has moved to target level 0; after the CS only the (1,0,1) component has
     flipped sign."""
     rng = np.random.default_rng(11)
-    circ = build_ts_circuit()
+    circ = build_n_ts_circuit(2)
     state, a = _arbitrary_three_qubit_state(rng)
 
     after_xa = circ.apply(state, upto=1)
@@ -175,7 +175,7 @@ def test_ts_circuit_intermediate_states():
 
 
 def test_ts_circuit_flips_101_component_only():
-    circ = build_ts_circuit()
+    circ = build_n_ts_circuit(2)
     state, a = _arbitrary_three_qubit_state()
     out = circ.apply(state)
     for i in range(2):
@@ -187,14 +187,14 @@ def test_ts_circuit_flips_101_component_only():
 
 
 def test_ts_circuit_has_three_two_qudit_gates():
-    assert build_ts_circuit().two_qudit_gate_count() == 3
+    assert build_n_ts_circuit(2).two_qudit_gate_count() == 3
 
 
 def test_hadamard_conjugation_gives_toffoli_up_to_bit_flip():
     """H on the target before and after turns the T-S into a Toffoli; ours
     flips on (1,0,1) so it matches the brute-force Toffoli conjugated by a
     bit flip on the middle wire."""
-    circ = build_ts_circuit()
+    circ = build_n_ts_circuit(2)
     dims = circ.dims
     h_full = embed_gate(gate_h_padded(3), (2,), dims)
     u = h_full @ circuit_unitary(circ).matrix @ h_full
@@ -219,10 +219,11 @@ def test_qubit_subspace_indices_match_the_digit_definition(dims):
 # ---------------------------------------------------------------------------
 
 def test_n2_reproduces_ts_circuit():
-    a = build_ts_circuit()
-    b = build_n_ts_circuit(2)
-    assert a.dims == b.dims
-    assert [(s.name, s.wires) for s in a.steps] == [(s.name, s.wires) for s in b.steps]
+    # the three-gate circuit: X_A(c), CNOT(b,c), CS(a,c), CNOT(b,c), X_A(c)
+    circ = build_n_ts_circuit(2)
+    assert circ.dims == WireDims((2, 2, 3))
+    assert [(s.name, s.wires) for s in circ.steps] == [
+        ("xa", (2,)), ("cnot", (1, 2)), ("cs", (0, 2)), ("cnot", (1, 2)), ("xa", (2,))]
 
 
 def test_n3_five_gates_flip_on_all_ones():
@@ -324,12 +325,12 @@ def test_oracle_rejects_out_of_range_component():
 ])
 def test_verify_rejects_a_meaningless_oracle(oracle):
     with pytest.raises(ValueError, match="oracle must be a vector of 8 entries, each [+]1 or -1"):
-        verify_decomposition(build_ts_circuit(), oracle, 2)
+        verify_decomposition(build_n_ts_circuit(2), oracle, 2)
 
 
 def test_verify_reports_counts_and_references():
     report = verify_decomposition(
-        build_ts_circuit(), oracle_n_toffoli_sign(2, (1, 0, 1)), 2)
+        build_n_ts_circuit(2), oracle_n_toffoli_sign(2, (1, 0, 1)), 2)
     assert report.two_qudit_gate_count == 3
     assert report.reference_counts["cs_gates_qubit_only_3toffoli"] == 6
     assert report.reference_counts["two_qubit_gates_qubit_only_5toffoli"] == 64
@@ -337,7 +338,7 @@ def test_verify_reports_counts_and_references():
 
 
 def test_corrupted_circuit_reports_low_fidelity_without_raising():
-    circ = build_ts_circuit()
+    circ = build_n_ts_circuit(2)
     corrupted = CircuitDescription(circ.dims, circ.steps[:3] + circ.steps[4:])  # drop a CNOT
     report = verify_decomposition(corrupted, oracle_n_toffoli_sign(2, (1, 0, 1)), 2)
     assert report.fidelity_to_oracle < 1.0 - 1e-6
@@ -398,7 +399,7 @@ def _prefix_max_level(circ):
         for step in circ.steps:
             state = apply_gate(state, step.gate, step.wires)
             for index in np.nonzero(np.abs(state.amps) > 1e-9)[0]:
-                level = max(level, circ.dims.digits(int(index))[-1])
+                level = max(level, basis_digits(int(index), circ.dims)[-1])
     return level
 
 
@@ -412,7 +413,7 @@ def test_verify_matches_dense_references_on_masked_variants(n):
         restricted = restrict_to_qubit_subspace(full, circ.dims)
         fidelity = abs(np.trace(restricted.conj().T @ np.diag(oracle))) / dim
         negative = np.nonzero(np.diagonal(restricted).real < 0)[0]
-        component = (WireDims((2,) * (n + 1)).digits(int(negative[0]))
+        component = (basis_digits(int(negative[0]), WireDims((2,) * (n + 1)))
                      if negative.size == 1 else ())
         assert abs(report.fidelity_to_oracle - fidelity) < 1e-12, variant
         assert abs(report.qubit_subspace_leakage
@@ -460,10 +461,27 @@ def test_monomial_route_matches_the_dense_unitary(case):
     full = circuit_unitary(circ)
     restricted = restrict_to_qubit_subspace(full, circ.dims)
     negative = np.nonzero(np.diagonal(restricted).real < 0)[0]
-    flipped = WireDims((2,) * (n + 1)).digits(int(negative[0])) if negative.size == 1 else ()
+    flipped = basis_digits(int(negative[0]), WireDims((2,) * (n + 1))) if negative.size == 1 else ()
     assert abs(report.fidelity_to_oracle
                - abs(np.trace(restricted.conj().T @ np.diag(oracle))) / oracle.size) < 1e-12
     assert abs(report.qubit_subspace_leakage - qubit_subspace_leakage(full, circ.dims)) < 1e-12
     assert report.flipped_component == flipped
     assert report.locally_equivalent_to_all_ones == _dense_equivalent_to_all_ones(restricted, flipped, n)
     assert report.max_level_used == _prefix_max_level(circ)
+
+
+# ---------------------------------------------------------------------------
+# one-line guards
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("call, fragment", [
+    pytest.param(lambda: gate_xb(3), "X_B needs at least 4 levels, got 3", id="xb-qutrit"),
+    pytest.param(lambda: gate_cs_embedded(1, 2), "controlled-sign needs dimensions >= 2", id="cs-control-dim"),
+    pytest.param(lambda: gate_cnot_embedded(2, 1), "controlled-NOT needs dimensions >= 2", id="cnot-target-dim"),
+    pytest.param(lambda: verify_decomposition(build_n_ts_circuit(2), oracle_n_toffoli_sign(3, 0), 3),
+                 "circuit / oracle dimensions do not match n", id="verify-n-mismatch"),
+])
+def test_each_guard_is_a_one_line_error(call, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)) as exc:
+        call()
+    assert "\n" not in str(exc.value)

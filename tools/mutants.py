@@ -122,6 +122,16 @@ CATALOGUE = (
            ("tests/test_fock.py::test_lift_agrees_with_oracle_random_interferometers",
             "tests/test_fock.py::test_circuit_operator_matches_lift_and_permanent_oracle",
             "tests/test_acceptance.py::test_criterion_09_lift_agrees_with_permanent_oracle")),
+    Mutant("oracle skips the occupation length check", FOCK,
+           "    if len(in_occ) != m or len(out_occ) != m:\n",
+           "    if False:\n",
+           ("tests/test_fock.py::test_oracle_refuses_a_malformed_matrix_or_occupation",)),
+    Mutant("beamsplitter accepts a repeated mode", FOCK,
+           "        if self.modes[0] == self.modes[1]:\n"
+           '            raise ValueError("beamsplitter needs two distinct modes")\n',
+           "        if self.modes[0] != self.modes[1]:\n"
+           '            raise ValueError("beamsplitter needs two distinct modes")\n',
+           ("tests/test_fock.py::test_each_guard_is_a_one_line_error",)),
     Mutant("PBS relabel swaps h instead of v", FOCK,
            "out[v1], out[v2] = occ[v2], occ[v1]",
            "out[h1], out[h2] = occ[h2], occ[h1]",
