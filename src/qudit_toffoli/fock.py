@@ -71,7 +71,7 @@ from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 
-from .qudits import PureState, WireDims
+from .qudits import WireDims
 
 MODE_UNITARY_TOL = 1e-10
 ORACLE_TOL = 1e-9
@@ -584,13 +584,14 @@ class ModeLayout:
         out[idx] = amps
         return OpticalState(basis, out)
 
-    def decode(self, state: OpticalState) -> tuple[PureState, float]:
+    def decode(self, state: OpticalState) -> tuple[np.ndarray, float]:
         """Project onto the logical subspace.  Returns the (unnormalized)
-        logical state and the norm that leaked outside it."""
+        logical amplitude vector, indexed like `wire_dims`, and the norm that
+        leaked outside it."""
         idx = self.indices(state.basis)
         outside = np.ones(state.basis.size, dtype=bool)
         outside[idx] = False
-        return PureState(self.wire_dims, state.amps[idx]), float(np.linalg.norm(state.amps[outside]))
+        return state.amps[idx], float(np.linalg.norm(state.amps[outside]))
 
 
 def _apply_to_each_photon(mode_matrix: np.ndarray, tensor: np.ndarray) -> np.ndarray:

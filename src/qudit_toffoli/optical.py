@@ -336,6 +336,8 @@ class ChainParameters:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ChainParameters":
+        if not isinstance(data, dict):
+            raise ValueError(f"parameters must be a JSON object, got {type(data).__name__}")
         missing = [f for f in cls.FIELDS if f not in data]
         if missing:
             raise ValueError(f"missing reflectivities: {', '.join(missing)}")

@@ -1,9 +1,13 @@
-"""Mixed-radix pure-state engine.
+"""Mixed-radix register engine.
 
 Registers are ordered lists of wires with independent dimensions (2 for a
 qubit, 3 for a qutrit, ...).  Basis states are addressed big-endian: the
 first wire is the most significant digit, so for dims (2, 2, 3) the ket
 |i, j, k> sits at linear index i*6 + j*3 + k.
+
+There is one dense route through a register, `circuit_unitary`: the steps
+of a `CircuitDescription`, which validates each step once, applied in turn
+by the unchecked kernel `_apply_to_block`.  `embed_gate` is a one-step circuit.
 
 Everything here is a pure function on immutable-by-convention values; no
 operation mutates its inputs.
@@ -80,35 +84,8 @@ def basis_digits(index: int, dims: WireDims) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# States and gates
+# Gates
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PureState:
-    """Complex amplitude vector over a mixed-radix register."""
-
-    dims: WireDims
-    amps: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=complex)
-        if amps.shape != (self.dims.total_dim,):
-            raise WireError(
-                f"amplitude vector has length {amps.shape}, register needs {self.dims.total_dim}")
-        object.__setattr__(self, "amps", amps)
-
-    @classmethod
-    def basis(cls, dims: WireDims, digits) -> "PureState":
-        amps = np.zeros(dims.total_dim, dtype=complex)
-        amps[basis_index(digits, dims)] = 1.0
-        return cls(dims, amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def amplitude(self, digits) -> complex:
-        return complex(self.amps[basis_index(digits, self.dims)])
-
 
 @dataclass(frozen=True)
 class MonomialTable:
@@ -152,8 +129,7 @@ class GateMatrix:
     @cached_property
     def monomial(self) -> MonomialTable | None:
         """The gate's `MonomialTable`, or None if some column does not have
-        exactly one nonzero.  Built on first use and kept on the gate (also on
-        gates made with `object.__new__`, which skip `__post_init__`)."""
+        exactly one nonzero.  Built on first use and kept on the gate."""
         nonzero = self.matrix != 0
         if not (nonzero.sum(axis=0) == 1).all():
             return None
@@ -163,54 +139,9 @@ class GateMatrix:
                              self.matrix[rows, np.arange(rows.size)])
 
 
-def _apply_to_block(amps: np.ndarray, gate: GateMatrix, wires, dims: WireDims) -> np.ndarray:
-    """Apply a gate to wires of `amps`, where amps has shape (total_dim,) or
-    (total_dim, batch).  Batched form is what circuit_unitary and the T-S
-    verifier feed in."""
-    wires = list(wires)
-    if len(set(wires)) != len(wires):
-        raise WireError(f"repeated wire index in {wires}")
-    for w in wires:
-        if not 0 <= w < dims.n_wires:
-            raise WireError(f"wire index {w} out of range for {dims.n_wires} wires")
-    for w, d in zip(wires, gate.wire_dims):
-        if dims.dims[w] != d:
-            raise WireError(
-                f"wire {w} has dimension {dims.dims[w]}, gate expects {d}")
-
-    batched = amps.ndim == 2
-    batch = amps.shape[1] if batched else 1
-    tensor = amps.reshape(dims.dims + (batch,))
-    k = len(wires)
-    tensor = np.moveaxis(tensor, wires, range(k))
-    head = gate.dim
-    rest = tensor.shape[k:]
-    out = gate.matrix @ tensor.reshape(head, -1)
-    tensor = out.reshape(tensor.shape[:k] + rest)
-    tensor = np.moveaxis(tensor, range(k), wires)
-    flat = tensor.reshape(dims.total_dim, batch)
-    return flat if batched else flat[:, 0]
-
-
-def apply_gate(state: PureState, gate: GateMatrix, wires) -> PureState:
-    """Gate embedded as identity on all other wires; preserves the norm."""
-    new_amps = _apply_to_block(state.amps, gate, wires, state.dims)
-    drift = abs(float(np.linalg.norm(new_amps)) - state.norm())
-    if not drift <= NORM_TOL:
-        raise WireError(f"norm drifted by {drift:.3e} during gate application")
-    return PureState(state.dims, new_amps)
-
-
-def embed_gate(gate: GateMatrix, wires, dims: WireDims) -> np.ndarray:
-    """Full-register matrix of a gate acting on the given wires."""
-    eye = np.eye(dims.total_dim, dtype=complex)
-    return _apply_to_block(eye, gate, wires, dims)
-
-
 def equiv_up_to_global_phase(a, b, tol: float = PRODUCT_TOL):
     """Whether a == lam * b for some unit-modulus lam; returns (bool, lam or None)."""
-    am = a.matrix if isinstance(a, GateMatrix) else np.asarray(a, dtype=complex)
-    bm = b.matrix if isinstance(b, GateMatrix) else np.asarray(b, dtype=complex)
+    am, bm = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     if am.shape != bm.shape:
         raise WireError(f"shape mismatch: {am.shape} vs {bm.shape}")
     pivot = np.unravel_index(np.argmax(np.abs(bm)), bm.shape)
@@ -254,22 +185,20 @@ class CircuitDescription:
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
         for s, step in enumerate(self.steps):
+            if len(step.wires) != len(step.gate.wire_dims):
+                raise WireError(f"step {s}: gate {step.name} acts on {len(step.gate.wire_dims)} "
+                                f"wires, step names {len(step.wires)}")
             if len(set(step.wires)) != len(step.wires):
                 raise WireError(f"step {s}: repeated wire index in {list(step.wires)}")
             for w in step.wires:
                 if not 0 <= w < self.dims.n_wires:
-                    raise WireError(f"step {s}: wire index {w} out of range")
+                    raise WireError(
+                        f"step {s}: wire index {w} out of range for {self.dims.n_wires} wires")
             for w, d in zip(step.wires, step.gate.wire_dims):
                 if self.dims.dims[w] != d:
                     raise WireError(
                         f"step {s}: wire {w} has dimension {self.dims.dims[w]}, "
                         f"gate {step.name} expects {d}")
-
-    def apply(self, state: PureState, upto: int | None = None) -> PureState:
-        """Run the circuit (or its first `upto` steps) on a state."""
-        for step in self.steps[:upto]:
-            state = apply_gate(state, step.gate, step.wires)
-        return state
 
     def two_qudit_gate_count(self) -> int:
         return sum(1 for s in self.steps if s.is_multi_wire)
@@ -278,20 +207,33 @@ class CircuitDescription:
         return sum(1 for s in self.steps if not s.is_multi_wire)
 
 
-def circuit_unitary(circ: CircuitDescription) -> GateMatrix:
-    """Ordered product of the embedded step unitaries over the full register."""
-    amps = np.eye(circ.dims.total_dim, dtype=complex)
+def _apply_to_block(amps: np.ndarray, gate: GateMatrix, wires, dims: WireDims) -> np.ndarray:
+    """Apply a gate to the wires of every column of `amps`, shape (total_dim,
+    batch).  The wires are those of a step that `CircuitDescription` has
+    validated, so nothing is checked here."""
+    k = len(wires)
+    tensor = amps.reshape(dims.dims + (-1,))
+    tensor = np.moveaxis(tensor, wires, range(k))
+    out = (gate.matrix @ tensor.reshape(gate.dim, -1)).reshape(tensor.shape)
+    return np.moveaxis(out, range(k), wires).reshape(amps.shape)
+
+
+def circuit_unitary(circ: CircuitDescription) -> np.ndarray:
+    """Ordered product of the embedded step unitaries over the full register,
+    checked unitary to PRODUCT_TOL."""
+    dim = circ.dims.total_dim
+    amps = np.eye(dim, dtype=complex)
     for step in circ.steps:
         amps = _apply_to_block(amps, step.gate, step.wires, circ.dims)
-    dim = circ.dims.total_dim
     err = np.max(np.abs(amps.conj().T @ amps - np.eye(dim)))
     if not err <= PRODUCT_TOL:
         raise WireError(f"accumulated circuit product not unitary (deviation {err:.3e})")
-    # bypass GateMatrix's strict constructor tolerance: products are checked at 1e-10
-    gm = object.__new__(GateMatrix)
-    object.__setattr__(gm, "wire_dims", circ.dims.dims)
-    object.__setattr__(gm, "matrix", amps)
-    return gm
+    return amps
+
+
+def embed_gate(gate: GateMatrix, wires, dims: WireDims) -> np.ndarray:
+    """Full-register matrix of a gate on the given wires: a one-step circuit's unitary."""
+    return circuit_unitary(CircuitDescription(dims, (GateStep("embedded", (), tuple(wires), gate),)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ levels" behaviour is what makes the parking trick work.
 `build_n_ts_circuit` builds each distinct gate once per circuit, so its
 steps share gate objects.  `verify_decomposition` runs the 2^(n+1) qubit
 inputs through the circuit as digit columns and phases, each monomial step
-a gather from its gate's `monomial` table (built once per gate), and keeps
-the dense `circuit_unitary` only as the tests' reference.
+a gather from its gate's `monomial` table (built once per gate), and
+finishes on dense columns from the first other step on.  The dense
+`circuit_unitary`, an ndarray, is the tests' reference.
 """
 
 from __future__ import annotations
@@ -234,18 +235,18 @@ def qubit_subspace_indices(dims: WireDims) -> np.ndarray:
     return np.ravel_multi_index(np.indices((2,) * k).reshape(k, -1), dims.dims)
 
 
-def restrict_to_qubit_subspace(unitary: GateMatrix, dims: WireDims) -> np.ndarray:
+def restrict_to_qubit_subspace(unitary: np.ndarray, dims: WireDims) -> np.ndarray:
     idx = qubit_subspace_indices(dims)
-    return unitary.matrix[np.ix_(idx, idx)]
+    return unitary[np.ix_(idx, idx)]
 
 
-def qubit_subspace_leakage(unitary: GateMatrix, dims: WireDims) -> float:
+def qubit_subspace_leakage(unitary: np.ndarray, dims: WireDims) -> float:
     """Largest norm leaked out of the all-qubit-levels subspace over its basis inputs."""
     idx = qubit_subspace_indices(dims)
     outside = np.setdiff1d(np.arange(dims.total_dim), idx)
     if outside.size == 0:
         return 0.0
-    return float(np.max(np.linalg.norm(unitary.matrix[np.ix_(outside, idx)], axis=0)))
+    return float(np.max(np.linalg.norm(unitary[np.ix_(outside, idx)], axis=0)))
 
 
 def _run_dense(steps, dims: WireDims, digits: np.ndarray, phases: np.ndarray, max_level: int):

@@ -177,8 +177,9 @@ def _without_splitter_in(data):
     lambda data: json.dumps({**data, "bogus_key": 7}),
     lambda data: json.dumps({**data, "splitter_in": 10 ** 400}),
     lambda data: json.dumps({**data, "splitter_in": True}),
+    lambda data: json.dumps(list(data)),
 ], ids=["missing-key", "malformed-json", "reflectivity-1.5", "coupler-0.5", "unknown-key",
-        "reflectivity-400-digits", "reflectivity-true"])
+        "reflectivity-400-digits", "reflectivity-true", "top-level-array"])
 def test_bad_params_file_is_one_line_usage_error(command, rewrite, tmp_path, capsys, solution_file):
     bad = tmp_path / "bad.json"
     with open(solution_file) as fh:

@@ -590,7 +590,7 @@ def test_encode_decode_round_trip():
         state = layout.encode(np.eye(12)[basis_index(digits, layout.wire_dims)], basis)
         logical, leak = layout.decode(state)
         assert leak == 0.0
-        assert abs(logical.amplitude(digits) - 1.0) < 1e-15
+        assert abs(logical[basis_index(digits, layout.wire_dims)] - 1.0) < 1e-15
 
 
 def test_decode_reports_leakage():
@@ -602,7 +602,7 @@ def test_decode_reports_leakage():
     state = OpticalState(basis, amps)
     logical, leak = layout.decode(state)
     assert abs(leak - 0.5) < 1e-12
-    assert abs(abs(logical.amplitude((0, 1))) ** 2 - 0.75) < 1e-12
+    assert abs(abs(logical[basis_index((0, 1), layout.wire_dims)]) ** 2 - 0.75) < 1e-12
 
 
 @pytest.mark.parametrize("read", [

@@ -46,7 +46,13 @@ from qudit_toffoli.optical import (
     verify_chain_parameters,
 )
 from qudit_toffoli.report import build_report
-from qudit_toffoli.qudits import basis_digits, circuit_unitary, equiv_up_to_global_phase, random_unitary
+from qudit_toffoli.qudits import (
+    basis_digits,
+    basis_index,
+    circuit_unitary,
+    equiv_up_to_global_phase,
+    random_unitary,
+)
 from qudit_toffoli.toffoli import build_n_ts_circuit, restrict_to_qubit_subspace
 
 
@@ -193,8 +199,8 @@ def test_heralded_mid_state_is_a_clean_ququit():
     assert leak < 1e-12
     # original target-0 amplitude lives in ququit level 2 (H in path t)
     dims = QUQUIT_TARGET_LAYOUT.wire_dims
-    assert abs(logical.amplitude((0, 0, 2)) - alphas[0]) < 1e-12
-    assert abs(logical.amplitude((0, 0, 1)) - alphas[1]) < 1e-12
+    assert abs(logical[basis_index((0, 0, 2), dims)] - alphas[0]) < 1e-12
+    assert abs(logical[basis_index((0, 0, 1), dims)] - alphas[1]) < 1e-12
 
 
 def test_heralded_state_after_filter_waveplates():
@@ -242,7 +248,7 @@ def test_heralded_conditional_output_flips_001():
     assert leak < 1e-12
     expected = alphas.copy() / np.sqrt(2)
     expected[1] *= -1.0          # index 1 == (0,0,1)
-    assert np.max(np.abs(logical.amps - expected)) < 1e-12
+    assert np.max(np.abs(logical - expected)) < 1e-12
 
 
 def test_heralded_filter_probability_is_half_for_100_random_inputs():

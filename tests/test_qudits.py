@@ -12,10 +12,8 @@ from qudit_toffoli.qudits import (
     CircuitParseError,
     GateMatrix,
     GateStep,
-    PureState,
     WireDims,
     WireError,
-    apply_gate,
     basis_digits,
     basis_index,
     circuit_unitary,
@@ -26,6 +24,7 @@ from qudit_toffoli.qudits import (
 )
 from qudit_toffoli.toffoli import (
     build_n_ts_circuit,
+    gate_cnot_embedded,
     gate_xa,
     oracle_n_toffoli_sign,
     standard_gate_builder,
@@ -71,29 +70,30 @@ def test_wire_dims_rejects_dimension_below_two():
 
 
 # ---------------------------------------------------------------------------
-# gate application
+# gate application: a state after k steps is the state times the unitary of
+# the circuit's first k steps
 # ---------------------------------------------------------------------------
 
 def _random_state(dims, rng):
     amps = rng.normal(size=dims.total_dim) + 1j * rng.normal(size=dims.total_dim)
-    return PureState(dims, amps / np.linalg.norm(amps))
+    return amps / np.linalg.norm(amps)
 
 
 def test_identity_gate_leaves_state_alone():
     dims = WireDims((2, 3))
     state = _random_state(dims, np.random.default_rng(0))
     eye = GateMatrix((3,), np.eye(3))
-    out = apply_gate(state, eye, (1,))
-    assert np.allclose(out.amps, state.amps, atol=1e-15)
+    out = circuit_unitary(CircuitDescription(dims, (GateStep("eye", (), (1,), eye),))) @ state
+    assert np.allclose(out, state, atol=1e-15)
 
 
 def test_xa_on_qutrit_wire():
     # X_A takes the target of |0,0,0> to level 2
     dims = WireDims((2, 2, 3))
-    state = PureState.basis(dims, (0, 0, 0))
-    out = apply_gate(state, gate_xa(3), (2,))
-    assert abs(out.amplitude((0, 0, 2)) - 1.0) < 1e-15
-    assert abs(out.norm() - 1.0) < 1e-15
+    u = circuit_unitary(CircuitDescription(dims, (GateStep("xa", (), (2,), gate_xa(3)),)))
+    out = u[:, basis_index((0, 0, 0), dims)]
+    assert abs(out[basis_index((0, 0, 2), dims)] - 1.0) < 1e-15
+    assert abs(np.linalg.norm(out) - 1.0) < 1e-15
 
 
 def test_unitary_then_adjoint_restores_state():
@@ -101,29 +101,30 @@ def test_unitary_then_adjoint_restores_state():
     dims = WireDims((2, 3, 2))
     state = _random_state(dims, rng)
     u = random_unitary(6, rng)
-    gate = GateMatrix((3, 2), u)
-    adjoint = GateMatrix((3, 2), u.conj().T)
-    out = apply_gate(apply_gate(state, gate, (1, 2)), adjoint, (1, 2))
-    assert np.max(np.abs(out.amps - state.amps)) < 1e-12
+    steps = (GateStep("u", (), (1, 2), GateMatrix((3, 2), u)),
+             GateStep("u_dagger", (), (1, 2), GateMatrix((3, 2), u.conj().T)))
+    out = circuit_unitary(CircuitDescription(dims, steps)) @ state
+    assert np.max(np.abs(out - state)) < 1e-12
 
 
 def test_norm_preserved_under_random_gates():
     rng = np.random.default_rng(2)
     dims = WireDims((2, 3, 4))
     state = _random_state(dims, rng)
+    steps = []
     for _ in range(40):
         wire = int(rng.integers(3))
         d = dims.dims[wire]
-        state = apply_gate(state, GateMatrix((d,), random_unitary(d, rng)), (wire,))
-        assert abs(state.norm() - 1.0) < 1e-12
+        steps.append(GateStep("u", (), (wire,), GateMatrix((d,), random_unitary(d, rng))))
+    for k in range(1, len(steps) + 1):
+        out = circuit_unitary(CircuitDescription(dims, steps[:k])) @ state
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
 def test_apply_gate_rejects_repeated_wire():
-    dims = WireDims((2, 2))
-    state = PureState.basis(dims, (0, 0))
     gate = GateMatrix((2, 2), np.eye(4))
     with pytest.raises(WireError, match="repeated"):
-        apply_gate(state, gate, (0, 0))
+        embed_gate(gate, (0, 0), WireDims((2, 2)))
 
 
 def test_circuit_rejects_repeated_wire():
@@ -133,11 +134,9 @@ def test_circuit_rejects_repeated_wire():
 
 
 def test_apply_gate_rejects_dimension_mismatch():
-    dims = WireDims((2, 3))
-    state = PureState.basis(dims, (0, 0))
     gate = GateMatrix((2,), np.eye(2))
     with pytest.raises(WireError, match="dimension"):
-        apply_gate(state, gate, (1,))
+        embed_gate(gate, (1,), WireDims((2, 3)))
 
 
 def test_disjoint_wire_gates_commute():
@@ -149,6 +148,29 @@ def test_disjoint_wire_gates_commute():
         a = embed_gate(g1, (0, 1), dims) @ embed_gate(g2, (2, 3), dims)
         b = embed_gate(g2, (2, 3), dims) @ embed_gate(g1, (0, 1), dims)
         assert np.max(np.abs(a - b)) < 1e-10
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
+       sizes=st.lists(st.integers(2, 4), min_size=1, max_size=5).filter(lambda d: math.prod(d) <= 64))
+def test_embed_gate_matches_kron_under_the_wire_permutation(data, seed, sizes):
+    """A random non-monomial unitary on a random ordered subset of wires,
+    against (g kron I) in the basis whose leading digits are the gate's wires
+    in the step's order, brought back by an explicit basis permutation: no
+    axis moves, unlike the kernel."""
+    dims = WireDims(tuple(sizes))
+    wires = data.draw(st.lists(st.integers(0, dims.n_wires - 1), min_size=1,
+                               max_size=dims.n_wires, unique=True))
+    gate_dims = tuple(sizes[w] for w in wires)
+    gate = GateMatrix(gate_dims, random_unitary(math.prod(gate_dims), np.random.default_rng(seed)))
+    assert gate.monomial is None
+    order = wires + [w for w in range(dims.n_wires) if w not in wires]
+    digits = np.indices(sizes).reshape(dims.n_wires, -1)
+    moved = np.ravel_multi_index(digits[order], [sizes[w] for w in order])
+    perm = np.zeros((dims.total_dim, dims.total_dim))
+    perm[moved, np.arange(dims.total_dim)] = 1.0     # full-register index -> gate-wires-first index
+    front = np.kron(gate.matrix, np.eye(dims.total_dim // gate.dim))
+    assert np.max(np.abs(embed_gate(gate, wires, dims) - perm.T @ front @ perm)) < 1e-12
 
 
 def test_gate_matrix_rejects_non_unitary():
@@ -194,7 +216,7 @@ def test_empty_circuit_is_identity():
     from qudit_toffoli.qudits import CircuitDescription
     circ = CircuitDescription(WireDims((2, 3)), ())
     u = circuit_unitary(circ)
-    assert np.allclose(u.matrix, np.eye(6))
+    assert np.allclose(u, np.eye(6))
 
 
 def test_ts_circuit_unitary_restricted_diagonal():
@@ -212,7 +234,7 @@ def test_two_ts_circuits_cancel_on_qubit_subspace():
     from qudit_toffoli.toffoli import restrict_to_qubit_subspace
     circ = build_n_ts_circuit(2)
     u = circuit_unitary(circ)
-    squared = u.matrix @ u.matrix
+    squared = u @ u
     idx = [0, 1, 3, 4, 6, 7, 9, 10]
     assert np.max(np.abs(squared[np.ix_(idx, idx)] - np.eye(8))) < 1e-10
 
@@ -263,7 +285,7 @@ def test_parse_ts_circuit_matches_builder():
     built = build_n_ts_circuit(2)
     assert parsed.dims == built.dims
     assert [s.name for s in parsed.steps] == [s.name for s in built.steps]
-    assert np.allclose(circuit_unitary(parsed).matrix, circuit_unitary(built).matrix)
+    assert np.allclose(circuit_unitary(parsed), circuit_unitary(built))
 
 
 def test_parse_parameterized_gate():
@@ -357,12 +379,6 @@ def test_gate_matrix_rejects_nan():
         GateMatrix((2,), [[np.nan, 0], [0, 1]])
 
 
-def test_apply_gate_rejects_nan_norm():
-    state = PureState(WireDims((2,)), np.array([np.nan, 0.0]))
-    with pytest.raises(WireError, match="norm drifted"):
-        apply_gate(state, GateMatrix((2,), [[0, 1], [1, 0]]), [0])
-
-
 def test_circuit_unitary_rejects_nan_product():
     nan_gate = _unchecked_gate([[np.nan, 0], [0, 1]])
     circ = CircuitDescription(WireDims((2, 2)), (GateStep("nan", (), (0,), nan_gate),))
@@ -395,6 +411,7 @@ def test_verify_decomposition_rejects_non_unitary_monomial_step(matrix):
 # ---------------------------------------------------------------------------
 
 _BIT = GateMatrix((2,), np.eye(2))
+_CNOT = gate_cnot_embedded(2, 2)
 
 
 @pytest.mark.parametrize("call, error, fragment", [
@@ -402,16 +419,18 @@ _BIT = GateMatrix((2,), np.eye(2))
                  "expected 2 digits, got 1", id="index-digit-count"),
     pytest.param(lambda: basis_digits(4, WireDims((2, 2))), WireError,
                  "index 4 out of range for total dimension 4", id="digits-index-range"),
-    pytest.param(lambda: PureState(WireDims((2,)), np.ones(3)), WireError,
-                 "amplitude vector has length (3,), register needs 2", id="state-length"),
     pytest.param(lambda: GateMatrix((2,), np.eye(3)), WireError,
                  "matrix shape (3, 3) does not match wire dims (2,)", id="gate-shape"),
-    pytest.param(lambda: apply_gate(PureState.basis(WireDims((2, 2)), (0, 0)), _BIT, (2,)), WireError,
+    pytest.param(lambda: embed_gate(_BIT, (2,), WireDims((2, 2))), WireError,
                  "wire index 2 out of range for 2 wires", id="apply-wire-range"),
     pytest.param(lambda: CircuitDescription(WireDims((2, 2)), (GateStep("x", (), (2,), _BIT),)), WireError,
                  "step 0: wire index 2 out of range", id="circuit-wire-range"),
     pytest.param(lambda: CircuitDescription(WireDims((2, 3)), (GateStep("x", (), (1,), _BIT),)), WireError,
                  "step 0: wire 1 has dimension 3, gate x expects 2", id="circuit-dimension"),
+    pytest.param(lambda: CircuitDescription(WireDims((2, 2)), (GateStep("cnot", (), (0,), _CNOT),)), WireError,
+                 "step 0: gate cnot acts on 2 wires, step names 1", id="circuit-arity-short"),
+    pytest.param(lambda: CircuitDescription(WireDims((2, 2)), (GateStep("x", (), (0, 1), _BIT),)), WireError,
+                 "step 0: gate x acts on 1 wires, step names 2", id="circuit-arity-long"),
     pytest.param(lambda: parse_circuit("dims 2\n1x 0", standard_gate_builder), CircuitParseError,
                  "line 2: cannot parse step '1x 0'", id="parse-step"),
     pytest.param(lambda: parse_circuit("dims 2\nx", standard_gate_builder), CircuitParseError,

@@ -11,9 +11,7 @@ from qudit_toffoli.qudits import (
     PRODUCT_TOL,
     CircuitDescription,
     GateStep,
-    PureState,
     WireDims,
-    apply_gate,
     basis_digits,
     basis_index,
     circuit_unitary,
@@ -130,8 +128,8 @@ def test_cnot_is_hadamard_conjugated_cs():
 # ---------------------------------------------------------------------------
 
 def _arbitrary_three_qubit_state(rng=None):
-    """Input state with every qubit component populated; the target starts
-    in its qubit levels only."""
+    """Input amplitudes on (2, 2, 3) with every qubit component populated;
+    the target starts in its qubit levels only."""
     dims = WireDims((2, 2, 3))
     if rng is None:
         alphas = np.full((2, 2, 2), 1 / np.sqrt(8), dtype=complex)
@@ -143,7 +141,15 @@ def _arbitrary_three_qubit_state(rng=None):
         for j in range(2):
             for k in range(2):
                 amps[basis_index((i, j, k), dims)] = alphas[i, j, k]
-    return PureState(dims, amps), alphas
+    return amps, alphas
+
+
+def _run_prefix(circ, upto, amps):
+    """Amplitudes after the circuit's first `upto` steps (all of them for
+    None), as a function of the digits: the input times the prefix
+    circuit's unitary."""
+    out = circuit_unitary(CircuitDescription(circ.dims, circ.steps[:upto])) @ amps
+    return lambda digits: out[basis_index(digits, circ.dims)]
 
 
 def test_ts_circuit_intermediate_states():
@@ -155,35 +161,35 @@ def test_ts_circuit_intermediate_states():
     circ = build_n_ts_circuit(2)
     state, a = _arbitrary_three_qubit_state(rng)
 
-    after_xa = circ.apply(state, upto=1)
+    after_xa = _run_prefix(circ, 1, state)
     for i in range(2):
         for j in range(2):
-            assert abs(after_xa.amplitude((i, j, 2)) - a[i, j, 0]) < 1e-14
-            assert abs(after_xa.amplitude((i, j, 1)) - a[i, j, 1]) < 1e-14
-            assert abs(after_xa.amplitude((i, j, 0))) < 1e-14
+            assert abs(after_xa((i, j, 2)) - a[i, j, 0]) < 1e-14
+            assert abs(after_xa((i, j, 1)) - a[i, j, 1]) < 1e-14
+            assert abs(after_xa((i, j, 0))) < 1e-14
 
-    after_cnot = circ.apply(state, upto=2)
+    after_cnot = _run_prefix(circ, 2, state)
     for i in range(2):
-        assert abs(after_cnot.amplitude((i, 0, 2)) - a[i, 0, 0]) < 1e-14
-        assert abs(after_cnot.amplitude((i, 0, 1)) - a[i, 0, 1]) < 1e-14
-        assert abs(after_cnot.amplitude((i, 1, 2)) - a[i, 1, 0]) < 1e-14
-        assert abs(after_cnot.amplitude((i, 1, 0)) - a[i, 1, 1]) < 1e-14
+        assert abs(after_cnot((i, 0, 2)) - a[i, 0, 0]) < 1e-14
+        assert abs(after_cnot((i, 0, 1)) - a[i, 0, 1]) < 1e-14
+        assert abs(after_cnot((i, 1, 2)) - a[i, 1, 0]) < 1e-14
+        assert abs(after_cnot((i, 1, 0)) - a[i, 1, 1]) < 1e-14
 
-    after_cs = circ.apply(state, upto=3)
-    assert abs(after_cs.amplitude((1, 0, 1)) + a[1, 0, 1]) < 1e-14
-    assert abs(after_cs.amplitude((0, 0, 1)) - a[0, 0, 1]) < 1e-14
+    after_cs = _run_prefix(circ, 3, state)
+    assert abs(after_cs((1, 0, 1)) + a[1, 0, 1]) < 1e-14
+    assert abs(after_cs((0, 0, 1)) - a[0, 0, 1]) < 1e-14
 
 
 def test_ts_circuit_flips_101_component_only():
     circ = build_n_ts_circuit(2)
     state, a = _arbitrary_three_qubit_state()
-    out = circ.apply(state)
+    out = _run_prefix(circ, None, state)
     for i in range(2):
         for j in range(2):
             for k in range(2):
                 expected = -a[i, j, k] if (i, j, k) == (1, 0, 1) else a[i, j, k]
-                assert abs(out.amplitude((i, j, k)) - expected) < 1e-13
-            assert abs(out.amplitude((i, j, 2))) < 1e-13
+                assert abs(out((i, j, k)) - expected) < 1e-13
+            assert abs(out((i, j, 2))) < 1e-13
 
 
 def test_ts_circuit_has_three_two_qudit_gates():
@@ -197,7 +203,7 @@ def test_hadamard_conjugation_gives_toffoli_up_to_bit_flip():
     circ = build_n_ts_circuit(2)
     dims = circ.dims
     h_full = embed_gate(gate_h_padded(3), (2,), dims)
-    u = h_full @ circuit_unitary(circ).matrix @ h_full
+    u = h_full @ circuit_unitary(circ) @ h_full
     idx = qubit_subspace_indices(dims)
     restricted = u[np.ix_(idx, idx)]
 
@@ -391,15 +397,16 @@ def _dense_equivalent_to_all_ones(restricted, component, n):
 
 
 def _prefix_max_level(circ):
-    """Highest target level holding amplitude after any prefix, from
-    per-state evolution of every all-qubit-levels input, one step at a time."""
+    """Highest target level holding amplitude after any prefix, from the
+    columns of every all-qubit-levels input in the unitary of each prefix
+    circuit (the first k steps, for every k)."""
+    inputs = [basis_index(digits, circ.dims)
+              for digits in itertools.product((0, 1), repeat=circ.dims.n_wires)]
     level = 1
-    for digits in itertools.product((0, 1), repeat=circ.dims.n_wires):
-        state = PureState.basis(circ.dims, digits)
-        for step in circ.steps:
-            state = apply_gate(state, step.gate, step.wires)
-            for index in np.nonzero(np.abs(state.amps) > 1e-9)[0]:
-                level = max(level, basis_digits(int(index), circ.dims)[-1])
+    for k in range(1, len(circ.steps) + 1):
+        columns = circuit_unitary(CircuitDescription(circ.dims, circ.steps[:k]))[:, inputs]
+        for index in np.nonzero((np.abs(columns) > 1e-9).any(axis=1))[0]:
+            level = max(level, basis_digits(int(index), circ.dims)[-1])
     return level
 
 

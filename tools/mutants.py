@@ -110,6 +110,15 @@ CATALOGUE = (
            "rows = nonzero.argmax(axis=0)",
            "rows = nonzero.argmax(axis=1)",
            ("tests/test_qudits.py::test_monomial_table_rebuilds_a_random_monomial_gate",)),
+    Mutant("circuit accepts a step of the wrong arity", QUDITS,
+           "            if len(step.wires) != len(step.gate.wire_dims):\n",
+           "            if False:\n",
+           ("tests/test_qudits.py::test_each_guard_is_a_one_line_error",)),
+    Mutant("kernel moves the gate's wires in reverse order", QUDITS,
+           "np.moveaxis(tensor, wires, range(k))",
+           "np.moveaxis(tensor, wires[::-1], range(k))",
+           ("tests/test_qudits.py::test_embed_gate_matches_kron_under_the_wire_permutation",
+            "tests/test_toffoli.py::test_monomial_route_matches_the_dense_unitary")),
     Mutant("lift drops the ladder factor", FOCK,
            "coeff * u * math.sqrt(out[i])",
            "coeff * u",
