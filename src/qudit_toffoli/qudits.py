@@ -9,6 +9,13 @@ There is one dense route through a register, `circuit_unitary`: the steps
 of a `CircuitDescription`, which validates each step once, applied in turn
 by the unchecked kernel `_apply_to_block`.  `embed_gate` is a one-step circuit.
 
+A monomial gate (one nonzero per column) has a `MonomialTable`.  A gate
+built by `GateMatrix.from_columns` is checked and stored as that table, in
+O(dim), and scatters its dense matrix once.  A gate handed in as a dense
+matrix is checked by a dim^3 product, and its table, if it has one, is
+discovered from the matrix on first use: that is the route for such gates
+and the independent check of the column route.
+
 Everything here is a pure function on immutable-by-convention values; no
 operation mutates its inputs.
 """
@@ -17,7 +24,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -97,30 +104,65 @@ class MonomialTable:
     digits: np.ndarray    # (k, dim) output digits of each input column
     entries: np.ndarray   # (dim,) each column's nonzero entry
 
+    @classmethod
+    def from_rows(cls, wire_dims: tuple[int, ...], rows: np.ndarray, entries: np.ndarray) -> MonomialTable:
+        """The table of the gate whose column j has its nonzero entries[j] in
+        local row rows[j].  Its arrays are read-only, like the gate's matrix, so
+        the two stay true to each other; `entries` itself becomes one of them."""
+        strides = np.array([math.prod(wire_dims[w + 1:]) for w in range(len(wire_dims))])
+        table = cls(strides, np.array(np.unravel_index(rows, wire_dims)), entries)
+        for array in (table.strides, table.digits, table.entries):
+            array.flags.writeable = False
+        return table
+
 
 @dataclass(frozen=True)
 class GateMatrix:
     """Unitary acting on a (sub)register with the given per-wire dimensions.
 
     The constructor keeps a read-only copy of the matrix, so one gate can be
-    shared by many circuit steps and its cached `monomial` table stays true to
-    it; the caller's array is left writable."""
+    shared by many circuit steps and its `monomial` table stays true to it;
+    the caller's array is left writable.  `from_columns` builds a monomial
+    gate from its column map instead (`_columns`, with `matrix` None)."""
 
     wire_dims: tuple[int, ...]
     matrix: np.ndarray
+    _columns: InitVar[tuple | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _columns):
         wd = tuple(int(d) for d in self.wire_dims)
         object.__setattr__(self, "wire_dims", wd)
-        mat = np.array(self.matrix, dtype=complex)
         dim = math.prod(wd)
-        if mat.shape != (dim, dim):
-            raise WireError(f"matrix shape {mat.shape} does not match wire dims {wd}")
-        err = np.max(np.abs(mat.conj().T @ mat - np.eye(dim)))
-        if not err <= NORM_TOL:
-            raise WireError(f"matrix is not unitary (deviation {err:.3e})")
+        if _columns is None:
+            mat = np.array(self.matrix, dtype=complex)
+            if mat.shape != (dim, dim):
+                raise WireError(f"matrix shape {mat.shape} does not match wire dims {wd}")
+            err = np.max(np.abs(mat.conj().T @ mat - np.eye(dim)))
+            if not err <= NORM_TOL:
+                raise WireError(f"matrix is not unitary (deviation {err:.3e})")
+        else:
+            rows, entries = np.asarray(_columns[0]), np.array(_columns[1], dtype=complex)
+            if rows.dtype.kind not in "iu" or rows.shape != (dim,) or entries.shape != (dim,):
+                raise WireError(f"column map needs {dim} integer rows and {dim} entries for wire dims "
+                                f"{wd}, got {rows.size} {rows.dtype} rows and {entries.size} entries")
+            if set(rows.tolist()) != set(range(dim)):
+                raise WireError(f"column rows {rows.tolist()} are not a permutation of range({dim})")
+            err = np.abs(np.abs(entries) - 1.0).max()
+            if not err <= NORM_TOL:
+                raise WireError(f"matrix is not unitary (an entry is {err:.3e} off the unit circle)")
+            mat = np.zeros((dim, dim), dtype=complex)
+            mat[rows, np.arange(dim)] = entries
+            object.__setattr__(self, "monomial", MonomialTable.from_rows(wd, rows, entries))
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
+
+    @classmethod
+    def from_columns(cls, wire_dims, rows, entries) -> GateMatrix:
+        """The monomial gate whose column j goes to local row rows[j] with the
+        factor entries[j].  Unitary iff `rows` is a permutation of range(dim)
+        and every entry is within NORM_TOL of the unit circle, which is
+        checked in O(dim); the table is stored as the gate's `monomial`."""
+        return cls(wire_dims, None, (rows, entries))
 
     @property
     def dim(self) -> int:
@@ -129,14 +171,14 @@ class GateMatrix:
     @cached_property
     def monomial(self) -> MonomialTable | None:
         """The gate's `MonomialTable`, or None if some column does not have
-        exactly one nonzero.  Built on first use and kept on the gate."""
+        exactly one nonzero.  A gate from `from_columns` holds it from
+        construction; for any other gate it is discovered from the dense
+        matrix on first use and kept on the gate."""
         nonzero = self.matrix != 0
         if not (nonzero.sum(axis=0) == 1).all():
             return None
         rows = nonzero.argmax(axis=0)
-        strides = np.array([math.prod(self.wire_dims[w + 1:]) for w in range(len(self.wire_dims))])
-        return MonomialTable(strides, np.array(np.unravel_index(rows, self.wire_dims)),
-                             self.matrix[rows, np.arange(rows.size)])
+        return MonomialTable.from_rows(self.wire_dims, rows, self.matrix[rows, np.arange(rows.size)])
 
 
 def equiv_up_to_global_phase(a, b, tol: float = PRODUCT_TOL):
@@ -188,12 +230,14 @@ class CircuitDescription:
             if len(step.wires) != len(step.gate.wire_dims):
                 raise WireError(f"step {s}: gate {step.name} acts on {len(step.gate.wire_dims)} "
                                 f"wires, step names {len(step.wires)}")
-            if len(set(step.wires)) != len(step.wires):
-                raise WireError(f"step {s}: repeated wire index in {list(step.wires)}")
             for w in step.wires:
+                if isinstance(w, bool) or not isinstance(w, (int, np.integer)):
+                    raise WireError(f"step {s}: wire {w!r} is not an integer")
                 if not 0 <= w < self.dims.n_wires:
                     raise WireError(
                         f"step {s}: wire index {w} out of range for {self.dims.n_wires} wires")
+            if len(set(step.wires)) != len(step.wires):
+                raise WireError(f"step {s}: repeated wire index in {list(step.wires)}")
             for w, d in zip(step.wires, step.gate.wire_dims):
                 if self.dims.dims[w] != d:
                     raise WireError(

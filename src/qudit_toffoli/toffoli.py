@@ -12,12 +12,14 @@ Controlled gates here act on the {0,1} sub-block of their target and do
 nothing on any higher target level; that "acts as identity on borrowed
 levels" behaviour is what makes the parking trick work.
 
-`build_n_ts_circuit` builds each distinct gate once per circuit, so its
-steps share gate objects.  `verify_decomposition` runs the 2^(n+1) qubit
-inputs through the circuit as digit columns and phases, each monomial step
-a gather from its gate's `monomial` table (built once per gate), and
-finishes on dense columns from the first other step on.  The dense
-`circuit_unitary`, an ndarray, is the tests' reference.
+Every library gate but `h` is monomial and is built from its column map
+(`GateMatrix.from_columns`), so it carries its `monomial` table from
+construction.  `build_n_ts_circuit` builds each distinct gate once per
+circuit, so its steps share gate objects.  `verify_decomposition` runs the
+2^(n+1) qubit inputs through the circuit as digit columns and phases, each
+monomial step a gather from its gate's table, and finishes on dense columns
+from the first other step on.  The dense `circuit_unitary`, an ndarray, is
+the tests' reference.
 """
 
 from __future__ import annotations
@@ -59,9 +61,9 @@ def gate_level_swap(j: int, k: int, d: int) -> GateMatrix:
         raise ValueError(f"level swap needs two distinct levels, got {j},{k}")
     if not (0 <= j < d and 0 <= k < d):
         raise ValueError(f"levels ({j},{k}) out of range for dimension {d}")
-    mat = np.eye(d, dtype=complex)
-    mat[[j, k]] = mat[[k, j]]
-    return GateMatrix((d,), mat)
+    rows = np.arange(d)
+    rows[j], rows[k] = k, j
+    return GateMatrix.from_columns((d,), rows, np.ones(d))
 
 
 def gate_xa(d: int) -> GateMatrix:
@@ -98,21 +100,18 @@ def gate_cs_embedded(dc: int, dt: int) -> GateMatrix:
     """
     if dc < 2 or dt < 2:
         raise ValueError("controlled-sign needs dimensions >= 2")
-    diag = np.ones(dc * dt, dtype=complex)
-    diag[1 * dt + 1] = -1.0
-    return GateMatrix((dc, dt), np.diag(diag))
+    entries = np.ones(dc * dt)
+    entries[1 * dt + 1] = -1.0
+    return GateMatrix.from_columns((dc, dt), np.arange(dc * dt), entries)
 
 
 def gate_cnot_embedded(dc: int, dt: int) -> GateMatrix:
     """X on the target's {0,1} levels iff the control is 1; identity otherwise."""
     if dc < 2 or dt < 2:
         raise ValueError("controlled-NOT needs dimensions >= 2")
-    mat = np.zeros((dc * dt, dc * dt), dtype=complex)
-    for c in range(dc):
-        for t in range(dt):
-            t_out = (1 - t) if (c == 1 and t < 2) else t
-            mat[c * dt + t_out, c * dt + t] = 1.0
-    return GateMatrix((dc, dt), mat)
+    rows = np.arange(dc * dt)
+    rows[dt], rows[dt + 1] = dt + 1, dt  # control 1 (local index dt + t): target levels 0 and 1 swap
+    return GateMatrix.from_columns((dc, dt), rows, np.ones(dc * dt))
 
 
 # Parameterless gates by (name, wire count), each built from the wire dimensions.

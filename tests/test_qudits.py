@@ -121,7 +121,7 @@ def test_norm_preserved_under_random_gates():
         assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
-def test_apply_gate_rejects_repeated_wire():
+def test_embed_gate_rejects_repeated_wire():
     gate = GateMatrix((2, 2), np.eye(4))
     with pytest.raises(WireError, match="repeated"):
         embed_gate(gate, (0, 0), WireDims((2, 2)))
@@ -133,7 +133,7 @@ def test_circuit_rejects_repeated_wire():
         CircuitDescription(WireDims((2, 2)), (GateStep("cs", (), (1, 1), gate),))
 
 
-def test_apply_gate_rejects_dimension_mismatch():
+def test_embed_gate_rejects_dimension_mismatch():
     gate = GateMatrix((2,), np.eye(2))
     with pytest.raises(WireError, match="dimension"):
         embed_gate(gate, (1,), WireDims((2, 3)))
@@ -185,6 +185,14 @@ def test_gate_matrix_keeps_a_read_only_copy():
         gate.matrix[0, 0] = -1
     mine[0, 0] = -1                  # the caller's array stays writable and apart from the gate's
     assert gate.matrix[0, 0] == 1
+
+
+@pytest.mark.parametrize("gate", [gate_xa(3), GateMatrix((2,), [[0, 1], [1, 0]])], ids=["columns", "dense"])
+def test_monomial_table_is_read_only(gate):
+    table = gate.monomial
+    for array in (table.strides, table.digits, table.entries):
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 0
 
 
 @pytest.mark.parametrize("wire_dims", [(3,), (2, 3), (3, 2, 2)])
@@ -421,10 +429,24 @@ _CNOT = gate_cnot_embedded(2, 2)
                  "index 4 out of range for total dimension 4", id="digits-index-range"),
     pytest.param(lambda: GateMatrix((2,), np.eye(3)), WireError,
                  "matrix shape (3, 3) does not match wire dims (2,)", id="gate-shape"),
+    pytest.param(lambda: GateMatrix.from_columns((3,), [0, 1, 1], np.ones(3)), WireError,
+                 "column rows [0, 1, 1] are not a permutation of range(3)", id="columns-repeated-row"),
+    pytest.param(lambda: GateMatrix.from_columns((3,), [0, 1, 3], np.ones(3)), WireError,
+                 "column rows [0, 1, 3] are not a permutation of range(3)", id="columns-row-range"),
+    pytest.param(lambda: GateMatrix.from_columns((2, 2), [0, 1, 2], np.ones(3)), WireError,
+                 "column map needs 4 integer rows and 4 entries for wire dims (2, 2), got 3", id="columns-length"),
+    pytest.param(lambda: GateMatrix.from_columns((2,), [1, 0], [np.nan, 1]), WireError,
+                 "matrix is not unitary (an entry is nan off the unit circle)", id="columns-nan"),
+    pytest.param(lambda: GateMatrix.from_columns((2,), [1, 0], [1, 1 + 1e-9]), WireError,
+                 "matrix is not unitary (an entry is 1.000e-09 off the unit circle)", id="columns-off-circle"),
     pytest.param(lambda: embed_gate(_BIT, (2,), WireDims((2, 2))), WireError,
-                 "wire index 2 out of range for 2 wires", id="apply-wire-range"),
+                 "wire index 2 out of range for 2 wires", id="embed-wire-range"),
     pytest.param(lambda: CircuitDescription(WireDims((2, 2)), (GateStep("x", (), (2,), _BIT),)), WireError,
                  "step 0: wire index 2 out of range", id="circuit-wire-range"),
+    pytest.param(lambda: CircuitDescription(WireDims((2, 2)), (GateStep("x", (), (1.0,), _BIT),)), WireError,
+                 "step 0: wire 1.0 is not an integer", id="wire-float"),
+    pytest.param(lambda: CircuitDescription(WireDims((2, 2)), (GateStep("x", (), (True,), _BIT),)), WireError,
+                 "step 0: wire True is not an integer", id="wire-bool"),
     pytest.param(lambda: CircuitDescription(WireDims((2, 3)), (GateStep("x", (), (1,), _BIT),)), WireError,
                  "step 0: wire 1 has dimension 3, gate x expects 2", id="circuit-dimension"),
     pytest.param(lambda: CircuitDescription(WireDims((2, 2)), (GateStep("cnot", (), (0,), _CNOT),)), WireError,

@@ -1,5 +1,6 @@
 """Qutrit/qudit Toffoli-sign constructions against brute-force oracles."""
 
+import dataclasses
 import itertools
 import re
 
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qudit_toffoli.qudits import (
+    NORM_TOL,
     PRODUCT_TOL,
     CircuitDescription,
+    GateMatrix,
     GateStep,
     WireDims,
     basis_digits,
@@ -121,6 +124,58 @@ def test_cnot_is_hadamard_conjugated_cs():
         h = np.kron(np.eye(2), gate_h_padded(dt).matrix)
         product = h @ gate_cs_embedded(2, dt).matrix @ h
         assert np.max(np.abs(product - gate_cnot_embedded(2, dt).matrix)) < 1e-12
+
+
+# each monomial library gate is built from its column map; the dense
+# constructions it replaced, inlined, are the reference for its matrix
+
+def _dense_level_swap(j, k, d):
+    mat = np.eye(d, dtype=complex)
+    mat[[j, k]] = mat[[k, j]]
+    return mat
+
+
+def _dense_cs(dc, dt):
+    diag = np.ones(dc * dt, dtype=complex)
+    diag[1 * dt + 1] = -1.0
+    return np.diag(diag)
+
+
+def _dense_cnot(dc, dt):
+    mat = np.zeros((dc * dt, dc * dt), dtype=complex)
+    for c in range(dc):
+        for t in range(dt):
+            t_out = (1 - t) if (c == 1 and t < 2) else t
+            mat[c * dt + t_out, c * dt + t] = 1.0
+    return mat
+
+
+_LIBRARY_GATES = (
+    [pytest.param(gate_xa, (d,), _dense_level_swap, (0, 2, d), id=f"xa-{d}") for d in range(3, 10)]
+    + [pytest.param(gate_xb, (d,), _dense_level_swap, (1, 3, d), id=f"xb-{d}") for d in range(4, 10)]
+    + [pytest.param(gate_x_padded, (d,), _dense_level_swap, (0, 1, d), id=f"x-{d}") for d in range(2, 10)]
+    + [pytest.param(gate_level_swap, (j, k, d), _dense_level_swap, (j, k, d), id=f"swap-{j}-{k}-{d}")
+       for d in range(2, 7) for j in range(d) for k in range(d) if j != k]
+    + [pytest.param(gate_cs_embedded, (dc, dt), _dense_cs, (dc, dt), id=f"cs-{dc}x{dt}")
+       for dc in range(2, 6) for dt in range(2, 6)]
+    + [pytest.param(gate_cnot_embedded, (dc, dt), _dense_cnot, (dc, dt), id=f"cnot-{dc}x{dt}")
+       for dc in range(2, 6) for dt in range(2, 6)])
+
+
+@pytest.mark.parametrize("build, args, dense, dense_args", _LIBRARY_GATES)
+def test_library_gate_columns_match_dense_discovery(build, args, dense, dense_args):
+    gate = build(*args)
+    assert "monomial" in vars(gate)          # stored by the constructor, not discovered
+    discovered = GateMatrix(gate.wire_dims, gate.matrix).monomial
+    for f in dataclasses.fields(discovered):
+        built, found = getattr(gate.monomial, f.name), getattr(discovered, f.name)
+        assert built.dtype == found.dtype and np.array_equal(built, found), f.name
+    mat = gate.matrix
+    assert np.max(np.abs(mat.conj().T @ mat - np.eye(gate.dim))) <= NORM_TOL
+    expected = dense(*dense_args)
+    assert mat.dtype == expected.dtype and mat.shape == expected.shape
+    assert mat.tobytes() == expected.tobytes()
+    assert not mat.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,11 @@ CATALOGUE = (
            "key = (name, wire_dims)",
            ("tests/test_toffoli.py::test_each_distinct_gate_is_built_once_per_circuit",
             "tests/test_toffoli.py::test_scaling_and_fidelity")),
+    Mutant("cnot column map swaps the control's 0 rows", TOFFOLI,
+           "rows[dt], rows[dt + 1] = dt + 1, dt",
+           "rows[0], rows[1] = 1, 0",
+           ("tests/test_toffoli.py::test_library_gate_columns_match_dense_discovery",
+            "tests/test_toffoli.py::test_scaling_and_fidelity")),
     Mutant("table built along rows", QUDITS,
            "rows = nonzero.argmax(axis=0)",
            "rows = nonzero.argmax(axis=1)",
@@ -114,6 +119,16 @@ CATALOGUE = (
            "            if len(step.wires) != len(step.gate.wire_dims):\n",
            "            if False:\n",
            ("tests/test_qudits.py::test_each_guard_is_a_one_line_error",)),
+    Mutant("permutation check dropped", QUDITS,
+           "            if set(rows.tolist()) != set(range(dim)):\n",
+           "            if False:\n",
+           ("tests/test_qudits.py::test_each_guard_is_a_one_line_error[columns-repeated-row]",
+            "tests/test_qudits.py::test_each_guard_is_a_one_line_error[columns-row-range]")),
+    Mutant("unit-modulus check dropped", QUDITS,
+           "err = np.abs(np.abs(entries) - 1.0).max()",
+           "err = 0.0",
+           ("tests/test_qudits.py::test_each_guard_is_a_one_line_error[columns-nan]",
+            "tests/test_qudits.py::test_each_guard_is_a_one_line_error[columns-off-circle]")),
     Mutant("kernel moves the gate's wires in reverse order", QUDITS,
            "np.moveaxis(tensor, wires, range(k))",
            "np.moveaxis(tensor, wires[::-1], range(k))",
