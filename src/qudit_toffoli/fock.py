@@ -27,9 +27,14 @@ Conventions, fixed once and used everywhere:
 Every element has one route into Fock space, `element.fock_operator(basis)`:
 the `lift_to_fock` of its own block embedded in the m x m identity, a dense
 matrix built once per call; a cross-Kerr's is the diagonal of its phases.
-`element.apply` multiplies by it and `circuit_fock_operator` is the product
-of the element operators.  The polarizing beamsplitter's relabelling `apply`
-is kept as a check on the lift of its permutation block.
+`circuit_fock_operator`, the product of the element operators, is the one
+second-quantized reference: a state is a plain amplitude vector over the
+basis, propagated by that product.  `element.apply(basis, amps)` takes one
+element's step on such a vector: the element's operator times it, for a
+cross-Kerr its phases times it, and for the polarizing beamsplitter a
+relabelling of the occupations, which checks the lift of its permutation
+block.  No command calls `apply`; each class keeps its own because the
+benchmark's tracer (`perfbench/tracing.py`) wraps all three by name.
 
 `ModeLayout.modes` is the one map from logical states to photons: row x
 holds each photon's mode in logical basis state x, wires big-endian.
@@ -67,7 +72,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, permutations, product
+from itertools import permutations, product
 
 import numpy as np
 
@@ -104,7 +109,7 @@ def _check_layout_modes(layout, m: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Basis and states
+# Basis
 # ---------------------------------------------------------------------------
 
 def _enumerate_occupations(m: int, n: int):
@@ -148,39 +153,6 @@ class FockBasis:
         return f"FockBasis(m={self.m}, N={self.n_photons}, size={self.size})"
 
 
-@dataclass(frozen=True)
-class OpticalState:
-    """Amplitude vector over a FockBasis.  Unit norm before post-selection;
-    after post-selection the squared norm is the success probability."""
-
-    basis: FockBasis
-    amps: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=complex)
-        if amps.shape != (self.basis.size,):
-            raise ValueError(f"amplitude vector length {amps.shape} != basis size {self.basis.size}")
-        object.__setattr__(self, "amps", amps)
-
-    @classmethod
-    def fock(cls, basis: FockBasis, occupation) -> "OpticalState":
-        amps = np.zeros(basis.size, dtype=complex)
-        amps[basis.index_of(occupation)] = 1.0
-        return cls(basis, amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def amplitude(self, occupation) -> complex:
-        return complex(self.amps[self.basis.index_of(occupation)])
-
-    def normalized(self) -> "OpticalState":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize a zero state")
-        return OpticalState(self.basis, self.amps / n)
-
-
 # ---------------------------------------------------------------------------
 # Elements
 # ---------------------------------------------------------------------------
@@ -199,8 +171,9 @@ class OpticalElement:
         block embedded in the m x m identity."""
         return lift_to_fock(single_photon_transfer((self,), basis.m), basis)
 
-    def apply(self, state: OpticalState) -> OpticalState:
-        return OpticalState(state.basis, self.fock_operator(state.basis) @ state.amps)
+    def apply(self, basis: FockBasis, amps: np.ndarray) -> np.ndarray:
+        """The amplitude vector `amps` over `basis` after this element."""
+        return self.fock_operator(basis) @ amps
 
 
 @dataclass(frozen=True)
@@ -276,20 +249,19 @@ class PolarizingBeamsplitter(OpticalElement):
         # on (h1, v1, h2, v2): the h modes stay, v1 and v2 swap
         return list(self.modes), np.eye(4, dtype=complex)[[0, 3, 2, 1]]
 
-    def apply(self, state: OpticalState) -> OpticalState:
+    def apply(self, basis: FockBasis, amps: np.ndarray) -> np.ndarray:
         # permutation: relabel occupations directly, no amplitude mixing
         h1, v1 = self.path1
         h2, v2 = self.path2
-        basis = state.basis
         _check_element_modes((self,), basis.m)
-        amps = np.zeros_like(state.amps)
+        result = np.zeros_like(amps)
         for idx, occ in enumerate(basis.states):
-            if state.amps[idx] == 0:
+            if amps[idx] == 0:
                 continue
             out = list(occ)
             out[v1], out[v2] = occ[v2], occ[v1]
-            amps[basis.index_of(tuple(out))] += state.amps[idx]
-        return OpticalState(basis, amps)
+            result[basis.index_of(tuple(out))] += amps[idx]
+        return result
 
 
 @dataclass(frozen=True)
@@ -320,8 +292,8 @@ class CrossKerr(OpticalElement):
     def fock_operator(self, basis: FockBasis) -> np.ndarray:
         return np.diag(self._phases(basis))
 
-    def apply(self, state: OpticalState) -> OpticalState:
-        return OpticalState(state.basis, state.amps * self._phases(state.basis))
+    def apply(self, basis: FockBasis, amps: np.ndarray) -> np.ndarray:
+        return amps * self._phases(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +360,6 @@ def lift_to_fock(mode_matrix: np.ndarray, basis: FockBasis) -> np.ndarray:
         for occ_out, amp in _expand_creation_product(columns, occ).items():
             out[basis.index_of(occ_out), col] = amp
     return out
-
-
-def apply_elements(state: OpticalState, elements) -> OpticalState:
-    for el in elements:
-        state = el.apply(state)
-    return state
 
 
 def circuit_fock_operator(elements, basis: FockBasis) -> np.ndarray:
@@ -465,7 +431,7 @@ def permanent_amplitude_oracle(mode_matrix: np.ndarray, in_occupation, out_occup
 
 
 # ---------------------------------------------------------------------------
-# Detection and post-selection
+# Detection patterns
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -487,51 +453,6 @@ class DetectionPattern:
     @classmethod
     def zero(cls, modes) -> "DetectionPattern":
         return cls(tuple((m, 0) for m in modes))
-
-    def matches(self, occupation) -> bool:
-        return all(occupation[m] == c for m, c in self.conditions)
-
-
-@dataclass(frozen=True)
-class PostselectResult:
-    """Unnormalized conditional state plus its probability.  `possible` is
-    False when the pattern has zero weight (flagged, not raised)."""
-
-    state: OpticalState
-    probability: float
-
-    @property
-    def possible(self) -> bool:
-        return self.probability > 1e-30
-
-    def normalized(self) -> OpticalState | None:
-        return self.state.normalized() if self.possible else None
-
-
-def postselect(state: OpticalState, pattern: DetectionPattern) -> PostselectResult:
-    """Project onto the detection pattern; probability is the surviving weight."""
-    for m, _ in pattern.conditions:
-        if m >= state.basis.m:
-            raise ValueError(f"pattern mode {m} out of range for {state.basis.m} modes")
-    keep = np.array([pattern.matches(occ) for occ in state.basis.states])
-    amps = np.where(keep, state.amps, 0.0)
-    prob = float(np.sum(np.abs(amps) ** 2))
-    return PostselectResult(OpticalState(state.basis, amps), prob)
-
-
-def exhaustive_patterns(basis: FockBasis, modes) -> list[DetectionPattern]:
-    """Mutually exclusive, exhaustive detection patterns on the given modes:
-    every way of distributing at most N photons among them."""
-    modes = list(modes)
-    n = basis.n_photons
-    patterns = []
-    for total in range(n + 1):
-        for combo in combinations_with_replacement(range(len(modes)), total):
-            counts = [0] * len(modes)
-            for c in combo:
-                counts[c] += 1
-            patterns.append(DetectionPattern(tuple(zip(modes, counts))))
-    return patterns
 
 
 # ---------------------------------------------------------------------------
@@ -565,33 +486,6 @@ class ModeLayout:
     @property
     def wire_dims(self) -> WireDims:
         return WireDims(tuple(len(g) for g in self.groups))
-
-    def indices(self, basis: FockBasis) -> np.ndarray:
-        """Basis index of every logical basis state, in logical index order."""
-        _check_layout_modes(self, basis.m)
-        occupations = np.zeros((len(self.modes), basis.m), dtype=int)
-        np.put_along_axis(occupations, self.modes, 1, axis=1)
-        return np.array([basis.index_of(occ) for occ in occupations])
-
-    def encode(self, amplitudes, basis: FockBasis) -> OpticalState:
-        """The optical state carrying a logical amplitude vector (a logical
-        basis state is a one-hot vector)."""
-        idx = self.indices(basis)
-        amps = np.asarray(amplitudes, dtype=complex)
-        if amps.shape != idx.shape:
-            raise ValueError(f"need {idx.size} logical amplitudes, got shape {amps.shape}")
-        out = np.zeros(basis.size, dtype=complex)
-        out[idx] = amps
-        return OpticalState(basis, out)
-
-    def decode(self, state: OpticalState) -> tuple[np.ndarray, float]:
-        """Project onto the logical subspace.  Returns the (unnormalized)
-        logical amplitude vector, indexed like `wire_dims`, and the norm that
-        leaked outside it."""
-        idx = self.indices(state.basis)
-        outside = np.ones(state.basis.size, dtype=bool)
-        outside[idx] = False
-        return state.amps[idx], float(np.linalg.norm(state.amps[outside]))
 
 
 def _apply_to_each_photon(mode_matrix: np.ndarray, tensor: np.ndarray) -> np.ndarray:
@@ -655,8 +549,8 @@ def logical_transfer(elements, m: int, layout: ModeLayout) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OpticalCircuit:
-    """An optical construction: mode count, photon number, ordered elements
-    and an optional detection pattern."""
+    """An optical construction's mode count, photon number, ordered elements
+    and optional detection pattern (held to its layout by `optical._realize`)."""
 
     m: int
     n_photons: int

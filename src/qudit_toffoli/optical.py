@@ -132,6 +132,22 @@ class GateRealization:
 EXACT_TOL = 1e-12
 
 
+def _check_claims(name: str, circuit: OpticalCircuit, layout: ModeLayout, claimed: Fraction) -> None:
+    """In O(m): one photon per layout wire, and either a pattern of zero photons
+    on exactly the modes outside the layout or no pattern and the factor 1;
+    any other circuit is a one-line ValueError naming the construction."""
+    outside = sorted(set(range(circuit.m)).difference(*layout.groups))
+    if circuit.n_photons != len(layout.groups):
+        problem = f"{circuit.n_photons} photons for {len(layout.groups)} layout wires"
+    elif circuit.pattern is not None and circuit.pattern.conditions != tuple((mode, 0) for mode in outside):
+        problem = f"pattern {circuit.pattern.conditions} is not zero on exactly the outside modes {outside}"
+    elif circuit.pattern is None and claimed != 1:
+        problem = f"no detection pattern, but a claimed factor of {claimed}"
+    else:
+        return
+    raise ValueError(f"{name}: {problem}")
+
+
 def _realize(name: str, circuit: OpticalCircuit, layout: ModeLayout, claimed: Fraction, phases,
              transfer: np.ndarray | None = None, cs_success: Fraction | None = None,
              **fields) -> GateRealization:
@@ -142,7 +158,9 @@ def _realize(name: str, circuit: OpticalCircuit, layout: ModeLayout, claimed: Fr
     Only a certified transfer (residual within EXACT_TOL) reports the exact
     `claimed` factor, any other the simulated float.  A `cs_success`
     (external heralding, per controlled sign) multiplies in squared, and the
-    optical factor becomes `filter_success`."""
+    optical factor becomes `filter_success`.  The circuit's own claims are
+    checked first, by `_check_claims`."""
+    _check_claims(name, circuit, layout, claimed)
     if transfer is None:
         transfer = logical_transfer(circuit.elements, circuit.m, layout)
     diag = np.diagonal(transfer)

@@ -41,6 +41,17 @@ class WireError(ValueError):
 # Register description and indexing
 # ---------------------------------------------------------------------------
 
+def _checked_dims(dims) -> tuple[int, ...]:
+    """`dims` as a tuple of ints; no wires, or a wire of dimension < 2, is a WireError."""
+    dims = tuple(int(d) for d in dims)
+    if not dims:
+        raise WireError("register needs at least one wire")
+    for w, d in enumerate(dims):
+        if d < 2:
+            raise WireError(f"wire {w}: dimension {d} < 2")
+    return dims
+
+
 @dataclass(frozen=True)
 class WireDims:
     """Per-wire dimensions of a register, e.g. (2, 2, 3) for qubit+qubit+qutrit."""
@@ -48,12 +59,7 @@ class WireDims:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if not self.dims:
-            raise WireError("register needs at least one wire")
-        for w, d in enumerate(self.dims):
-            if d < 2:
-                raise WireError(f"wire {w}: dimension {d} < 2")
+        object.__setattr__(self, "dims", _checked_dims(self.dims))
 
     @property
     def n_wires(self) -> int:
@@ -130,7 +136,7 @@ class GateMatrix:
     _columns: InitVar[tuple | None] = None
 
     def __post_init__(self, _columns):
-        wd = tuple(int(d) for d in self.wire_dims)
+        wd = _checked_dims(self.wire_dims)
         object.__setattr__(self, "wire_dims", wd)
         dim = math.prod(wd)
         if _columns is None:

@@ -1,4 +1,4 @@
-"""Fock-space engine: element unitaries, the permanent oracle, detection."""
+"""Fock-space engine: element unitaries, the permanent oracle, patterns and layouts."""
 
 import math
 import re
@@ -16,26 +16,23 @@ from qudit_toffoli.fock import (
     HalfWavePlate,
     ModeLayout,
     ORACLE_TOL,
-    OpticalState,
     PhotonNumberError,
     PolarizingBeamsplitter,
     VacuumAttenuator,
-    apply_elements,
     circuit_fock_operator,
-    exhaustive_patterns,
     lift_to_fock,
     logical_transfer,
     permanent,
     permanent_amplitude_oracle,
-    postselect,
     single_photon_transfer,
 )
-from qudit_toffoli.qudits import basis_digits, basis_index, random_unitary
+from qudit_toffoli.qudits import basis_digits, random_unitary
+from reference import fock_state
 
 
 def _random_state(basis, rng):
     amps = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
-    return OpticalState(basis, amps / np.linalg.norm(amps))
+    return amps / np.linalg.norm(amps)
 
 
 def _logical_occupation(layout, digits, m):
@@ -206,23 +203,22 @@ def test_lift_rejects_non_unitary_input():
 
 def test_kerr_pi_flips_doubly_occupied_pair():
     basis = FockBasis(2, 2)
-    state = OpticalState.fock(basis, (1, 1))
-    out = CrossKerr(np.pi, (0, 1)).apply(state)
-    assert abs(out.amplitude((1, 1)) + 1.0) < 1e-14
+    out = circuit_fock_operator([CrossKerr(np.pi, (0, 1))], basis) @ fock_state(basis, (1, 1))
+    assert abs(out[basis.index_of((1, 1))] + 1.0) < 1e-14
 
 
 def test_kerr_identity_when_either_mode_empty():
     basis = FockBasis(3, 2)
-    state = OpticalState.fock(basis, (2, 0, 0))
-    out = CrossKerr(np.pi, (0, 1)).apply(state)
-    assert np.allclose(out.amps, state.amps)
+    state = fock_state(basis, (2, 0, 0))
+    out = circuit_fock_operator([CrossKerr(np.pi, (0, 1))], basis) @ state
+    assert np.allclose(out, state)
 
 
 def test_kerr_zero_strength_is_identity():
     rng = np.random.default_rng(6)
     basis = FockBasis(3, 2)
     state = _random_state(basis, rng)
-    assert np.allclose(CrossKerr(0.0, (0, 2)).apply(state).amps, state.amps)
+    assert np.allclose(circuit_fock_operator([CrossKerr(0.0, (0, 2))], basis) @ state, state)
 
 
 def test_kerr_operator_is_diagonal():
@@ -233,10 +229,11 @@ def test_kerr_operator_is_diagonal():
 
 def test_hwp_at_hadamard_angle():
     basis = FockBasis(2, 1)
-    d = HalfWavePlate(HADAMARD_HWP_ANGLE, (0, 1)).apply(OpticalState.fock(basis, (1, 0)))
-    assert np.allclose(d.amps, [1 / np.sqrt(2), 1 / np.sqrt(2)])
-    a = HalfWavePlate(HADAMARD_HWP_ANGLE, (0, 1)).apply(OpticalState.fock(basis, (0, 1)))
-    assert np.allclose(a.amps, [1 / np.sqrt(2), -1 / np.sqrt(2)])
+    op = circuit_fock_operator([HalfWavePlate(HADAMARD_HWP_ANGLE, (0, 1))], basis)
+    d = op @ fock_state(basis, (1, 0))
+    assert np.allclose(d, [1 / np.sqrt(2), 1 / np.sqrt(2)])
+    a = op @ fock_state(basis, (0, 1))
+    assert np.allclose(a, [1 / np.sqrt(2), -1 / np.sqrt(2)])
 
 
 def test_hwp_at_zero_degrees():
@@ -246,10 +243,11 @@ def test_hwp_at_zero_degrees():
 
 def test_pbs_routes_v_and_keeps_h():
     basis = FockBasis(4, 1)
-    v1 = OpticalState.fock(basis, (0, 1, 0, 0))
-    assert abs(PolarizingBeamsplitter((0, 1), (2, 3)).apply(v1).amplitude((0, 0, 0, 1)) - 1) < 1e-15
-    h1 = OpticalState.fock(basis, (1, 0, 0, 0))
-    assert abs(PolarizingBeamsplitter((0, 1), (2, 3)).apply(h1).amplitude((1, 0, 0, 0)) - 1) < 1e-15
+    op = circuit_fock_operator([PolarizingBeamsplitter((0, 1), (2, 3))], basis)
+    v1 = op @ fock_state(basis, (0, 1, 0, 0))
+    assert abs(v1[basis.index_of((0, 0, 0, 1))] - 1) < 1e-15
+    h1 = op @ fock_state(basis, (1, 0, 0, 0))
+    assert abs(h1[basis.index_of((1, 0, 0, 0))] - 1) < 1e-15
 
 
 def test_pbs_twice_restores_dual_rail_qubit():
@@ -258,10 +256,9 @@ def test_pbs_twice_restores_dual_rail_qubit():
     amps = np.zeros(basis.size, dtype=complex)
     amps[basis.index_of((1, 0, 0, 0))] = 0.6
     amps[basis.index_of((0, 1, 0, 0))] = 0.8j
-    state = OpticalState(basis, amps)
     pbs = PolarizingBeamsplitter((0, 1), (2, 3))
-    out = pbs.apply(pbs.apply(state))
-    assert np.max(np.abs(out.amps - state.amps)) < 1e-15
+    out = circuit_fock_operator([pbs, pbs], basis) @ amps
+    assert np.max(np.abs(out - amps)) < 1e-15
 
 
 def test_elements_conserve_photon_number_and_norm():
@@ -276,9 +273,9 @@ def test_elements_conserve_photon_number_and_norm():
         PolarizingBeamsplitter((0, 1), (2, 3)),
     ]
     for el in elements:
-        out = el.apply(state)
-        assert out.basis == basis           # same (m, N) space
-        assert abs(out.norm() - 1.0) < 1e-12
+        out = circuit_fock_operator([el], basis) @ state
+        assert out.shape == (basis.size,)  # same (m, N) space
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
 def test_element_operators_are_unitary():
@@ -316,8 +313,8 @@ def test_element_apply_matches_its_fock_operator():
             for _ in range(3):
                 el = _random_element(rng, basis.m, kind)
                 state = _random_state(basis, rng)
-                want = el.fock_operator(basis) @ state.amps
-                assert np.max(np.abs(el.apply(state).amps - want)) < 1e-12
+                want = el.fock_operator(basis) @ state
+                assert np.max(np.abs(el.apply(basis, state) - want)) < 1e-12
 
 
 def test_circuit_operator_matches_lift_and_permanent_oracle():
@@ -478,7 +475,7 @@ _ROUTES = {
     "single-photon": single_photon_transfer,
     "fock": lambda elements, m: circuit_fock_operator(elements, FockBasis(m, 1)),
     "element-operator": lambda elements, m: elements[0].fock_operator(FockBasis(m, 1)),
-    "element-apply": lambda elements, m: elements[0].apply(OpticalState(FockBasis(m, 1), np.eye(m)[0])),
+    "element-apply": lambda elements, m: elements[0].apply(FockBasis(m, 1), np.eye(m)[0]),
 }
 
 
@@ -522,105 +519,12 @@ def test_nan_mode_matrix_is_rejected_by_lift_to_fock():
 
 
 # ---------------------------------------------------------------------------
-# detection and post-selection
+# detection patterns and layouts
 # ---------------------------------------------------------------------------
-
-def test_postselect_unconstrained_modes_probability_one():
-    rng = np.random.default_rng(10)
-    basis = FockBasis(3, 2)
-    state = _random_state(basis, rng)
-    # condition that every basis state satisfies is not expressible: at least
-    # one mode must be constrained -- use a pattern summing over itself
-    total = sum(postselect(state, p).probability
-                for p in exhaustive_patterns(basis, [0]))
-    assert abs(total - 1.0) < 1e-12
-
-
-def test_postselect_probability_and_renormalization():
-    basis = FockBasis(2, 1)
-    amps = np.array([0.6, 0.8], dtype=complex)
-    state = OpticalState(basis, amps)
-    result = postselect(state, DetectionPattern.zero([1]))
-    assert abs(result.probability - 0.36) < 1e-14
-    assert result.possible
-    assert abs(result.normalized().amplitude((1, 0)) - 1.0) < 1e-14
-
-
-def test_postselect_impossible_pattern_flagged():
-    basis = FockBasis(2, 1)
-    state = OpticalState.fock(basis, (1, 0))
-    result = postselect(state, DetectionPattern.zero((0, 1)))
-    assert result.probability == 0.0
-    assert not result.possible
-    assert result.normalized() is None
-
 
 def test_pattern_requires_some_constraint():
     with pytest.raises(ValueError):
         DetectionPattern(())
-
-
-def test_exhaustive_patterns_partition_probability():
-    rng = np.random.default_rng(12)
-    basis = FockBasis(5, 3)
-    state = _random_state(basis, rng)
-    for modes in ([0], [1, 3], [0, 2, 4]):
-        total = sum(postselect(state, p).probability
-                    for p in exhaustive_patterns(basis, modes))
-        assert abs(total - 1.0) < 1e-9
-
-
-# ---------------------------------------------------------------------------
-# encoding
-# ---------------------------------------------------------------------------
-
-def test_encode_qutrit_level_two():
-    layout = ModeLayout(((0, 1, 2),))
-    basis = FockBasis(3, 1)
-    state = layout.encode([0, 0, 1], basis)
-    assert abs(state.amplitude((0, 0, 1)) - 1.0) < 1e-15
-
-
-def test_encode_decode_round_trip():
-    rng = np.random.default_rng(13)
-    layout = ModeLayout(((0, 1), (2, 3, 4), (5, 6)))
-    basis = FockBasis(7, 3)
-    for _ in range(10):
-        digits = (int(rng.integers(2)), int(rng.integers(3)), int(rng.integers(2)))
-        state = layout.encode(np.eye(12)[basis_index(digits, layout.wire_dims)], basis)
-        logical, leak = layout.decode(state)
-        assert leak == 0.0
-        assert abs(logical[basis_index(digits, layout.wire_dims)] - 1.0) < 1e-15
-
-
-def test_decode_reports_leakage():
-    layout = ModeLayout(((0, 1), (2, 3)))
-    basis = FockBasis(4, 2)
-    amps = np.zeros(basis.size, dtype=complex)
-    amps[basis.index_of((1, 0, 0, 1))] = np.sqrt(0.75)   # logical |0,1>
-    amps[basis.index_of((2, 0, 0, 0))] = np.sqrt(0.25)   # two photons one rail
-    state = OpticalState(basis, amps)
-    logical, leak = layout.decode(state)
-    assert abs(leak - 0.5) < 1e-12
-    assert abs(abs(logical[basis_index((0, 1), layout.wire_dims)]) ** 2 - 0.75) < 1e-12
-
-
-@pytest.mark.parametrize("read", [
-    lambda layout, basis: layout.indices(basis),
-    lambda layout, basis: layout.encode(np.eye(4)[0], basis),
-    lambda layout, basis: layout.decode(OpticalState.fock(basis, (1, 1, 0))),
-], ids=["indices", "encode", "decode"])
-def test_layout_reads_name_a_layout_mode_out_of_range(read):
-    # the same one-line error as logical_transfer's
-    with pytest.raises(ValueError, match="layout mode 3 out of range for 3 modes") as exc:
-        read(ModeLayout(((0, 1), (2, 3))), FockBasis(3, 2))
-    assert "\n" not in str(exc.value)
-
-
-def test_encode_rejects_the_wrong_number_of_amplitudes():
-    layout = ModeLayout(((0, 1), (2, 3)))
-    with pytest.raises(ValueError, match="need 4 logical amplitudes"):
-        layout.encode(np.ones(3), FockBasis(4, 2))
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -649,10 +553,6 @@ def test_layout_rejects_overlapping_groups():
 @pytest.mark.parametrize("call, error, fragment", [
     pytest.param(lambda: FockBasis(0, 1), ValueError, "bad basis shape m=0, N=1", id="basis-no-modes"),
     pytest.param(lambda: FockBasis(2, -1), ValueError, "bad basis shape m=2, N=-1", id="basis-negative-N"),
-    pytest.param(lambda: OpticalState(FockBasis(2, 1), np.ones(3)), ValueError,
-                 "amplitude vector length (3,) != basis size 2", id="state-length"),
-    pytest.param(lambda: OpticalState(FockBasis(2, 1), np.zeros(2)).normalized(), ValueError,
-                 "cannot normalize a zero state", id="normalize-zero"),
     pytest.param(lambda: Beamsplitter(0.5, (1, 1)), ValueError,
                  "beamsplitter needs two distinct modes", id="bs-repeated-mode"),
     pytest.param(lambda: HalfWavePlate(0.3, (1, 1)), ValueError,
@@ -669,8 +569,6 @@ def test_layout_rejects_overlapping_groups():
                  "mode matrix shape (3, 3) != (2, 2)", id="lift-shape"),
     pytest.param(lambda: DetectionPattern(((0, 0), (0, 1))), ValueError,
                  "detection pattern repeats a mode", id="pattern-repeated-mode"),
-    pytest.param(lambda: postselect(OpticalState.fock(FockBasis(2, 1), (1, 0)), DetectionPattern.zero((2,))),
-                 ValueError, "pattern mode 2 out of range for 2 modes", id="postselect-mode-m"),
     pytest.param(lambda: ModeLayout(((0,),)), ValueError,
                  "each logical wire needs at least two modes", id="layout-one-mode-group"),
 ])

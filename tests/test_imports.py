@@ -1,5 +1,6 @@
 """Import layering: the register layers, the Fock engine and the command
-line load numpy only, and scipy loads with `optical` alone."""
+line load numpy only, and scipy loads with `optical` alone.  The benchmark's
+tracer finds every package name it wraps."""
 
 import os
 import subprocess
@@ -26,3 +27,13 @@ def test_module_imports_without(module, absent):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "[]"
+
+
+def test_the_benchmark_tracer_installs_on_the_package():
+    # perfbench/run.py imports the tracer in every run, which reads the Fock
+    # element classes; `--trace 1` installs it, which reads every function and
+    # method it wraps by name
+    code = "import tracing\ntracer = tracing.Tracer()\ntracer.install()\ntracer.uninstall()\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent / "perfbench"), str(SRC)]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

@@ -1,5 +1,6 @@
 """Optical gate realizations: transfer matrices, probabilities, sign patterns."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -12,13 +13,10 @@ from qudit_toffoli.fock import (
     DetectionPattern,
     FockBasis,
     ModeLayout,
-    OpticalState,
-    apply_elements,
+    OpticalCircuit,
     circuit_fock_operator,
-    exhaustive_patterns,
     lift_to_fock,
     permanent_amplitude_oracle,
-    postselect,
     single_photon_transfer,
 )
 from qudit_toffoli.optical import (
@@ -54,11 +52,19 @@ from qudit_toffoli.qudits import (
     random_unitary,
 )
 from qudit_toffoli.toffoli import build_n_ts_circuit, restrict_to_qubit_subspace
+from reference import detection_outcomes, fock_state, logical_indices, pattern_mask
 
 
 def _random_logical(n, rng):
     amps = rng.normal(size=n) + 1j * rng.normal(size=n)
     return amps / np.linalg.norm(amps)
+
+
+def _final_state(circuit, layout, logical):
+    """The circuit's Fock basis, and its final state on the input that
+    carries the logical amplitudes `logical` over `layout`."""
+    basis = circuit.basis()
+    return basis, circuit_fock_operator(circuit.elements, basis)[:, logical_indices(layout, basis)] @ logical
 
 
 # ---------------------------------------------------------------------------
@@ -93,9 +99,9 @@ def test_kerr_cs_identity_on_vacuum_target_group():
     gate = kerr_cs_gate()
     basis = FockBasis(4, 1)
     for occ in [(1, 0, 0, 0), (0, 1, 0, 0)]:
-        state = OpticalState.fock(basis, occ)
-        out = apply_elements(state, gate.circuit.elements)
-        assert np.max(np.abs(out.amps - state.amps)) < 1e-15
+        state = fock_state(basis, occ)
+        out = circuit_fock_operator(gate.circuit.elements, basis) @ state
+        assert np.max(np.abs(out - state)) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +152,19 @@ A_H, A_V, B_H, B_V, S_H, S_V, T_H, T_V = range(8)
 
 
 def _heralded_input(alphas):
+    """The heralded gate, its Fock basis and the input state carrying the
+    logical amplitudes `alphas`."""
     gate = heralded_ts_gate()
-    return gate, gate.layout.encode(alphas.reshape(-1), gate.circuit.basis())
+    basis = gate.circuit.basis()
+    state = np.zeros(basis.size, dtype=complex)
+    state[logical_indices(gate.layout, basis)] = alphas.reshape(-1)
+    return gate, basis, state
+
+
+def _logical_and_leak(amps, layout, basis):
+    """The logical amplitudes of `amps` over `layout`, and the norm outside them."""
+    idx = logical_indices(layout, basis)
+    return amps[idx], float(np.linalg.norm(np.delete(amps, idx)))
 
 
 def _occupation(**kw):
@@ -167,10 +184,9 @@ def test_heralded_state_after_second_cs():
     off) or H (control b on), and only the (1,0,1) term has flipped sign."""
     rng = np.random.default_rng(31)
     alphas = _random_logical(8, rng).reshape(2, 2, 2)
-    gate, state = _heralded_input(alphas)
-    mid = apply_elements(state, gate.circuit.elements[:gate.stages["after_cs2"]])
+    gate, basis, state = _heralded_input(alphas)
+    mid = circuit_fock_operator(gate.circuit.elements[:gate.stages["after_cs2"]], basis) @ state
 
-    basis = mid.basis
     expected = np.zeros(basis.size, dtype=complex)
 
     def put(i, j, extra_mode, coeff):
@@ -185,7 +201,7 @@ def test_heralded_state_after_second_cs():
             put(i, j, T_H, alphas[i, j, 0])                      # |vac, H>
         put(i, 0, S_V, -alphas[i, 0, 1] if i == 1 else alphas[i, 0, 1])   # |V, vac>
         put(i, 1, S_H, alphas[i, 1, 1])                          # |H, vac>
-    assert np.max(np.abs(mid.amps - expected)) < 1e-12
+    assert np.max(np.abs(mid - expected)) < 1e-12
 
 
 def test_heralded_mid_state_is_a_clean_ququit():
@@ -193,9 +209,9 @@ def test_heralded_mid_state_is_a_clean_ququit():
     # system, with no leakage out of one-photon-per-group
     rng = np.random.default_rng(32)
     alphas = _random_logical(8, rng)
-    gate, state = _heralded_input(alphas)
-    mid = apply_elements(state, gate.circuit.elements[:gate.stages["after_cs2"]])
-    logical, leak = QUQUIT_TARGET_LAYOUT.decode(mid)
+    gate, basis, state = _heralded_input(alphas)
+    mid = circuit_fock_operator(gate.circuit.elements[:gate.stages["after_cs2"]], basis) @ state
+    logical, leak = _logical_and_leak(mid, QUQUIT_TARGET_LAYOUT, basis)
     assert leak < 1e-12
     # original target-0 amplitude lives in ququit level 2 (H in path t)
     dims = QUQUIT_TARGET_LAYOUT.wire_dims
@@ -209,9 +225,8 @@ def test_heralded_state_after_filter_waveplates():
     A (for target 1, control b off) or D (control b on)."""
     rng = np.random.default_rng(33)
     alphas = _random_logical(8, rng).reshape(2, 2, 2)
-    gate, state = _heralded_input(alphas)
-    mid = apply_elements(state, gate.circuit.elements[:gate.stages["after_filter_hwps"]])
-    basis = mid.basis
+    gate, basis, state = _heralded_input(alphas)
+    mid = circuit_fock_operator(gate.circuit.elements[:gate.stages["after_filter_hwps"]], basis) @ state
     inv_sqrt2 = 1 / np.sqrt(2)
 
     def amp(i, j, extra_mode):
@@ -219,7 +234,7 @@ def test_heralded_state_after_filter_waveplates():
         occ[_mode_of("a", i)] = 1
         occ[_mode_of("b", j)] = 1
         occ[extra_mode] = 1
-        return mid.amps[basis.index_of(tuple(occ))]
+        return mid[basis.index_of(tuple(occ))]
 
     for i in range(2):
         for j in range(2):
@@ -240,11 +255,11 @@ def test_heralded_conditional_output_flips_001():
     output with the sign moved onto (0,0,1) and overall weight one half."""
     rng = np.random.default_rng(34)
     alphas = _random_logical(8, rng)
-    gate, state = _heralded_input(alphas)
-    final = apply_elements(state, gate.circuit.elements)
-    kept = postselect(final, gate.circuit.pattern)
-    assert abs(kept.probability - 0.5) < 1e-12
-    logical, leak = gate.layout.decode(kept.state)
+    gate, basis, state = _heralded_input(alphas)
+    final = circuit_fock_operator(gate.circuit.elements, basis) @ state
+    kept = np.where(pattern_mask(gate.circuit.pattern, basis), final, 0.0)
+    assert abs(np.linalg.norm(kept) ** 2 - 0.5) < 1e-12
+    logical, leak = _logical_and_leak(kept, gate.layout, basis)
     assert leak < 1e-12
     expected = alphas.copy() / np.sqrt(2)
     expected[1] *= -1.0          # index 1 == (0,0,1)
@@ -253,12 +268,13 @@ def test_heralded_conditional_output_flips_001():
 
 def test_heralded_filter_probability_is_half_for_100_random_inputs():
     gate = heralded_ts_gate()
-    op = circuit_fock_operator(gate.circuit.elements, gate.circuit.basis())
+    basis = gate.circuit.basis()
+    logical_columns = circuit_fock_operator(gate.circuit.elements, basis)[:, logical_indices(gate.layout, basis)]
+    kept = pattern_mask(gate.circuit.pattern, basis)
     rng = np.random.default_rng(35)
     for _ in range(100):
-        state = gate.layout.encode(_random_logical(8, rng), gate.circuit.basis())
-        prob = postselect(OpticalState(state.basis, op @ state.amps),
-                          gate.circuit.pattern).probability
+        final = logical_columns @ _random_logical(8, rng)
+        prob = np.sum(np.abs(final[kept]) ** 2)
         assert abs(prob - 0.5) < 1e-12
 
 
@@ -286,16 +302,16 @@ def test_heralded_filter_is_a_fixed_linear_map_on_the_ququit():
     basis = FockBasis(8, 1)
     group = QUQUIT_TARGET_LAYOUT.groups[2]
     out_modes = (T_H, T_V)
+    op = circuit_fock_operator(filter_elements, basis)
+    detected = pattern_mask(gate.circuit.pattern, basis)
+    out_idx = [basis.index_of(tuple(1 if m == om else 0 for m in range(8))) for om in out_modes]
 
     columns = []
     for level in range(4):
         occ = [0] * 8
         occ[group[level]] = 1
-        state = OpticalState.fock(basis, tuple(occ))
-        kept = postselect(apply_elements(state, filter_elements),
-                          gate.circuit.pattern).state
-        columns.append([kept.amplitude(tuple(1 if m == om else 0 for m in range(8)))
-                        for om in out_modes])
+        kept = np.where(detected, op @ fock_state(basis, tuple(occ)), 0.0)
+        columns.append(kept[out_idx])
     fixed_map = np.array(columns).T
 
     rng = np.random.default_rng(36)
@@ -306,20 +322,16 @@ def test_heralded_filter_is_a_fixed_linear_map_on_the_ququit():
             occ = [0] * 8
             occ[group[level]] = 1
             amps[basis.index_of(tuple(occ))] = w
-        kept = postselect(apply_elements(OpticalState(basis, amps), filter_elements),
-                          gate.circuit.pattern).state
-        got = np.array([kept.amplitude(tuple(1 if m == om else 0 for m in range(8)))
-                        for om in out_modes])
+        kept = np.where(detected, op @ amps, 0.0)
+        got = kept[out_idx]
         assert np.max(np.abs(got - fixed_map @ weights)) < 1e-12
 
 
 def test_heralded_probability_completeness():
     gate = heralded_ts_gate()
     rng = np.random.default_rng(37)
-    state = gate.layout.encode(_random_logical(8, rng), gate.circuit.basis())
-    final = apply_elements(state, gate.circuit.elements)
-    total = sum(postselect(final, p).probability
-                for p in exhaustive_patterns(final.basis, [S_H, S_V]))
+    basis, final = _final_state(gate.circuit, gate.layout, _random_logical(8, rng))
+    total = sum(detection_outcomes(basis, final, [S_H, S_V]).values())
     assert abs(total - 1.0) < 1e-9
 
 
@@ -351,6 +363,32 @@ def test_postselected_cs_matches_permanent_oracle_entrywise():
             assert abs(op[i, j] - oracle) < 1e-9
 
 
+def _cs_circuit(n_photons, pattern_modes):
+    """The post-selected controlled-sign's elements as a circuit with the
+    given photon number and zero-detection modes (None: no pattern)."""
+    pattern = None if pattern_modes is None else DetectionPattern.zero(pattern_modes)
+    return OpticalCircuit(6, n_photons, postselected_cs_gate().circuit.elements, pattern)
+
+
+@pytest.mark.parametrize("n_photons, pattern_modes, claimed, fragment", [
+    pytest.param(3, (4, 5), Fraction(1, 9), "3 photons for 2 layout wires", id="photon-count"),
+    pytest.param(2, (4,), Fraction(1, 9),
+                 "pattern ((4, 0),) is not zero on exactly the outside modes [4, 5]",
+                 id="pattern-misses-an-outside-mode"),
+    pytest.param(2, (0, 4, 5), Fraction(1, 9),
+                 "pattern ((0, 0), (4, 0), (5, 0)) is not zero on exactly the outside modes [4, 5]",
+                 id="pattern-names-a-layout-mode"),
+    pytest.param(2, None, Fraction(1, 9), "no detection pattern, but a claimed factor of 1/9",
+                 id="no-pattern-claims-a-ninth"),
+])
+def test_realize_refuses_a_circuit_whose_claims_disagree_with_its_layout(n_photons, pattern_modes, claimed,
+                                                                          fragment):
+    with pytest.raises(ValueError, match=re.escape(f"post-selected controlled-sign: {fragment}")) as exc:
+        optical._realize("post-selected controlled-sign", _cs_circuit(n_photons, pattern_modes),
+                         ModeLayout(((0, 1), (2, 3))), claimed, np.array([1, 1, 1, -1]))
+    assert "\n" not in str(exc.value)
+
+
 def test_postselected_chain_total():
     assert naive_postselected_chain_probability() == Fraction(1, 162)
 
@@ -358,10 +396,8 @@ def test_postselected_chain_total():
 def test_postselected_cs_probability_completeness():
     gate = postselected_cs_gate()
     rng = np.random.default_rng(38)
-    state = gate.layout.encode(_random_logical(4, rng), gate.circuit.basis())
-    final = apply_elements(state, gate.circuit.elements)
-    total = sum(postselect(final, p).probability
-                for p in exhaustive_patterns(final.basis, [4, 5]))
+    basis, final = _final_state(gate.circuit, gate.layout, _random_logical(4, rng))
+    total = sum(detection_outcomes(basis, final, [4, 5]).values())
     assert abs(total - 1.0) < 1e-9
 
 
@@ -404,9 +440,9 @@ def test_first_interferometer_antibalanced_when_control_off(solved_params):
     basis = FockBasis(12, 1)
     occ = [0] * 12
     occ[ARM_U] = 1
-    out = apply_elements(OpticalState.fock(basis, tuple(occ)), elements)
-    upper = out.amplitude(tuple(1 if m == ARM_U else 0 for m in range(12)))
-    lower = out.amplitude(tuple(1 if m == ARM_L else 0 for m in range(12)))
+    out = circuit_fock_operator(elements, basis) @ fock_state(basis, tuple(occ))
+    upper = out[basis.index_of(tuple(1 if m == ARM_U else 0 for m in range(12)))]
+    lower = out[basis.index_of(tuple(1 if m == ARM_L else 0 for m in range(12)))]
     assert abs(upper) < 1e-12
     assert abs(lower + 1 / np.sqrt(2)) < 1e-12
 
@@ -419,13 +455,13 @@ def test_first_interferometer_balanced_when_control_on(solved_params):
     occ = [0] * 12
     occ[ARM_U] = 1
     occ[C1_1] = 1
-    out = apply_elements(OpticalState.fock(basis, tuple(occ)), elements)
+    out = circuit_fock_operator(elements, basis) @ fock_state(basis, tuple(occ))
 
     def joint(arm):
         pattern = [0] * 12
         pattern[C1_1] = 1
         pattern[arm] = 1
-        return out.amplitude(tuple(pattern))
+        return out[basis.index_of(tuple(pattern))]
 
     assert abs(joint(ARM_L)) < 1e-12
     assert abs(joint(ARM_U) - 1 / np.sqrt(6)) < 1e-12
@@ -504,10 +540,8 @@ def test_chained_probability_completeness(solved_params):
     circuit = chain_topology(solved_params)
     rng = np.random.default_rng(39)
     realization = chained_ts_gate(solved_params)
-    state = realization.layout.encode(_random_logical(8, rng), circuit.basis())
-    final = apply_elements(state, circuit.elements)
-    total = sum(postselect(final, p).probability
-                for p in exhaustive_patterns(final.basis, [ARM_L, 7, 8, 9, 10, 11]))
+    basis, final = _final_state(circuit, realization.layout, _random_logical(8, rng))
+    total = sum(detection_outcomes(basis, final, [ARM_L, 7, 8, 9, 10, 11]).values())
     assert abs(total - 1.0) < 1e-9
 
 

@@ -429,6 +429,14 @@ _CNOT = gate_cnot_embedded(2, 2)
                  "index 4 out of range for total dimension 4", id="digits-index-range"),
     pytest.param(lambda: GateMatrix((2,), np.eye(3)), WireError,
                  "matrix shape (3, 3) does not match wire dims (2,)", id="gate-shape"),
+    pytest.param(lambda: GateMatrix((0,), np.zeros((0, 0))), WireError,
+                 "wire 0: dimension 0 < 2", id="gate-dimension-0"),
+    pytest.param(lambda: GateMatrix((1,), np.eye(1)), WireError,
+                 "wire 0: dimension 1 < 2", id="gate-dimension-1"),
+    pytest.param(lambda: GateMatrix((), np.eye(1)), WireError,
+                 "register needs at least one wire", id="gate-no-wires"),
+    pytest.param(lambda: GateMatrix.from_columns((0,), [], []), WireError,
+                 "wire 0: dimension 0 < 2", id="columns-dimension-0"),
     pytest.param(lambda: GateMatrix.from_columns((3,), [0, 1, 1], np.ones(3)), WireError,
                  "column rows [0, 1, 1] are not a permutation of range(3)", id="columns-repeated-row"),
     pytest.param(lambda: GateMatrix.from_columns((3,), [0, 1, 3], np.ones(3)), WireError,

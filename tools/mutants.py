@@ -119,6 +119,13 @@ CATALOGUE = (
            "            if len(step.wires) != len(step.gate.wire_dims):\n",
            "            if False:\n",
            ("tests/test_qudits.py::test_each_guard_is_a_one_line_error",)),
+    Mutant("gate wire-dimension check dropped", QUDITS,
+           "wd = _checked_dims(self.wire_dims)",
+           "wd = tuple(int(d) for d in self.wire_dims)",
+           ("tests/test_qudits.py::test_each_guard_is_a_one_line_error[gate-dimension-0]",
+            "tests/test_qudits.py::test_each_guard_is_a_one_line_error[gate-dimension-1]",
+            "tests/test_qudits.py::test_each_guard_is_a_one_line_error[gate-no-wires]",
+            "tests/test_qudits.py::test_each_guard_is_a_one_line_error[columns-dimension-0]")),
     Mutant("permutation check dropped", QUDITS,
            "            if set(rows.tolist()) != set(range(dim)):\n",
            "            if False:\n",
@@ -190,6 +197,24 @@ CATALOGUE = (
            "for order in [tuple(range(n))])",
            ("tests/test_fock.py::test_logical_transfer_matches_permanent_oracle_on_qudit_layouts",
             "tests/test_optical.py::test_postselected_cs_transfer_and_probability")),
+    Mutant("photon-count claim check dropped", OPTICAL,
+           "    if circuit.n_photons != len(layout.groups):\n",
+           "    if False:\n",
+           ("tests/test_optical.py::test_realize_refuses_a_circuit_whose_claims_disagree_with_its_layout"
+            "[photon-count]",)),
+    Mutant("pattern claim check dropped", OPTICAL,
+           "    elif circuit.pattern is not None and circuit.pattern.conditions != "
+           "tuple((mode, 0) for mode in outside):\n",
+           "    elif False:\n",
+           ("tests/test_optical.py::test_realize_refuses_a_circuit_whose_claims_disagree_with_its_layout"
+            "[pattern-misses-an-outside-mode]",
+            "tests/test_optical.py::test_realize_refuses_a_circuit_whose_claims_disagree_with_its_layout"
+            "[pattern-names-a-layout-mode]")),
+    Mutant("pattern-less claim check dropped", OPTICAL,
+           "    elif circuit.pattern is None and claimed != 1:\n",
+           "    elif False:\n",
+           ("tests/test_optical.py::test_realize_refuses_a_circuit_whose_claims_disagree_with_its_layout"
+            "[no-pattern-claims-a-ninth]",)),
     Mutant("claimed Fraction reported without certification", OPTICAL,
            "optical = claimed if certified else float(np.mean(np.abs(diag)) ** 2)",
            "optical = claimed",
