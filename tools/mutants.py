@@ -261,6 +261,10 @@ CATALOGUE = (
            "ok = abs(value - expected) < 1e-6",
            ("tests/test_cli.py::test_chain_point_dimmed_by_ten_parts_per_million_fails_both_commands",
             "tests/test_cli.py::test_chain_point_off_by_a_part_per_million_fails_both_commands")),
+    Mutant("a Fraction printed as a decimal", CLI,
+           '        return f"{value.numerator}/{value.denominator}"\n',
+           "        return str(float(value))\n",
+           ("tests/test_golden.py::test_command_output_matches_its_golden_file",)),
     Mutant("simulate-optical ignores the verdict", CLI,
            "    return PASS if realization.certified else FAIL",
            "    return PASS",
