@@ -51,7 +51,7 @@ def _read_chain_params(path: str):
     try:
         with open(path) as fh:
             return ChainParameters.from_json(fh.read())
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise UsageError(f"{path}: {exc}") from None
 
 
@@ -94,8 +94,9 @@ def cmd_simulate_optical(args) -> int:
                   "filter_success": _format_fraction(realization.filter_success)}
     elif args.which == "postselected-cs":
         realization = postselected_cs_gate()
+        naive = naive_postselected_chain_probability(realization, heralded_ts_gate())
         extras = {"coincidence_probabilities": [float(p) for p in realization.coincidence_probabilities()],
-                  "naive_chain_total": _format_fraction(naive_postselected_chain_probability())}
+                  "naive_chain_total": _format_fraction(naive)}
     else:  # "chained"; argparse restricts the choices
         if args.params_file:
             params = _read_chain_params(args.params_file)

@@ -45,16 +45,20 @@ route that reads a layout against m modes refuses a layout mode >= m.
 `logical_transfer(elements, m, layout)` is the one route from an optical
 circuit to its post-selected logical matrix, and it is first-quantized: each
 logical input is a product of N labelled photons, one per layout group,
-held as a tensor with one mode axis per photon.  Each Kerr-free run of
-mode-linear elements is composed into one mode matrix and then applied once
-per photon axis, a cross-Kerr multiplies by its phase on the photon counts,
-and a logical output's amplitude sums the N! orderings of its modes (the
-permanent).  It builds no `FockBasis` and no element operator; each block is
-checked unitary on its own, before it joins its run.  The chained gate read
-this way shares only the element blocks and the layout table with
-`optical.chain_coincidence_block`, and no code that computes amplitudes
-(neither `single_photon_transfer` nor the block's permanents), so it is the
-independent check on that block.
+held as a tensor with one mode axis per photon.  Each photon has a reach,
+the modes where it can have amplitude, which starts as its layout group.
+Each Kerr-free run of mode-linear elements is composed into one mode matrix
+and applied only along the axes whose reach meets the modes the run touches,
+whose reach then grows by those modes; along any other axis the run is
+exactly the identity.  A cross-Kerr multiplies one slice by exp(i chi) for
+each ordered photon pair whose reaches hold its two modes, and a logical
+output's amplitude sums the N! orderings of its modes (the permanent).  It
+builds no `FockBasis` and no element operator; each distinct element's block
+is checked unitary on its own once per call, before it joins its run.  The
+chained gate read this way shares only the element blocks and the layout
+table with `optical.chain_coincidence_block`, and no code that computes
+amplitudes (neither `single_photon_transfer` nor the block's permanents), so
+it is the independent check on that block.
 
 Three routes compute multi-photon amplitudes and tests hold each to
 another.  Second quantization: `lift_to_fock` expands products of
@@ -488,16 +492,31 @@ class ModeLayout:
         return WireDims(tuple(len(g) for g in self.groups))
 
 
-def _apply_to_each_photon(mode_matrix: np.ndarray, tensor: np.ndarray) -> np.ndarray:
-    """An m x m mode matrix applied along every photon axis of a tensor of
-    shape (X,) + (m,) * N: one batched matrix product per axis but the last,
-    and one 2-D product for the last, whose rows are contiguous."""
+def _apply_along(mode_matrix: np.ndarray, tensor: np.ndarray, axes) -> np.ndarray:
+    """An m x m mode matrix applied along the given photon axes (ascending)
+    of a tensor of shape (X,) + (m,) * N: one batched matrix product per
+    axis, or one 2-D product for the last axis, whose rows are contiguous."""
     shape = tensor.shape
     m = len(mode_matrix)
-    for axis in range(1, tensor.ndim - 1):
-        tensor = np.matmul(mode_matrix, tensor.reshape(math.prod(shape[:axis]), m, -1))
-    tensor = tensor.reshape(-1, m) @ mode_matrix.T
+    for axis in axes:
+        if axis == len(shape) - 1:
+            tensor = tensor.reshape(-1, m) @ mode_matrix.T
+        else:
+            tensor = np.matmul(mode_matrix, tensor.reshape(math.prod(shape[:axis]), m, -1))
     return tensor.reshape(shape)
+
+
+def _apply_run(run: np.ndarray | None, touched: set, tensor: np.ndarray, reach: list) -> np.ndarray:
+    """A composed Kerr-free run applied along the photon axes whose reach
+    meets the modes it touches; each of those photons may then be on any of
+    them.  Outside `touched` the run's columns are unit vectors, so along
+    any other axis it is exactly the identity."""
+    if run is None:
+        return tensor
+    axes = [k + 1 for k in range(len(reach)) if not reach[k].isdisjoint(touched)]
+    for axis in axes:
+        reach[axis - 1] |= touched
+    return _apply_along(run, tensor, axes)
 
 
 def logical_transfer(elements, m: int, layout: ModeLayout) -> np.ndarray:
@@ -505,39 +524,52 @@ def logical_transfer(elements, m: int, layout: ModeLayout) -> np.ndarray:
     list over all digit tuples, propagated in first quantization.
 
     Logical input x puts photon k on its mode of group k, so the state is a
-    tensor of shape (X,) + (m,) * N with photon k on axis k + 1.  Photons do
-    not interact between two cross-Kerrs, so each maximal Kerr-free run of
-    mode-linear elements is composed into one m x m mode matrix (each block
-    a row operation on its modes, and checked unitary on its own), which is
-    then applied once along each photon axis.  A cross-Kerr multiplies by
-    exp(i chi n_a n_b), n_a counting the axes on mode a.  Output y occupies N
-    distinct modes, so its amplitude is the sum over the N! orderings of
-    those modes (the permanent).  No Fock basis or many-photon operator is
-    built."""
+    tensor of shape (X,) + (m,) * N with photon k on axis k + 1, and photon
+    k's reach, the modes where it can have amplitude, starts as group k.
+    Photons do not interact between two cross-Kerrs, so each maximal
+    Kerr-free run of mode-linear elements is composed into one m x m mode
+    matrix (each block a row operation on its modes, and each distinct
+    element's block checked unitary once per call), which is then applied
+    along each photon axis whose reach meets the run's modes, and widens
+    those reaches by them.  Along any other axis the run is exactly the
+    identity and is skipped.  A cross-Kerr's exp(i chi n_a n_b) is the
+    product over ordered photon pairs (k, l) of exp(i chi [x_k = a][x_l = b]),
+    so it multiplies one slice by exp(i chi) for each pair with a in k's
+    reach and b in l's.  Output y occupies N distinct modes, so its amplitude
+    is the sum over the N! orderings of those modes (the permanent).  No Fock
+    basis or many-photon operator is built."""
     _check_element_modes(elements, m)
     _check_layout_modes(layout, m)
     modes = layout.modes
     n_inputs, n = modes.shape
     tensor = np.zeros((n_inputs,) + (m,) * n, dtype=complex)
     tensor[(np.arange(n_inputs),) + tuple(modes.T)] = 1.0
-    photon_modes = np.indices((m,) * n)   # [k] is photon k's mode at each entry
-    pending = None                        # the current Kerr-free run, composed
+    reach = [set(group) for group in layout.groups]
+    blocks = {}                           # each distinct element's checked (rows, block)
+    pending, touched = None, set()        # the current Kerr-free run, composed, and its modes
     for el in elements:
         if isinstance(el, CrossKerr):
-            if pending is not None:
-                tensor, pending = _apply_to_each_photon(pending, tensor), None
-            n_a, n_b = (np.sum(photon_modes == mode, axis=0) for mode in el.modes)
-            tensor = tensor * np.exp(1j * el.chi * n_a * n_b)
+            tensor, pending, touched = _apply_run(pending, touched, tensor, reach), None, set()
+            a, b = el.modes
+            phase = np.exp(1j * el.chi)
+            for k, l in permutations(range(n), 2):
+                if a in reach[k] and b in reach[l]:
+                    index = [slice(None)] * (n + 1)
+                    index[k + 1], index[l + 1] = a, b
+                    tensor[tuple(index)] *= phase
             continue
-        rows, block = el.mode_block()
-        err = np.max(np.abs(block.conj().T @ block - np.eye(len(rows))))
-        if not err <= MODE_UNITARY_TOL:
-            raise ValueError(f"{type(el).__name__} block not unitary (deviation {err:.3e})")
+        if el not in blocks:
+            rows, block = el.mode_block()
+            err = np.max(np.abs(block.conj().T @ block - np.eye(len(rows))))
+            if not err <= MODE_UNITARY_TOL:
+                raise ValueError(f"{type(el).__name__} block not unitary (deviation {err:.3e})")
+            blocks[el] = rows, block
+        rows, block = blocks[el]
         if pending is None:
             pending = np.eye(m, dtype=complex)
         pending[rows] = block @ pending[rows]
-    if pending is not None:
-        tensor = _apply_to_each_photon(pending, tensor)
+        touched.update(rows)
+    tensor = _apply_run(pending, touched, tensor, reach)
     amps = sum(tensor[(slice(None),) + tuple(modes[:, k] for k in order)]
                for order in permutations(range(n)))
     return amps.T

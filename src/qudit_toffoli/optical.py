@@ -235,6 +235,14 @@ def deterministic_ts_gate() -> GateRealization:
                     _POLARIZATION_LAYOUT, Fraction(1), oracle_n_toffoli_sign(2, (1, 0, 1)))
 
 
+def _checked_cs_success(cs_success) -> Fraction:
+    """`cs_success` as a Fraction; outside (0, 1] it is a ValueError."""
+    cs_success = Fraction(cs_success)
+    if not 0 < cs_success <= 1:
+        raise ValueError(f"cs_success must lie in (0, 1], got {cs_success}")
+    return cs_success
+
+
 def heralded_ts_gate(cs_success: Fraction = Fraction(1, 4)) -> GateRealization:
     """Heralded T-S: two non-deterministic controlled-sign gates plus a filter.
 
@@ -246,9 +254,7 @@ def heralded_ts_gate(cs_success: Fraction = Fraction(1, 4)) -> GateRealization:
     probability exactly 1/2 for every input.  With cs_success = 1/4 the
     total is 1/16 * 1/2 = 1/32, and the sign flip lands on |0,0,1>.
     """
-    cs_success = Fraction(cs_success)
-    if not 0 < cs_success <= 1:
-        raise ValueError(f"cs_success must lie in (0, 1], got {cs_success}")
+    cs_success = _checked_cs_success(cs_success)
     elements = _ts_front_elements() + (
         HalfWavePlate(HADAMARD_HWP_ANGLE, (S_H, S_V)),
         HalfWavePlate(HADAMARD_HWP_ANGLE, (T_H, T_V)),
@@ -282,11 +288,13 @@ def postselected_cs_gate() -> GateRealization:
                     claimed=Fraction(1, 9), phases=oracle_n_toffoli_sign(1, (1, 1)))
 
 
-def naive_postselected_chain_probability() -> Fraction | float:
+def naive_postselected_chain_probability(cs: GateRealization, heralded: GateRealization) -> Fraction | float:
     """Two post-selected controlled-sign gates plus the heralded filter:
-    1/9 * 1/9 * 1/2, each factor read off its simulated transfer."""
-    cs = postselected_cs_gate().success_probability
-    return heralded_ts_gate(cs_success=cs).success_probability
+    1/9 * 1/9 * 1/2, read off the caller's realizations, `cs` from
+    `postselected_cs_gate` and `heralded` from `heralded_ts_gate`, whose
+    optical factor is its filter's, at any `cs_success`.  A C-S probability
+    outside (0, 1] is a ValueError, as for `heralded_ts_gate`."""
+    return _checked_cs_success(cs.success_probability) ** 2 * heralded.filter_success
 
 
 # ---------------------------------------------------------------------------

@@ -117,16 +117,18 @@ def build_report(chain_params: optical.ChainParameters | None = None) -> Report:
     probs = "success probabilities"
     rows.append(_simulated(probs, "deterministic cross-Kerr T-S", "3 photons, 3 Kerr",
                            det.success_probability, Fraction(1)))
+    heralded = optical.heralded_ts_gate()
     rows.append(_simulated(probs, "heralded T-S, qudit target + filter", "2 entangled pairs",
-                           optical.heralded_ts_gate().success_probability, Fraction(1, 32)))
+                           heralded.success_probability, Fraction(1, 32)))
     rows.append(_cited(probs, "heralded Toffoli, chain of 6 C-S gates", "6 entangled pairs",
                        optical.NAIVE_HERALDED_CHAIN))
     rows.append(_cited(probs, "heralded Toffoli, dedicated 3-pair scheme", "3 entangled pairs",
                        optical.ALTERNATIVE_HERALDED_3PAIR))
+    cs = optical.postselected_cs_gate()
     rows.append(_simulated(probs, "post-selected controlled-sign", "2 photons",
-                           optical.postselected_cs_gate().success_probability, Fraction(1, 9)))
+                           cs.success_probability, Fraction(1, 9)))
     rows.append(_simulated(probs, "post-selected T-S, two C-S gates + filter", "3 photons",
-                           optical.naive_postselected_chain_probability(), Fraction(1, 162)))
+                           optical.naive_postselected_chain_probability(cs, heralded), Fraction(1, 162)))
     params = chain_params if chain_params is not None else optical.load_chain_solution()
     rows.append(_simulated(probs, "post-selected T-S, chained interferometers", "3 photons",
                            optical.verify_chain_parameters(params).success_probability, optical.CHAINED_TARGET))

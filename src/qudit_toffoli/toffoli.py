@@ -25,7 +25,7 @@ the tests' reference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from decimal import MAX_EMAX, Context, Decimal
+from decimal import MAX_EMAX, Context, Decimal, DivisionByZero, InvalidOperation
 
 import numpy as np
 
@@ -42,7 +42,8 @@ from .qudits import (
 )
 
 LEAKAGE_TOL = 1e-12
-_ESTIMATE = Context(prec=6, Emax=MAX_EMAX)
+# the default traps but Overflow: an estimate past the largest Decimal is Infinity
+_ESTIMATE = Context(prec=6, Emax=MAX_EMAX, traps=[DivisionByZero, InvalidOperation])
 
 # Published comparison constants for 3-qubit Toffoli decompositions and the
 # 5-control case, reported alongside our counts.
@@ -426,8 +427,9 @@ def verification_gib(n: int) -> Decimal:
     monomial throughout: per qubit input (2^(n+1) of them), one 8-byte digit
     for each of the n+1 wires plus 16 words for its phase, its oracle sign and
     the analysis' temporaries (tracemalloc measured 11-12 at n = 10..16).
-    Six digits with an unbounded exponent, so that any n is estimated
-    without building the integer 2^(n+1)."""
+    Six digits with an exponent up to MAX_EMAX, so that any n is estimated
+    without building the integer 2^(n+1); past that (n above about 3.3e18)
+    the estimate is Infinity."""
     # 2^(n+1) inputs of n+1+16 words, 2^3 bytes a word, 2^30 bytes a GiB
     return _ESTIMATE.multiply(_ESTIMATE.power(2, (n + 1) + 3 - 30), n + 1 + 16)
 

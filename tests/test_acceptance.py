@@ -130,7 +130,7 @@ def test_criterion_07_postselected_controlled_sign():
     probs = gate.coincidence_probabilities()
     prob_dev = float(np.max(np.abs(probs - 1 / 9)))
     transfer_dev = float(np.max(np.abs(gate.transfer - np.diag([1, 1, 1, -1]) / 3)))
-    chain = naive_postselected_chain_probability()
+    chain = naive_postselected_chain_probability(gate, heralded_ts_gate())
     _report(7, prob_dev < 1e-10 and transfer_dev < 1e-10 and chain == Fraction(1, 162),
             f"coincidence probability 1/9 (dev {prob_dev:.2e}); transfer prop. to "
             f"diag(1,1,1,-1); naive chain = 1/162 exactly")

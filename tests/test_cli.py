@@ -178,8 +178,9 @@ def _without_splitter_in(data):
     lambda data: json.dumps({**data, "splitter_in": 10 ** 400}),
     lambda data: json.dumps({**data, "splitter_in": True}),
     lambda data: json.dumps(list(data)),
+    lambda data: "[" * 200_000,
 ], ids=["missing-key", "malformed-json", "reflectivity-1.5", "coupler-0.5", "unknown-key",
-        "reflectivity-400-digits", "reflectivity-true", "top-level-array"])
+        "reflectivity-400-digits", "reflectivity-true", "top-level-array", "nested-200000-deep"])
 def test_bad_params_file_is_one_line_usage_error(command, rewrite, tmp_path, capsys, solution_file):
     bad = tmp_path / "bad.json"
     with open(solution_file) as fh:
@@ -201,7 +202,7 @@ def test_directory_path_is_one_line_usage_error(argv, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("n", [40, 1100, 10 ** 12])
+@pytest.mark.parametrize("n", [40, 1100, 10 ** 12, 99999999999999999999])
 def test_oversized_n_is_refused_with_memory_estimate(n, capsys):
     assert main(["verify-toffoli", "--n", str(n)]) == 2
     captured = capsys.readouterr()

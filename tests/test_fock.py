@@ -414,6 +414,20 @@ def test_logical_transfer_matches_permanent_oracle_on_qudit_layouts(data, sizes,
         assert abs(transfer[y, x] - oracle) < 1e-12
 
 
+def test_a_later_run_acts_on_a_photon_through_the_mode_an_earlier_run_led_it_to():
+    # the first run takes photon 0 into ancilla mode 4 (and lets photon 1
+    # into group 0); after a cross-Kerr whose only occupied pair is photon 1
+    # on mode 2 and photon 0 on mode 0, the last run touches only mode 4 and
+    # photon 1's group, yet must still move photon 0
+    m, layout = 5, ModeLayout(((0, 1), (2, 3)))
+    elements = [Beamsplitter(0.5, (1, 4)), Beamsplitter(0.4, (3, 0)), CrossKerr(0.9, (2, 0)),
+                Beamsplitter(0.3, (4, 2))]
+    basis, dims = FockBasis(m, 2), layout.wire_dims
+    idx = [basis.index_of(_logical_occupation(layout, basis_digits(x, dims), m)) for x in range(dims.total_dim)]
+    want = circuit_fock_operator(elements, basis)[np.ix_(idx, idx)]
+    assert np.max(np.abs(logical_transfer(elements, m, layout) - want)) < 1e-12
+
+
 class _Amplifier(HalfWavePlate):
     """A wave plate whose block doubles the v mode: not unitary."""
 

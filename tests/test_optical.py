@@ -1,5 +1,6 @@
 """Optical gate realizations: transfer matrices, probabilities, sign patterns."""
 
+import dataclasses
 import re
 from fractions import Fraction
 
@@ -390,7 +391,13 @@ def test_realize_refuses_a_circuit_whose_claims_disagree_with_its_layout(n_photo
 
 
 def test_postselected_chain_total():
-    assert naive_postselected_chain_probability() == Fraction(1, 162)
+    assert naive_postselected_chain_probability(postselected_cs_gate(), heralded_ts_gate()) == Fraction(1, 162)
+
+
+def test_naive_chain_reads_the_heralded_filter_factor_at_any_cs_success():
+    # the heralded realization contributes its filter's 1/2, not its total
+    cs = postselected_cs_gate()
+    assert naive_postselected_chain_probability(cs, heralded_ts_gate(Fraction(3, 7))) == Fraction(1, 162)
 
 
 def test_postselected_cs_probability_completeness():
@@ -569,7 +576,11 @@ def test_chained_parameters_validate_range():
     lambda: heralded_ts_gate(Fraction(-1, 2)),
     lambda: heralded_ts_gate(0),
     lambda: solve_chain_reflectivities(n_starts=0),
-], ids=["cs_success-2", "cs_success-minus-half", "cs_success-0", "zero-starts"])
+    lambda: naive_postselected_chain_probability(
+        dataclasses.replace(postselected_cs_gate(), success_probability=Fraction(2)), heralded_ts_gate()),
+    lambda: naive_postselected_chain_probability(
+        dataclasses.replace(postselected_cs_gate(), success_probability=0.0), heralded_ts_gate()),
+], ids=["cs_success-2", "cs_success-minus-half", "cs_success-0", "zero-starts", "naive-cs-2", "naive-cs-0"])
 def test_meaningless_inputs_raise_value_error(call):
     with pytest.raises(ValueError):
         call()

@@ -12,7 +12,8 @@ test, at least one of its cases).  It exits 1 if a mutant survives any of
 its tests, if pytest ends in anything but test failures (a usage or
 collection error), or if a mutant's old text does not occur exactly once in
 its file, so the catalogue has to follow every refactor of the code it
-names.
+names.  On SIGINT or SIGTERM it ends its running pytest and removes its
+temporary copy before it exits.
 
 Standard library only, and outside the pytest suite.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -172,13 +174,13 @@ CATALOGUE = (
            "np.exp(-1j * self.chi * occ[a] * occ[b])",
            ("tests/test_fock.py::test_logical_transfer_matches_dense_operator_rows",)),
     Mutant("tensor Kerr phase conjugated", FOCK,
-           "tensor = tensor * np.exp(1j * el.chi * n_a * n_b)",
-           "tensor = tensor * np.exp(-1j * el.chi * n_a * n_b)",
+           "phase = np.exp(1j * el.chi)",
+           "phase = np.exp(-1j * el.chi)",
            ("tests/test_optical.py::test_kerr_cs_general_strength_phases_delta_term",
             "tests/test_fock.py::test_logical_transfer_matches_dense_operator_rows")),
     Mutant("block applied to one photon axis fewer", FOCK,
-           "    tensor = tensor.reshape(-1, m) @ mode_matrix.T\n    return tensor.reshape(shape)\n",
-           "    return tensor.reshape(shape)\n",
+           "for k in range(len(reach)) if not reach[k].isdisjoint(touched)]",
+           "for k in range(len(reach) - 1) if not reach[k].isdisjoint(touched)]",
            ("tests/test_fock.py::test_logical_transfer_matches_dense_operator_rows",
             "tests/test_fock.py::test_logical_transfer_matches_permanent_oracle_on_qudit_layouts")),
     Mutant("run composed in reverse order", FOCK,
@@ -187,11 +189,19 @@ CATALOGUE = (
            ("tests/test_fock.py::test_logical_transfer_matches_dense_operator_rows",
             "tests/test_fock.py::test_logical_transfer_matches_permanent_oracle_on_qudit_layouts")),
     Mutant("run not applied before a cross-Kerr", FOCK,
-           "            if pending is not None:\n"
-           "                tensor, pending = _apply_to_each_photon(pending, tensor), None\n",
+           "            tensor, pending, touched = _apply_run(pending, touched, tensor, reach), None, set()\n",
            "",
            ("tests/test_fock.py::test_logical_transfer_applies_each_run_between_its_cross_kerrs",
             "tests/test_acceptance.py::test_criterion_05_deterministic_optical_ts")),
+    Mutant("reach not widened", FOCK,
+           "        reach[axis - 1] |= touched\n",
+           "        pass\n",
+           ("tests/test_fock.py::test_a_later_run_acts_on_a_photon_through_the_mode_an_earlier_run_led_it_to",)),
+    Mutant("Kerr applied for k<l only", FOCK,
+           "for k, l in permutations(range(n), 2):",
+           "for k, l in ((k, l) for k in range(n) for l in range(k + 1, n)):",
+           ("tests/test_fock.py::test_a_later_run_acts_on_a_photon_through_the_mode_an_earlier_run_led_it_to",
+            "tests/test_fock.py::test_logical_transfer_applies_each_run_between_its_cross_kerrs")),
     Mutant("read-out keeps one ordering of the output modes, not the permanent", FOCK,
            "for order in permutations(range(n)))",
            "for order in [tuple(range(n))])",
@@ -283,7 +293,15 @@ CATALOGUE = (
            "    if not 0 < cs_success <= 1:\n",
            "    if False:\n",
            ("tests/test_optical.py::test_meaningless_inputs_raise_value_error[cs_success-2]",
-            "tests/test_optical.py::test_meaningless_inputs_raise_value_error[cs_success-minus-half]")),
+            "tests/test_optical.py::test_meaningless_inputs_raise_value_error[cs_success-minus-half]",
+            "tests/test_optical.py::test_meaningless_inputs_raise_value_error[naive-cs-2]")),
+    Mutant("naive total reads the 1/4-heralded total instead of the filter factor", OPTICAL,
+           "** 2 * heralded.filter_success",
+           "** 2 * heralded.success_probability",
+           ("tests/test_optical.py::test_postselected_chain_total",
+            "tests/test_optical.py::test_naive_chain_reads_the_heralded_filter_factor_at_any_cs_success",
+            "tests/test_acceptance.py::test_criterion_07_postselected_controlled_sign",
+            "tests/test_golden.py::test_command_output_matches_its_golden_file")),
     Mutant("params file accepts unknown keys", OPTICAL,
            "        if unknown:\n",
            "        if False:\n",
@@ -301,7 +319,15 @@ def _pytest(workdir: Path, node_ids) -> tuple[int, list[str]]:
     return run.returncode, failed
 
 
+def _stop(signum, frame):
+    """Unwind on a signal: `subprocess.run` kills its pytest child and the
+    temporary directory removes itself on the way out."""
+    raise SystemExit(f"stopped by signal {signal.Signals(signum).name}")
+
+
 def main() -> int:
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, _stop)
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         work = Path(tmp)
