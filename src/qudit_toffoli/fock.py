@@ -492,31 +492,26 @@ class ModeLayout:
         return WireDims(tuple(len(g) for g in self.groups))
 
 
-def _apply_along(mode_matrix: np.ndarray, tensor: np.ndarray, axes) -> np.ndarray:
-    """An m x m mode matrix applied along the given photon axes (ascending)
-    of a tensor of shape (X,) + (m,) * N: one batched matrix product per
-    axis, or one 2-D product for the last axis, whose rows are contiguous."""
-    shape = tensor.shape
-    m = len(mode_matrix)
-    for axis in axes:
-        if axis == len(shape) - 1:
-            tensor = tensor.reshape(-1, m) @ mode_matrix.T
-        else:
-            tensor = np.matmul(mode_matrix, tensor.reshape(math.prod(shape[:axis]), m, -1))
-    return tensor.reshape(shape)
-
-
 def _apply_run(run: np.ndarray | None, touched: set, tensor: np.ndarray, reach: list) -> np.ndarray:
-    """A composed Kerr-free run applied along the photon axes whose reach
-    meets the modes it touches; each of those photons may then be on any of
-    them.  Outside `touched` the run's columns are unit vectors, so along
-    any other axis it is exactly the identity."""
+    """A composed Kerr-free m x m run applied to a tensor of shape
+    (X,) + (m,) * N along each photon axis whose reach meets the modes the
+    run touches, which widens that reach by them: a batched matrix product
+    per axis, or a 2-D product for the last axis, whose rows are contiguous.
+    Outside `touched` the run's columns are unit vectors, so along any other
+    axis it is exactly the identity."""
     if run is None:
         return tensor
-    axes = [k + 1 for k in range(len(reach)) if not reach[k].isdisjoint(touched)]
-    for axis in axes:
-        reach[axis - 1] |= touched
-    return _apply_along(run, tensor, axes)
+    shape = tensor.shape
+    m = len(run)
+    for k, photon_reach in enumerate(reach):
+        if photon_reach.isdisjoint(touched):
+            continue
+        photon_reach |= touched
+        if k == len(reach) - 1:
+            tensor = tensor.reshape(-1, m) @ run.T
+        else:
+            tensor = np.matmul(run, tensor.reshape(math.prod(shape[:k + 1]), m, -1))
+    return tensor.reshape(shape)
 
 
 def logical_transfer(elements, m: int, layout: ModeLayout) -> np.ndarray:
