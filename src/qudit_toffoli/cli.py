@@ -32,7 +32,7 @@ class UsageError(Exception):
 
 
 def _emit(text: str, args) -> None:
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
@@ -52,7 +52,7 @@ def _read_chain_params(path: str):
         with open(path) as fh:
             return ChainParameters.from_json(fh.read())
     except (TypeError, ValueError, RecursionError) as exc:
-        raise UsageError(f"{path}: {exc}") from None
+        raise UsageError(f"{path!r}: {exc}") from None
 
 
 def cmd_verify_toffoli(args) -> int:
@@ -98,7 +98,7 @@ def cmd_simulate_optical(args) -> int:
         extras = {"coincidence_probabilities": [float(p) for p in realization.coincidence_probabilities()],
                   "naive_chain_total": _format_fraction(naive)}
     else:  # "chained"; argparse restricts the choices
-        if args.params_file:
+        if args.params_file is not None:
             params = _read_chain_params(args.params_file)
             realization, solved = verify_chain_parameters(params), False
         else:
@@ -122,7 +122,7 @@ def cmd_report_all(args) -> int:
     from .report import build_report
 
     params = None
-    if args.params_file:
+    if args.params_file is not None:
         params = _read_chain_params(args.params_file)
     report = build_report(chain_params=params)
     _emit(json.dumps(report.to_dict(), indent=2) if args.format == "json"
@@ -142,13 +142,19 @@ def _int_at_least(lowest: int):
     return parse
 
 
+def _path(text: str) -> str:
+    if "\0" in text:
+        raise argparse.ArgumentTypeError(f"a path cannot hold a NUL byte, got {text!r}")
+    return text
+
+
 def _probability(text: str) -> Fraction:
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"expected a fraction such as 1/4, got {text!r}") from None
     if not 0 < value <= 1:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text}")
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text!r}")
     return value
 
 
@@ -160,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qudit-toffoli",
         description="Verify qudit-assisted Toffoli constructions and their optical realizations.")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--out", help="write output to this file instead of stdout")
+    parser.add_argument("--out", type=_path, help="write output to this file instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_toffoli = sub.add_parser("verify-toffoli", help="check the n-control construction")
@@ -172,21 +178,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_optical.add_argument("which", choices=("kerr", "heralded", "postselected-cs", "chained"))
     p_optical.add_argument("--cs-success", type=_probability, default="1/4",
                            help="heralded C-S success probability as a fraction (default 1/4)")
-    p_optical.add_argument("--params-file",
+    p_optical.add_argument("--params-file", type=_path,
                            help="verify this reflectivity file instead of solving")
     p_optical.add_argument("--seed", type=_int_at_least(0), default=20070, help="solver multistart seed")
     p_optical.add_argument("--starts", type=_int_at_least(1), default=16, help="solver restarts")
     p_optical.set_defaults(func=cmd_simulate_optical)
 
     p_report = sub.add_parser("report-all", help="full comparison table")
-    p_report.add_argument("--params-file", help="reflectivity file for the chained gate "
+    p_report.add_argument("--params-file", type=_path, help="reflectivity file for the chained gate "
                           "(default: the committed solution)")
     p_report.set_defaults(func=cmd_report_all)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:     # as `parse_args` does, but with each argument quoted, so a newline stays on one line
+        parser.error(f"unrecognized arguments: {' '.join(map(repr, unknown))}")
     try:
         return args.func(args)
     except (OSError, UsageError) as exc:

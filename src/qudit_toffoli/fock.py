@@ -38,7 +38,7 @@ benchmark's tracer (`perfbench/tracing.py`) wraps all three by name.
 
 `ModeLayout.modes` is the one map from logical states to photons: row x
 holds each photon's mode in logical basis state x, wires big-endian.
-Elements, layouts and patterns refuse a negative or fractional mode, every
+Elements and layouts refuse a negative or fractional mode, every
 route from elements to amplitudes refuses an element mode >= m, and every
 route that reads a layout against m modes refuses a layout mode >= m.
 
@@ -146,15 +146,6 @@ class FockBasis:
             raise PhotonNumberError(
                 f"occupation {occ} is not a state of {self.m} modes / {self.n_photons} photons")
         return self._index[occ]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FockBasis) and (self.m, self.n_photons) == (other.m, other.n_photons)
-
-    def __hash__(self):
-        return hash((self.m, self.n_photons))
-
-    def __repr__(self):
-        return f"FockBasis(m={self.m}, N={self.n_photons}, size={self.size})"
 
 
 # ---------------------------------------------------------------------------
@@ -435,39 +426,15 @@ def permanent_amplitude_oracle(mode_matrix: np.ndarray, in_occupation, out_occup
 
 
 # ---------------------------------------------------------------------------
-# Detection patterns
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DetectionPattern:
-    """Exact photon-count conditions on a subset of modes; unlisted modes are
-    unconstrained.  `zero(...)` is the common zero-detection condition."""
-
-    conditions: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        conds = tuple(sorted((_index(m), _index(c, "count")) for m, c in self.conditions))
-        if not conds:
-            raise ValueError("detection pattern must constrain at least one mode")
-        modes = [m for m, _ in conds]
-        if len(set(modes)) != len(modes):
-            raise ValueError("detection pattern repeats a mode")
-        object.__setattr__(self, "conditions", conds)
-
-    @classmethod
-    def zero(cls, modes) -> "DetectionPattern":
-        return cls(tuple((m, 0) for m in modes))
-
-
-# ---------------------------------------------------------------------------
 # Dual-rail (and qudit-rail) encoding
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ModeLayout:
     """Maps logical wires onto disjoint mode groups: one photon per group,
-    its position within the group being the logical level.  Row x of the
-    (X, N) table `modes` is each photon's mode in logical basis state x."""
+    its position within the group being the logical level, and none outside
+    the groups; that is the post-selection `logical_transfer` reads.  Row x
+    of the (X, N) table `modes` is each photon's mode in logical basis state x."""
 
     groups: tuple[tuple[int, ...], ...]
     modes: np.ndarray = field(init=False, repr=False, compare=False)
@@ -569,20 +536,3 @@ def logical_transfer(elements, m: int, layout: ModeLayout) -> np.ndarray:
                for order in permutations(range(n)))
     return amps.T
 
-
-# ---------------------------------------------------------------------------
-# Optical circuits
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OpticalCircuit:
-    """An optical construction's mode count, photon number, ordered elements
-    and optional detection pattern (held to its layout by `optical._realize`)."""
-
-    m: int
-    n_photons: int
-    elements: tuple
-    pattern: DetectionPattern | None = None
-
-    def basis(self) -> FockBasis:
-        return FockBasis(self.m, self.n_photons)

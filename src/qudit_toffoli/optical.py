@@ -14,23 +14,22 @@ Four constructions, all on polarization/spatial dual-rail encodings:
   filter: two half-wave plates, a recombining polarizing beamsplitter and a
   zero detection, succeeding with probability exactly 1/2.  Total
   (1/4)^2 * 1/2 = 1/32.
-* `postselected_cs_gate` / `chain_topology` - coincidence-basis gates built
+* `postselected_cs_gate` / `chain_elements` - coincidence-basis gates built
   from 1/3 beamsplitters.  The controlled-sign alone succeeds with 1/9;
   chaining two plus the filter gives 1/162; threading the target's zero mode
   through two coupled interferometers instead (solved numerically by
   `solve_chain_reflectivities`) reaches 1/72.
 
-Every construction states its claimed logical transfer, an exact factor
-(1, 1/2, 1/9 or 1/72) times a unit-modulus diagonal, and is judged by one
-route, `_realize`: `certified`, the whole transfer within 1e-12 of the
-claim, is the one verdict the report and the CLI read.  The transfer is the
-circuit's logical transfer from `fock.logical_transfer` (the logical inputs
-propagated as labelled photons, first quantized), or for
-`verify_chain_parameters` the chain's coincidence block.  Only a certified
-realization reports the exact factor, else the simulated float, so a broken
-element shows up as a mismatch downstream.  A `GateRealization` stores that
-verdict and nothing its circuit already says: the detection pattern is
-`circuit.pattern`, and `kerr_count` counts the `CrossKerr` elements.
+A construction is its mode count, its ordered elements and its layout, which
+is also its post-selection: one photon on each layout wire's modes, none
+elsewhere.  Each states its claimed logical transfer, an exact factor (1, 1/2,
+1/9 or 1/72) times a unit-modulus diagonal, and is judged by one route,
+`_realize`: `certified`, the whole transfer within 1e-12 of the claim, is the
+one verdict the report and the CLI read.  The transfer is the elements'
+`fock.logical_transfer` (first quantized), or for `verify_chain_parameters`
+the chain's coincidence block.  Only a certified realization reports the
+exact factor, else the simulated float, so a broken element shows up as a
+mismatch downstream.  `GateRealization.kerr_count` counts `CrossKerr`s.
 
 Mode bookkeeping for the polarization constructions (modes 0..7):
 a_h, a_v, b_h, b_v, s_h, s_v, t_h, t_v.  The target qubit enters and leaves
@@ -54,7 +53,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from itertools import permutations
@@ -65,11 +65,9 @@ from scipy import optimize
 from .fock import (
     Beamsplitter,
     CrossKerr,
-    DetectionPattern,
     HalfWavePlate,
     HADAMARD_HWP_ANGLE,
     ModeLayout,
-    OpticalCircuit,
     PolarizingBeamsplitter,
     VacuumAttenuator,
     logical_transfer,
@@ -94,8 +92,8 @@ CHAINED_TARGET = Fraction(1, 72)
 
 @dataclass(frozen=True)
 class GateRealization:
-    """An optical construction's verdict: its circuit, the logical transfer
-    read off it, and how that transfer compares with the claim.
+    """An optical construction's verdict: its mode count `m`, `elements` and
+    `layout`, the logical transfer read off them, and how it meets the claim.
 
     `transfer` is the post-selected logical matrix over `layout` (the same
     layout in and out), and `residual` its largest entrywise distance from
@@ -104,25 +102,24 @@ class GateRealization:
     when certified, else the simulated float (mean |diagonal|)^2, times any
     external heralding factor (`cs_success` squared).  `flipped_component`
     is the digit tuple of the single negative diagonal entry, () if there is
-    not exactly one.  The detection pattern and the Kerr count are read off
-    `circuit`.
+    not exactly one.  The Kerr count is read off `elements`.
     """
 
     name: str
-    circuit: OpticalCircuit
+    m: int
+    elements: tuple
     layout: ModeLayout
     transfer: np.ndarray
     success_probability: Fraction | float
     flipped_component: tuple[int, ...]
     residual: float
     certified: bool
-    stages: dict = field(default_factory=dict)
     cs_success: Fraction | None = None
     filter_success: Fraction | float | None = None
 
     @property
     def kerr_count(self) -> int:
-        return sum(isinstance(element, CrossKerr) for element in self.circuit.elements)
+        return sum(isinstance(element, CrossKerr) for element in self.elements)
 
     def coincidence_probabilities(self) -> np.ndarray:
         """Per-logical-basis-input success probability from the transfer."""
@@ -132,56 +129,37 @@ class GateRealization:
 EXACT_TOL = 1e-12
 
 
-def _check_claims(name: str, circuit: OpticalCircuit, layout: ModeLayout, claimed: Fraction) -> None:
-    """In O(m): one photon per layout wire, and either a pattern of zero photons
-    on exactly the modes outside the layout or no pattern and the factor 1;
-    any other circuit is a one-line ValueError naming the construction."""
-    outside = sorted(set(range(circuit.m)).difference(*layout.groups))
-    if circuit.n_photons != len(layout.groups):
-        problem = f"{circuit.n_photons} photons for {len(layout.groups)} layout wires"
-    elif circuit.pattern is not None and circuit.pattern.conditions != tuple((mode, 0) for mode in outside):
-        problem = f"pattern {circuit.pattern.conditions} is not zero on exactly the outside modes {outside}"
-    elif circuit.pattern is None and claimed != 1:
-        problem = f"no detection pattern, but a claimed factor of {claimed}"
-    else:
-        return
-    raise ValueError(f"{name}: {problem}")
+def _realize(name: str, m: int, elements: tuple, layout: ModeLayout, claimed: Fraction, phases,
+             transfer: np.ndarray | None = None, cs_success: Fraction | None = None) -> GateRealization:
+    """The one verdict on a construction of `m` modes: its logical transfer over
+    `layout` checked whole against the claimed transfer sqrt(`claimed`) * diag(`phases`).
 
-
-def _realize(name: str, circuit: OpticalCircuit, layout: ModeLayout, claimed: Fraction, phases,
-             transfer: np.ndarray | None = None, cs_success: Fraction | None = None,
-             **fields) -> GateRealization:
-    """The one verdict on a construction: its logical transfer checked whole
-    against the claimed transfer sqrt(`claimed`) * diag(`phases`).
-
-    `transfer` defaults to the logical transfer of the circuit's elements.
-    Only a certified transfer (residual within EXACT_TOL) reports the exact
+    `transfer` defaults to `logical_transfer(elements, m, layout)`.  Only a
+    certified transfer (residual within EXACT_TOL) reports the exact
     `claimed` factor, any other the simulated float.  A `cs_success`
     (external heralding, per controlled sign) multiplies in squared, and the
-    optical factor becomes `filter_success`.  The circuit's own claims are
-    checked first, by `_check_claims`."""
-    _check_claims(name, circuit, layout, claimed)
+    optical factor becomes `filter_success`."""
     if transfer is None:
-        transfer = logical_transfer(circuit.elements, circuit.m, layout)
+        transfer = logical_transfer(elements, m, layout)
     diag = np.diagonal(transfer)
     flipped = np.flatnonzero((np.abs(diag) > 1e-14) & (diag.real < 0))
     residual = float(np.max(np.abs(transfer - math.sqrt(claimed) * np.diag(phases))))
     certified = residual <= EXACT_TOL
     optical = claimed if certified else float(np.mean(np.abs(diag)) ** 2)
-    success = optical
-    if cs_success is not None:
-        fields.update(cs_success=cs_success, filter_success=optical)
-        success = cs_success ** 2 * optical
+    filter_success = None if cs_success is None else optical
+    success = optical if cs_success is None else cs_success ** 2 * optical
     return GateRealization(
         name=name,
-        circuit=circuit,
+        m=m,
+        elements=elements,
         layout=layout,
         transfer=transfer,
         success_probability=success,
         flipped_component=basis_digits(int(flipped[0]), layout.wire_dims) if flipped.size == 1 else (),
         residual=residual,
         certified=certified,
-        **fields,
+        cs_success=cs_success,
+        filter_success=filter_success,
     )
 
 
@@ -201,7 +179,7 @@ def kerr_cs_gate(chi: float = math.pi) -> GateRealization:
     alone, which is exactly the borrowed-level behaviour the qutrit circuit
     needs.
     """
-    return _realize("cross-Kerr controlled-sign", OpticalCircuit(4, 2, (CrossKerr(chi, (1, 3)),)),
+    return _realize("cross-Kerr controlled-sign", 4, (CrossKerr(chi, (1, 3)),),
                     ModeLayout(((0, 1), (2, 3))), claimed=Fraction(1),
                     phases=np.exp(1j * chi * np.array([0, 0, 0, 1])))
 
@@ -231,8 +209,8 @@ def deterministic_ts_gate() -> GateRealization:
         HalfWavePlate(HADAMARD_HWP_ANGLE, (S_H, S_V)),
         PolarizingBeamsplitter((S_H, S_V), (T_H, T_V)),
     )
-    return _realize("deterministic cross-Kerr T-S", OpticalCircuit(8, 3, elements),
-                    _POLARIZATION_LAYOUT, Fraction(1), oracle_n_toffoli_sign(2, (1, 0, 1)))
+    return _realize("deterministic cross-Kerr T-S", 8, elements, _POLARIZATION_LAYOUT, Fraction(1),
+                    oracle_n_toffoli_sign(2, (1, 0, 1)))
 
 
 def _checked_cs_success(cs_success) -> Fraction:
@@ -260,10 +238,8 @@ def heralded_ts_gate(cs_success: Fraction = Fraction(1, 4)) -> GateRealization:
         HalfWavePlate(HADAMARD_HWP_ANGLE, (T_H, T_V)),
         PolarizingBeamsplitter((S_H, S_V), (T_H, T_V)),
     )
-    circuit = OpticalCircuit(8, 3, elements, DetectionPattern.zero((S_H, S_V)))
-    return _realize("heralded T-S with passive filter", circuit, _POLARIZATION_LAYOUT,
-                    Fraction(1, 2), oracle_n_toffoli_sign(2, (0, 0, 1)), cs_success=cs_success,
-                    stages={"after_cs2": 5, "after_filter_hwps": 7})
+    return _realize("heralded T-S with passive filter", 8, elements, _POLARIZATION_LAYOUT,
+                    Fraction(1, 2), oracle_n_toffoli_sign(2, (0, 0, 1)), cs_success=cs_success)
 
 
 def postselected_cs_gate() -> GateRealization:
@@ -283,8 +259,7 @@ def postselected_cs_gate() -> GateRealization:
         VacuumAttenuator(eta, 1, 4),
         VacuumAttenuator(eta, 2, 5),
     )
-    circuit = OpticalCircuit(6, 2, elements, DetectionPattern.zero((4, 5)))
-    return _realize("post-selected controlled-sign", circuit, ModeLayout(((0, 1), (2, 3))),
+    return _realize("post-selected controlled-sign", 6, elements, ModeLayout(((0, 1), (2, 3))),
                     claimed=Fraction(1, 9), phases=oracle_n_toffoli_sign(1, (1, 1)))
 
 
@@ -303,7 +278,6 @@ def naive_postselected_chain_probability(cs: GateRealization, heralded: GateReal
 
 # principal modes
 C1_0, C1_1, ARM_U, ARM_L, T1, C2_0, C2_1 = range(7)
-N_PRINCIPAL_MODES = 7
 
 _CHAIN_LAYOUT = ModeLayout(((C1_0, C1_1), (ARM_U, T1), (C2_0, C2_1)))
 _CHAIN_TARGET = oracle_n_toffoli_sign(2, (0, 0, 0))
@@ -311,9 +285,9 @@ _CHAIN_NAME = "post-selected T-S, chained interferometers"
 
 
 def _real(name: str, value) -> float:
-    """`value` as a float; a bool, or a number beyond float range, is a ValueError."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} = {value}, expected a number")
+    """`value` as a float; a non-number (a bool or a string too), or one beyond float range, is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} = {value!r}, expected a number")
     try:
         return float(value)
     except OverflowError:
@@ -369,7 +343,7 @@ class ChainParameters:
             raise ValueError(f"missing reflectivities: {', '.join(missing)}")
         unknown = [k for k in data if k not in cls.FIELDS and k != "coupler_reflectivity"]
         if unknown:
-            raise ValueError(f"unknown keys: {', '.join(map(str, unknown))}")
+            raise ValueError(f"unknown keys: {', '.join(map(repr, unknown))}")
         coupler = data.get("coupler_reflectivity", COUPLER_REFLECTIVITY)
         if not abs(_real("coupler_reflectivity", coupler) - COUPLER_REFLECTIVITY) <= 1e-12:
             raise ValueError(f"coupler_reflectivity = {coupler}, but the couplers are fixed at 1/3")
@@ -385,7 +359,7 @@ class ChainParameters:
 
 
 def chain_elements(params: ChainParameters) -> tuple:
-    """Ordered element list; attenuator ancillas are modes 7..11."""
+    """Ordered element list on 12 modes; attenuator ancillas are modes 7..11."""
     eta = float(COUPLER_REFLECTIVITY)
     return (
         VacuumAttenuator(params.atten_c1_top, C1_0, 7),
@@ -399,13 +373,6 @@ def chain_elements(params: ChainParameters) -> tuple:
         VacuumAttenuator(params.atten_c2_top, C2_0, 10),
         VacuumAttenuator(params.atten_c2_bottom, C2_1, 11),
     )
-
-
-def chain_topology(params: ChainParameters) -> OpticalCircuit:
-    """Chained-interferometer circuit: 7 principal modes, 5 vacuum ancillas,
-    3 photons, coincidence = one photon per logical pair (ancillas empty)."""
-    pattern = DetectionPattern.zero((ARM_L, 7, 8, 9, 10, 11))
-    return OpticalCircuit(12, 3, chain_elements(params), pattern)
 
 
 def chain_mode_matrix(params: ChainParameters) -> np.ndarray:
@@ -439,7 +406,7 @@ def verify_chain_parameters(params: ChainParameters) -> GateRealization:
     """The chain's claim checked on the fast route: the coincidence block
     (3x3 permanents of the mode matrix, shared with the solver) against
     1/72 times a single sign flip on |0,0,0>."""
-    return _realize(_CHAIN_NAME, chain_topology(params), _CHAIN_LAYOUT, CHAINED_TARGET, _CHAIN_TARGET,
+    return _realize(_CHAIN_NAME, 12, chain_elements(params), _CHAIN_LAYOUT, CHAINED_TARGET, _CHAIN_TARGET,
                     transfer=chain_coincidence_block(chain_mode_matrix(params)))
 
 
@@ -534,7 +501,7 @@ def chained_ts_gate(params: ChainParameters) -> GateRealization:
     the transfer comes from the first-quantized `logical_transfer`, which
     shares the layout table with `chain_coincidence_block` but neither
     `single_photon_transfer` nor the block's permanents."""
-    return _realize(_CHAIN_NAME, chain_topology(params), _CHAIN_LAYOUT, CHAINED_TARGET, _CHAIN_TARGET)
+    return _realize(_CHAIN_NAME, 12, chain_elements(params), _CHAIN_LAYOUT, CHAINED_TARGET, _CHAIN_TARGET)
 
 
 SOLUTION_RESOURCE = "chain_solution.json"

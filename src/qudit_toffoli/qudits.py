@@ -187,24 +187,6 @@ class GateMatrix:
         return MonomialTable.from_rows(self.wire_dims, rows, self.matrix[rows, np.arange(rows.size)])
 
 
-def equiv_up_to_global_phase(a, b, tol: float = PRODUCT_TOL):
-    """Whether a == lam * b for some unit-modulus lam; returns (bool, lam or None)."""
-    am, bm = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    if am.shape != bm.shape:
-        raise WireError(f"shape mismatch: {am.shape} vs {bm.shape}")
-    pivot = np.unravel_index(np.argmax(np.abs(bm)), bm.shape)
-    if abs(bm[pivot]) < tol:
-        # b is numerically zero; equivalence reduces to a being zero too
-        return (bool(np.max(np.abs(am)) < tol), 1.0 + 0.0j)
-    lam = am[pivot] / bm[pivot]
-    if abs(abs(lam) - 1.0) > tol:
-        return (False, None)
-    lam /= abs(lam)
-    if np.max(np.abs(am - lam * bm)) < tol:
-        return (True, complex(lam))
-    return (False, None)
-
-
 # ---------------------------------------------------------------------------
 # Circuits
 # ---------------------------------------------------------------------------
@@ -364,10 +346,3 @@ def parse_circuit(text: str, gate_builder) -> CircuitDescription:
     if dims is None:
         raise CircuitParseError(1, "no 'dims' directive found")
     return CircuitDescription(dims, tuple(steps))
-
-
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random unitary via QR of a complex Ginibre matrix."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))

@@ -212,18 +212,6 @@ def oracle_n_toffoli_sign(n: int, flipped_component) -> np.ndarray:
     return diag
 
 
-def toffoli_truth_table(n: int = 2) -> GateMatrix:
-    """Brute-force n-control Toffoli permutation matrix (target = last wire)."""
-    dims = WireDims((2,) * (n + 1))
-    mat = np.zeros((dims.total_dim, dims.total_dim), dtype=complex)
-    for idx in range(dims.total_dim):
-        digits = list(basis_digits(idx, dims))
-        if all(digits[:-1]):
-            digits[-1] ^= 1
-        mat[basis_index(digits, dims), idx] = 1.0
-    return GateMatrix(dims.dims, mat)
-
-
 # ---------------------------------------------------------------------------
 # Verification
 # ---------------------------------------------------------------------------
@@ -233,11 +221,6 @@ def qubit_subspace_indices(dims: WireDims) -> np.ndarray:
     2^k binary digit tuples in lexicographic order, ranked big-endian."""
     k = dims.n_wires
     return np.ravel_multi_index(np.indices((2,) * k).reshape(k, -1), dims.dims)
-
-
-def restrict_to_qubit_subspace(unitary: np.ndarray, dims: WireDims) -> np.ndarray:
-    idx = qubit_subspace_indices(dims)
-    return unitary[np.ix_(idx, idx)]
 
 
 def qubit_subspace_leakage(unitary: np.ndarray, dims: WireDims) -> float:

@@ -1,9 +1,12 @@
-"""Amplitude vectors over a `FockBasis`, built and read by basis index, for
-tests that propagate them by `circuit_fock_operator(elements, basis) @ amps`."""
+"""Test-side references: amplitude vectors over a `FockBasis`, built and read
+by basis index, and the dense register helpers that no command runs."""
 
 from collections import defaultdict
 
 import numpy as np
+
+from qudit_toffoli.qudits import PRODUCT_TOL, GateMatrix, WireDims, WireError, basis_digits, basis_index
+from qudit_toffoli.toffoli import qubit_subspace_indices
 
 
 def fock_state(basis, occupation) -> np.ndarray:
@@ -19,10 +22,9 @@ def logical_indices(layout, basis) -> np.ndarray:
     return np.array([basis.index_of(occ) for occ in occupations])
 
 
-def pattern_mask(pattern, basis) -> np.ndarray:
-    """Boolean mask of the basis states that satisfy the detection pattern."""
-    return np.array([all(occ[mode] == count for mode, count in pattern.conditions)
-                     for occ in basis.states])
+def vacuum_mask(basis, modes) -> np.ndarray:
+    """Boolean mask of the basis states with zero photons on every one of `modes`."""
+    return np.array([not any(occ[mode] for mode in modes) for occ in basis.states])
 
 
 def detection_outcomes(basis, amps, modes) -> dict:
@@ -32,3 +34,45 @@ def detection_outcomes(basis, amps, modes) -> dict:
     for occ, amp in zip(basis.states, amps):
         outcomes[tuple(occ[mode] for mode in modes)] += abs(amp) ** 2
     return dict(outcomes)
+
+
+def equiv_up_to_global_phase(a, b, tol: float = PRODUCT_TOL):
+    """Whether a == lam * b for some unit-modulus lam; returns (bool, lam or None)."""
+    am, bm = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    if am.shape != bm.shape:
+        raise WireError(f"shape mismatch: {am.shape} vs {bm.shape}")
+    pivot = np.unravel_index(np.argmax(np.abs(bm)), bm.shape)
+    if abs(bm[pivot]) < tol:
+        # b is numerically zero; equivalence reduces to a being zero too
+        return (bool(np.max(np.abs(am)) < tol), 1.0 + 0.0j)
+    lam = am[pivot] / bm[pivot]
+    if abs(abs(lam) - 1.0) > tol:
+        return (False, None)
+    lam /= abs(lam)
+    if np.max(np.abs(am - lam * bm)) < tol:
+        return (True, complex(lam))
+    return (False, None)
+
+
+def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-ish random unitary via QR of a complex Ginibre matrix."""
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def toffoli_truth_table(n: int = 2) -> GateMatrix:
+    """Brute-force n-control Toffoli permutation matrix (target = last wire)."""
+    dims = WireDims((2,) * (n + 1))
+    mat = np.zeros((dims.total_dim, dims.total_dim), dtype=complex)
+    for idx in range(dims.total_dim):
+        digits = list(basis_digits(idx, dims))
+        if all(digits[:-1]):
+            digits[-1] ^= 1
+        mat[basis_index(digits, dims), idx] = 1.0
+    return GateMatrix(dims.dims, mat)
+
+
+def restrict_to_qubit_subspace(unitary: np.ndarray, dims: WireDims) -> np.ndarray:
+    idx = qubit_subspace_indices(dims)
+    return unitary[np.ix_(idx, idx)]

@@ -1,15 +1,20 @@
 """Command-line driver: exit codes, formats, output files."""
 
+import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import math
+import os
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qudit_toffoli import cli, optical
 from qudit_toffoli.cli import main
 from qudit_toffoli.fock import CrossKerr, VacuumAttenuator
-from qudit_toffoli.optical import load_chain_solution, save_chain_solution
+from qudit_toffoli.optical import ChainParameters, load_chain_solution, save_chain_solution
 
 
 @pytest.fixture()
@@ -61,6 +66,10 @@ def test_verify_toffoli_usage_error_for_n1():
     ["--tol", "1e-9", "verify-toffoli", "--n", "2"],
     ["verify-toffoli", "--n", "two"],
     ["simulate-optical", "chained", "--seed", "-1"],
+    ["simulate-optical", "heralded", "--cs-success", " 2\n"],
+    ["--out", "out\0.txt", "verify-toffoli", "--n", "2"],
+    ["simulate-optical", "chained", "--params-file", "params\0.json"],
+    ["verify-toffoli", "--n", "2", "stray\nline"],
 ])
 def test_bad_values_are_one_line_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
@@ -148,10 +157,10 @@ def _attenuator_at_0_34(elements):
 def test_a_broken_construction_fails_its_verdict(which, name, rewrite, monkeypatch, capsys):
     realize = optical._realize
 
-    def broken(gate_name, circuit, *args, **kwargs):
+    def broken(gate_name, m, elements, *args, **kwargs):
         if gate_name == name:
-            circuit = dataclasses.replace(circuit, elements=rewrite(circuit.elements))
-        return realize(gate_name, circuit, *args, **kwargs)
+            elements = rewrite(elements)
+        return realize(gate_name, m, elements, *args, **kwargs)
 
     monkeypatch.setattr(optical, "_realize", broken)
     assert main(["--format", "json", "simulate-optical", which]) == 1
@@ -175,14 +184,16 @@ def _without_splitter_in(data):
     lambda data: json.dumps({**data, "splitter_in": 1.5}),
     lambda data: json.dumps({**data, "coupler_reflectivity": 0.5}),
     lambda data: json.dumps({**data, "bogus_key": 7}),
+    lambda data: json.dumps({**data, "bogus\nkey": 7}),
     lambda data: json.dumps({**data, "splitter_in": 10 ** 400}),
     lambda data: json.dumps({**data, "splitter_in": True}),
+    lambda data: json.dumps({**data, **{key: str(data[key]) for key in ChainParameters.FIELDS}}),
     lambda data: json.dumps(list(data)),
     lambda data: "[" * 200_000,
-], ids=["missing-key", "malformed-json", "reflectivity-1.5", "coupler-0.5", "unknown-key",
-        "reflectivity-400-digits", "reflectivity-true", "top-level-array", "nested-200000-deep"])
+], ids=["missing-key", "malformed-json", "reflectivity-1.5", "coupler-0.5", "unknown-key", "unknown-key-with-newline",
+        "reflectivity-400-digits", "reflectivity-true", "reflectivity-string", "top-level-array", "nested-200000-deep"])
 def test_bad_params_file_is_one_line_usage_error(command, rewrite, tmp_path, capsys, solution_file):
-    bad = tmp_path / "bad.json"
+    bad = tmp_path / "bad\nname.json"      # the error quotes the path, so its newline stays on the line
     with open(solution_file) as fh:
         bad.write_text(rewrite(json.load(fh)))
     assert main(command + ["--params-file", str(bad)]) == 2
@@ -195,6 +206,10 @@ def test_bad_params_file_is_one_line_usage_error(command, rewrite, tmp_path, cap
     ["simulate-optical", "chained", "--params-file", "{dir}"],
     ["report-all", "--params-file", "{dir}"],
     ["--out", "{dir}", "verify-toffoli", "--n", "2"],
+    # an empty path names no file either
+    ["simulate-optical", "chained", "--params-file", ""],
+    ["report-all", "--params-file", ""],
+    ["--out", "", "verify-toffoli", "--n", "2"],
 ])
 def test_directory_path_is_one_line_usage_error(argv, tmp_path, capsys):
     assert main([arg.format(dir=tmp_path) for arg in argv]) == 2
@@ -327,3 +342,102 @@ def test_the_one_parser_carries_no_state_from_call_to_call(capsys):
     assert [code for code, _ in reused] == [0, 0, 0]
     assert json.loads(reused[1][1])["cs_success"] == "1/4"
     assert json.loads(reused[1][1])["success_probability"] == "1/32"
+
+
+# ---------------------------------------------------------------------------
+# generated argv and params files, run in a scratch directory
+# ---------------------------------------------------------------------------
+
+# values by option dest, valid and boundary ("params.json" is the generated
+# file); an option the parser gains without an entry is a KeyError
+_VALUES = {
+    "format": ["text", "json"], "out": ["out.txt", ".", "missing/out.txt"], "starts": ["1", "0", "-1", "2"],
+    "n": [str(n) for n in range(2, 13)] + ["0", "1", "-1", "40", "1100", "99999999999999999999"],
+    "which": ["kerr", "heralded", "postselected-cs", "chained"], "seed": ["0", "1", "-1", "99999999999999999999"],
+    "params_file": ["params.json", "params.json", ".", "missing.json"],
+    "cs_success": ["1/4", "1/9", "3/7", "1", "0", "2", "-1/2", "1/0", "1e-400", "nan"],
+}
+# junk favours what breaks an error line or a path, and cannot abbreviate an option
+_JUNK = st.text(st.sampled_from("\n\t \x00/.-") | st.characters(), max_size=6).filter(lambda t: t[:2] != "--")
+_COMMITTED = json.loads(load_chain_solution().to_json())
+_ANY_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5)
+    | st.sampled_from([10 ** 400, 2 ** 63, " 0.75 ", "nan"]),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(_JUNK, inner, max_size=2), max_leaves=4)
+
+
+@st.composite
+def _argv(draw):
+    """The parser's own actions (the required ones, a random subset of the rest)
+    in random order with drawn values; in half the draws one token is dropped,
+    followed by a stray option, replaced by junk, or given a trailing space, newline, tab or NUL."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    argv, command = [], draw(st.sampled_from(sorted(commands)))
+    for actions, after in ((parser._actions, [command]), (commands[command]._actions, [])):
+        for action in draw(st.permutations([a for a in actions if a.dest not in ("help", "command")])):
+            if action.required or draw(st.booleans()):
+                argv += action.option_strings[-1:] + [draw(st.sampled_from(_VALUES[action.dest]))]
+        argv += after
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(argv) - 1))
+        argv[at:at + 1] = draw(st.sampled_from([[], [argv[at], "--bogus"]]) | _JUNK.map(lambda t: [t])
+                               | st.sampled_from(" \n\t\x00").map(lambda c: [argv[at] + c]))
+    return argv
+
+
+@st.composite
+def _params_bytes(draw):
+    """The committed params file after up to three edits (a key dropped, a junk
+    key added, a value moved within [0, 1] or swapped for another type, a
+    non-finite or huge number, or nested data), written plain, after a BOM, with
+    a byte that is not UTF-8, truncated, 100,000 lists deep, or as a top-level array."""
+    data = dict(_COMMITTED)
+    for _ in range(draw(st.integers(0, 3))):
+        data[draw(st.sampled_from(sorted(data)))] = draw(st.floats(0, 1) | _ANY_VALUE | st.just(...))
+    data.update(draw(st.dictionaries(_JUNK, _ANY_VALUE, max_size=1)))
+    data = {key: value for key, value in data.items() if value is not ...}    # ... drops the key
+    raw = json.dumps(data).encode()
+    at = draw(st.integers(0, len(raw)))
+    return draw(st.sampled_from([raw] * 5 + [b"\xef\xbb\xbf" + raw, raw[:at] + b"\xff" + raw[at:], raw[:at],
+                                 b"[" * 100_000 + raw + b"]" * 100_000, json.dumps(list(data.values())).encode()]))
+
+
+def _check_run(argv, cwd):
+    """`main` run in `cwd` ends in exit 0, 1 or 2 (raising nothing but argparse's SystemExit); on exit 2
+    the last stderr line, and only it, is the error; on exit 0 or 1 with `--format json` the output parses."""
+    out, err, home = io.StringIO(), io.StringIO(), os.getcwd()
+    os.chdir(cwd)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        os.chdir(home)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2) and "Traceback" not in err.getvalue(), (argv, code)
+    if code == 2:   # ours starts "error: ", argparse's with the program name
+        assert lines and [line for line in lines if "error:" in line] == [lines[-1]], lines
+        assert lines[-1].startswith(("error: ", cli.build_parser().prog)), lines
+    elif (options := dict(zip(argv, argv[1:]))).get("--format") == "json":
+        json.loads((cwd / options["--out"]).read_text() if "--out" in options else out.getvalue())
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("generated")
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(argv=_argv(), params=_params_bytes())
+def test_every_generated_argv_ends_in_exit_0_1_or_2(argv, params, workdir):
+    assume("chained" not in argv or "--params-file" in argv)    # a solve has its own budget below
+    (workdir / "params.json").write_bytes(params)
+    _check_run(argv, workdir)
+
+
+@settings(max_examples=4, derandomize=True, deadline=None)
+@given(fmt=st.sampled_from(["text", "json"]), seed=st.sampled_from(_VALUES["seed"]) | _JUNK)
+def test_a_one_start_solve_ends_in_exit_0_1_or_2(fmt, seed, workdir):
+    _check_run(["--format", fmt, "simulate-optical", "chained", "--seed", seed, "--starts", "1"], workdir)

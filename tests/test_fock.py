@@ -1,4 +1,4 @@
-"""Fock-space engine: element unitaries, the permanent oracle, patterns and layouts."""
+"""Fock-space engine: element unitaries, the permanent oracle and layouts."""
 
 import math
 import re
@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from qudit_toffoli.fock import (
     Beamsplitter,
     CrossKerr,
-    DetectionPattern,
     FockBasis,
     HADAMARD_HWP_ANGLE,
     HalfWavePlate,
@@ -26,8 +25,8 @@ from qudit_toffoli.fock import (
     permanent_amplitude_oracle,
     single_photon_transfer,
 )
-from qudit_toffoli.qudits import basis_digits, random_unitary
-from reference import fock_state
+from qudit_toffoli.qudits import basis_digits
+from reference import fock_state, random_unitary
 
 
 def _random_state(basis, rng):
@@ -513,9 +512,7 @@ def test_a_bad_element_mode_is_a_one_line_value_error(kind, bad, route):
 @pytest.mark.parametrize("build", [
     lambda: ModeLayout(((0, 1.5),)),
     lambda: ModeLayout(((-1, 0),)),
-    lambda: DetectionPattern(((1.5, 0),)),
-    lambda: DetectionPattern(((-1, 0),)),
-], ids=["layout-1.5", "layout-minus-1", "pattern-1.5", "pattern-minus-1"])
+], ids=["layout-1.5", "layout-minus-1"])
 def test_layouts_and_patterns_reject_a_negative_or_fractional_mode(build):
     with pytest.raises(ValueError, match="is not a non-negative integer") as exc:
         build()
@@ -533,13 +530,8 @@ def test_nan_mode_matrix_is_rejected_by_lift_to_fock():
 
 
 # ---------------------------------------------------------------------------
-# detection patterns and layouts
+# layouts
 # ---------------------------------------------------------------------------
-
-def test_pattern_requires_some_constraint():
-    with pytest.raises(ValueError):
-        DetectionPattern(())
-
 
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(sizes=st.lists(st.integers(2, 4), min_size=1, max_size=3), seed=st.integers(0, 2 ** 32 - 1))
@@ -581,8 +573,6 @@ def test_layout_rejects_overlapping_groups():
                  "cross-Kerr is not a mode-linear element", id="kerr-mode-block"),
     pytest.param(lambda: lift_to_fock(np.eye(3), FockBasis(2, 1)), ValueError,
                  "mode matrix shape (3, 3) != (2, 2)", id="lift-shape"),
-    pytest.param(lambda: DetectionPattern(((0, 0), (0, 1))), ValueError,
-                 "detection pattern repeats a mode", id="pattern-repeated-mode"),
     pytest.param(lambda: ModeLayout(((0,),)), ValueError,
                  "each logical wire needs at least two modes", id="layout-one-mode-group"),
 ])

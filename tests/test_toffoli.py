@@ -33,10 +33,9 @@ from qudit_toffoli.toffoli import (
     oracle_n_toffoli_sign,
     qubit_subspace_indices,
     qubit_subspace_leakage,
-    restrict_to_qubit_subspace,
-    toffoli_truth_table,
     verify_decomposition,
 )
+from reference import restrict_to_qubit_subspace, toffoli_truth_table
 
 
 # ---------------------------------------------------------------------------

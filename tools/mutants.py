@@ -207,24 +207,6 @@ CATALOGUE = (
            "for order in [tuple(range(n))])",
            ("tests/test_fock.py::test_logical_transfer_matches_permanent_oracle_on_qudit_layouts",
             "tests/test_optical.py::test_postselected_cs_transfer_and_probability")),
-    Mutant("photon-count claim check dropped", OPTICAL,
-           "    if circuit.n_photons != len(layout.groups):\n",
-           "    if False:\n",
-           ("tests/test_optical.py::test_realize_refuses_a_circuit_whose_claims_disagree_with_its_layout"
-            "[photon-count]",)),
-    Mutant("pattern claim check dropped", OPTICAL,
-           "    elif circuit.pattern is not None and circuit.pattern.conditions != "
-           "tuple((mode, 0) for mode in outside):\n",
-           "    elif False:\n",
-           ("tests/test_optical.py::test_realize_refuses_a_circuit_whose_claims_disagree_with_its_layout"
-            "[pattern-misses-an-outside-mode]",
-            "tests/test_optical.py::test_realize_refuses_a_circuit_whose_claims_disagree_with_its_layout"
-            "[pattern-names-a-layout-mode]")),
-    Mutant("pattern-less claim check dropped", OPTICAL,
-           "    elif circuit.pattern is None and claimed != 1:\n",
-           "    elif False:\n",
-           ("tests/test_optical.py::test_realize_refuses_a_circuit_whose_claims_disagree_with_its_layout"
-            "[no-pattern-claims-a-ninth]",)),
     Mutant("claimed Fraction reported without certification", OPTICAL,
            "optical = claimed if certified else float(np.mean(np.abs(diag)) ** 2)",
            "optical = claimed",
@@ -306,6 +288,38 @@ CATALOGUE = (
            "        if unknown:\n",
            "        if False:\n",
            ("tests/test_cli.py::test_bad_params_file_is_one_line_usage_error",)),
+    Mutant("unknown keys printed unquoted", OPTICAL,
+           "map(repr, unknown)",
+           "map(str, unknown)",
+           ("tests/test_cli.py::test_bad_params_file_is_one_line_usage_error[unknown-key-with-newline-command0]",
+            "tests/test_cli.py::test_bad_params_file_is_one_line_usage_error[unknown-key-with-newline-command1]")),
+    Mutant("unrecognized arguments printed unquoted", CLI,
+           "' '.join(map(repr, unknown))",
+           "' '.join(unknown)",
+           ("tests/test_cli.py::test_bad_values_are_one_line_usage_errors[argv11]",)),
+    Mutant("an out-of-range probability echoed unquoted", CLI,
+           'f"must lie in (0, 1], got {text!r}"',
+           'f"must lie in (0, 1], got {text}"',
+           ("tests/test_cli.py::test_bad_values_are_one_line_usage_errors[argv8]",)),
+    Mutant("params path printed unquoted", CLI,
+           'raise UsageError(f"{path!r}: {exc}")',
+           'raise UsageError(f"{path}: {exc}")',
+           ("tests/test_cli.py::test_bad_params_file_is_one_line_usage_error",)),
+    Mutant("a path may hold a NUL byte", CLI,
+           '    if "\\0" in text:\n',
+           "    if False:\n",
+           ("tests/test_cli.py::test_bad_values_are_one_line_usage_errors[argv9]",
+            "tests/test_cli.py::test_bad_values_are_one_line_usage_errors[argv10]",
+            "tests/test_cli.py::test_every_generated_argv_ends_in_exit_0_1_or_2")),
+    Mutant("an empty --out reads as stdout", CLI,
+           "    if args.out is not None:\n",
+           "    if args.out:\n",
+           ("tests/test_cli.py::test_directory_path_is_one_line_usage_error[argv5]",)),
+    Mutant("_real accepts a string", OPTICAL,
+           "if isinstance(value, bool) or not isinstance(value, numbers.Real):",
+           "if isinstance(value, bool):",
+           ("tests/test_cli.py::test_bad_params_file_is_one_line_usage_error[reflectivity-string-command0]",
+            "tests/test_cli.py::test_bad_params_file_is_one_line_usage_error[reflectivity-string-command1]")),
 )
 
 
