@@ -25,6 +25,7 @@ from .toffoli import (
 )
 
 PASS, FAIL, USAGE = 0, 1, 2
+PARAMS_FILE_LIMIT = 64 * 1024   # bytes read of a params file at most; the committed one is about 330
 
 
 class UsageError(Exception):
@@ -49,8 +50,11 @@ def _read_chain_params(path: str):
     from .optical import ChainParameters
 
     try:
-        with open(path) as fh:
-            return ChainParameters.from_json(fh.read())
+        with open(path, "rb") as fh:
+            raw = fh.read(PARAMS_FILE_LIMIT + 1)
+        if len(raw) > PARAMS_FILE_LIMIT:
+            raise ValueError(f"longer than {PARAMS_FILE_LIMIT} bytes")
+        return ChainParameters.from_json(raw.decode())
     except (TypeError, ValueError, RecursionError) as exc:
         raise UsageError(f"{path!r}: {exc}") from None
 
@@ -104,7 +108,7 @@ def cmd_simulate_optical(args) -> int:
         else:
             result = solve_chain_reflectivities(seed=args.seed, n_starts=args.starts)
             params, realization, solved = result.params, result.verification, True
-        extras = {"solved_here": solved, "parameters": params.to_dict()}
+        extras = {"solved_here": solved, "parameters": vars(params)}
     summary = {
         "construction": realization.name,
         "success_probability": _format_fraction(realization.success_probability),

@@ -9,8 +9,8 @@ Conventions, fixed once and used everywhere:
       [ sqrt(eta)    sqrt(1-eta) ]
       [ sqrt(1-eta)  -sqrt(eta)  ]
 
-  i.e. the sign sits on the reflection off the "dotted" surface, which by
-  default is the second listed mode (pass dotted=first mode to move it).
+  i.e. the sign sits on the reflection off the second listed mode; listing
+  the modes the other way round moves it.
   This matrix is an involution, and the two-photon stay-put amplitude is
   1 - 2*eta: zero at a balanced splitter (Hong-Ou-Mandel) and +1/3 at
   eta = 1/3, so two-photon interference cancels the reflection sign there.
@@ -83,7 +83,6 @@ import numpy as np
 from .qudits import WireDims
 
 MODE_UNITARY_TOL = 1e-10
-ORACLE_TOL = 1e-9
 HADAMARD_HWP_ANGLE = math.pi / 8
 
 
@@ -153,13 +152,8 @@ class FockBasis:
 # ---------------------------------------------------------------------------
 
 class OpticalElement:
-    """Base: every element maps FockBasis(m, N) to itself unitarily."""
-
-    is_mode_linear = True
-
-    def mode_block(self):
-        """(modes, block) for mode-linear elements."""
-        raise NotImplementedError
+    """Base: every element maps FockBasis(m, N) to itself unitarily; each
+    mode-linear one gives its `mode_block`, (modes, block)."""
 
     def fock_operator(self, basis: FockBasis) -> np.ndarray:
         """Dense many-photon operator on `basis`: the lift of the element's
@@ -173,12 +167,11 @@ class OpticalElement:
 
 @dataclass(frozen=True)
 class Beamsplitter(OpticalElement):
-    """Asymmetric beamsplitter; `dotted` names the mode whose reflection
-    picks up the minus sign (defaults to the second listed mode)."""
+    """Asymmetric beamsplitter; the reflection off the second listed mode
+    picks up the minus sign."""
 
     eta: float
     modes: tuple[int, int]
-    dotted: int | None = None
 
     def __post_init__(self):
         if not 0.0 <= float(self.eta) <= 1.0:
@@ -186,17 +179,11 @@ class Beamsplitter(OpticalElement):
         object.__setattr__(self, "modes", tuple(map(_index, self.modes)))
         if self.modes[0] == self.modes[1]:
             raise ValueError("beamsplitter needs two distinct modes")
-        if self.dotted is not None and self.dotted not in self.modes:
-            raise ValueError(f"dotted mode {self.dotted} is not one of {self.modes}")
 
     def mode_block(self):
         r = math.sqrt(float(self.eta))
         t = math.sqrt(1.0 - float(self.eta))
-        if self.dotted is None or self.dotted == self.modes[1]:
-            block = np.array([[r, t], [t, -r]], dtype=complex)
-        else:
-            block = np.array([[-r, t], [t, r]], dtype=complex)
-        return list(self.modes), block
+        return list(self.modes), np.array([[r, t], [t, -r]], dtype=complex)
 
 
 def VacuumAttenuator(eta, mode: int, ancilla: int) -> Beamsplitter:
@@ -267,8 +254,6 @@ class CrossKerr(OpticalElement):
     chi: float
     modes: tuple[int, int]
 
-    is_mode_linear = False
-
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(map(_index, self.modes)))
         if self.modes[0] == self.modes[1]:
@@ -306,7 +291,7 @@ def single_photon_transfer(elements, m: int) -> np.ndarray:
     _check_element_modes(elements, m)
     mat = np.eye(m, dtype=complex)
     for el in elements:
-        if not el.is_mode_linear:
+        if isinstance(el, CrossKerr):
             raise TypeError(f"{type(el).__name__} has no single-photon mode matrix")
         modes, block = el.mode_block()
         mat[modes] = block @ mat[modes]

@@ -54,7 +54,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from importlib import resources
 from itertools import permutations
@@ -167,8 +167,6 @@ def _realize(name: str, m: int, elements: tuple, layout: ModeLayout, claimed: Fr
 A_H, A_V, B_H, B_V, S_H, S_V, T_H, T_V = range(8)
 
 _POLARIZATION_LAYOUT = ModeLayout(((A_H, A_V), (B_H, B_V), (T_H, T_V)))
-# mid-circuit the target occupies both spatial paths: a ququit
-QUQUIT_TARGET_LAYOUT = ModeLayout(((A_H, A_V), (B_H, B_V), (S_H, S_V, T_H, T_V)))
 
 
 def kerr_cs_gate(chi: float = math.pi) -> GateRealization:
@@ -247,15 +245,15 @@ def postselected_cs_gate() -> GateRealization:
     c_0, c_1, t_0, t_1, two vacuum ancillas).
 
     The control's zero rail meets the target's one rail on the central 1/3
-    splitter, whose dotted side puts the reflection sign on the target rail;
-    balancing 1/3 attenuators sit on the two bypass rails.  Two-photon
-    interference cancels the sign on |0,1>, leaving -1/3 exactly on |1,1>:
-    the post-selected transfer is (1/3) diag(1, 1, 1, -1) and every logical
-    input succeeds with probability 1/9.
+    splitter, which puts the reflection sign on its second listed mode, the
+    target rail; balancing 1/3 attenuators sit on the two bypass rails.
+    Two-photon interference cancels the sign on |0,1>, leaving -1/3 exactly
+    on |1,1>: the post-selected transfer is (1/3) diag(1, 1, 1, -1) and every
+    logical input succeeds with probability 1/9.
     """
     eta = float(COUPLER_REFLECTIVITY)
     elements = (
-        Beamsplitter(eta, (0, 3)),            # dotted side on t_1
+        Beamsplitter(eta, (0, 3)),            # sign on t_1
         VacuumAttenuator(eta, 1, 4),
         VacuumAttenuator(eta, 2, 5),
     )
@@ -300,7 +298,7 @@ class ChainParameters:
 
     The two coupling beamsplitters are pinned at reflectivity 1/3; the three
     splitters along the target's zero rail and the five bypass attenuators
-    (stay probabilities) are free.  Dotted (phase-flip) surfaces are fixed by
+    (stay probabilities) are free.  The phase-flip surfaces are fixed by
     the topology: the second listed mode of every splitter, i.e. the lower
     arm of each in-line splitter and the arm side of each coupler.
     """
@@ -314,48 +312,31 @@ class ChainParameters:
     atten_c2_top: float
     atten_c2_bottom: float
 
-    FIELDS = ("splitter_in", "recombiner_mid", "splitter_out", "atten_c1_top",
-              "atten_c1_bottom", "atten_t_bottom", "atten_c2_top", "atten_c2_bottom")
-
     def __post_init__(self):
-        for name in self.FIELDS:
-            value = _real(name, getattr(self, name))
+        for f in fields(self):
+            value = _real(f.name, getattr(self, f.name))
             if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} = {value} outside [0, 1]")
-            object.__setattr__(self, name, value)
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([getattr(self, f) for f in self.FIELDS])
+                raise ValueError(f"{f.name} = {value} outside [0, 1]")
+            object.__setattr__(self, f.name, value)
 
     @classmethod
-    def from_vector(cls, vec) -> "ChainParameters":
-        return cls(*[float(v) for v in vec])
-
-    def to_dict(self) -> dict:
-        return {f: getattr(self, f) for f in self.FIELDS}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChainParameters":
+    def from_json(cls, text: str) -> "ChainParameters":
+        """A params file: a JSON object holding every field and, optionally,
+        the fixed coupler reflectivity; anything else is a ValueError."""
+        data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError(f"parameters must be a JSON object, got {type(data).__name__}")
-        missing = [f for f in cls.FIELDS if f not in data]
+        names = [f.name for f in fields(cls)]
+        missing = [name for name in names if name not in data]
         if missing:
             raise ValueError(f"missing reflectivities: {', '.join(missing)}")
-        unknown = [k for k in data if k not in cls.FIELDS and k != "coupler_reflectivity"]
+        unknown = [k for k in data if k not in names and k != "coupler_reflectivity"]
         if unknown:
             raise ValueError(f"unknown keys: {', '.join(map(repr, unknown))}")
         coupler = data.get("coupler_reflectivity", COUPLER_REFLECTIVITY)
         if not abs(_real("coupler_reflectivity", coupler) - COUPLER_REFLECTIVITY) <= 1e-12:
             raise ValueError(f"coupler_reflectivity = {coupler}, but the couplers are fixed at 1/3")
-        return cls(**{f: data[f] for f in cls.FIELDS})
-
-    def to_json(self) -> str:
-        return json.dumps({"coupler_reflectivity": float(COUPLER_REFLECTIVITY),
-                           **self.to_dict()}, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChainParameters":
-        return cls.from_dict(json.loads(text))
+        return cls(**{name: data[name] for name in names})
 
 
 def chain_elements(params: ChainParameters) -> tuple:
@@ -365,9 +346,9 @@ def chain_elements(params: ChainParameters) -> tuple:
         VacuumAttenuator(params.atten_c1_top, C1_0, 7),
         VacuumAttenuator(params.atten_c1_bottom, C1_1, 8),
         Beamsplitter(params.splitter_in, (ARM_U, ARM_L)),
-        Beamsplitter(eta, (C1_1, ARM_U)),      # coupler 1, dotted on the arm
+        Beamsplitter(eta, (C1_1, ARM_U)),      # coupler 1, sign on the arm
         Beamsplitter(params.recombiner_mid, (ARM_U, ARM_L)),
-        Beamsplitter(eta, (C2_0, ARM_L)),      # coupler 2, dotted on the arm
+        Beamsplitter(eta, (C2_0, ARM_L)),      # coupler 2, sign on the arm
         Beamsplitter(params.splitter_out, (ARM_U, ARM_L)),
         VacuumAttenuator(params.atten_t_bottom, T1, 9),
         VacuumAttenuator(params.atten_c2_top, C2_0, 10),
@@ -398,7 +379,7 @@ def chain_diagonal(params_vector: np.ndarray) -> np.ndarray:
     """The 8 coincidence diagonal amplitudes as a real vector: the real
     diagonal of `chain_coincidence_block` (the transfer is real by
     construction)."""
-    mode = chain_mode_matrix(ChainParameters.from_vector(params_vector))
+    mode = chain_mode_matrix(ChainParameters(*params_vector))
     return np.diagonal(chain_coincidence_block(mode)).real
 
 
@@ -483,7 +464,7 @@ def solve_chain_reflectivities(seed: int = 20070, n_starts: int = 16) -> ChainSo
     solution[free_idx] = polish.x
     residual = float(np.max(np.abs(_chain_residuals(solution)[0])))
 
-    params = ChainParameters.from_vector(solution)
+    params = ChainParameters(*solution)
     verification = verify_chain_parameters(params)
     converged = residual < 1e-10 and verification.flipped_component == (0, 0, 0)
     return ChainSolveResult(
@@ -511,8 +492,3 @@ def load_chain_solution() -> ChainParameters:
     """Committed solver output, re-verified (not re-solved) by the tests."""
     text = resources.files("qudit_toffoli.data").joinpath(SOLUTION_RESOURCE).read_text()
     return ChainParameters.from_json(text)
-
-
-def save_chain_solution(params: ChainParameters, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(params.to_json() + "\n")

@@ -24,7 +24,7 @@ the tests' reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from decimal import MAX_EMAX, Context, Decimal, DivisionByZero, InvalidOperation
 
 import numpy as np
@@ -193,22 +193,15 @@ def build_n_ts_circuit(n: int) -> CircuitDescription:
     return CircuitDescription(dims, steps)
 
 
-def oracle_n_toffoli_sign(n: int, flipped_component) -> np.ndarray:
+def oracle_n_toffoli_sign(n: int, flipped_component: tuple[int, ...]) -> np.ndarray:
     """Diagonal of the +/-1 oracle over n+1 qubits: a length-2^(n+1) vector of
-    +1 with a single -1.
-
-    `flipped_component` is either a linear index into the 2^(n+1)-dim space or
-    a digit tuple like (1, 0, 1).
+    +1 with a single -1 on the digit tuple `flipped_component`, such as
+    (1, 0, 1).  A tuple of the wrong length or a digit outside {0, 1} is
+    `basis_index`'s WireError.
     """
     dims = WireDims((2,) * (n + 1))
-    if isinstance(flipped_component, (tuple, list)):
-        index = basis_index(flipped_component, dims)
-    else:
-        index = int(flipped_component)
-        if not 0 <= index < dims.total_dim:
-            raise ValueError(f"component index {index} out of range for {dims.total_dim}")
     diag = np.ones(dims.total_dim)
-    diag[index] = -1.0
+    diag[basis_index(flipped_component, dims)] = -1.0
     return diag
 
 
@@ -334,19 +327,7 @@ class DecompositionReport:
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "two_qudit_gate_count": self.two_qudit_gate_count,
-            "single_qudit_gate_count": self.single_qudit_gate_count,
-            "max_level_used": self.max_level_used,
-            "fidelity_to_oracle": self.fidelity_to_oracle,
-            "flipped_component": list(self.flipped_component),
-            "qubit_subspace_leakage": self.qubit_subspace_leakage,
-            "locally_equivalent_to_all_ones": self.locally_equivalent_to_all_ones,
-            "bit_flip_mask": list(self.bit_flip_mask),
-            "reference_counts": dict(self.reference_counts),
-            "passed": self.passed,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {"passed": self.passed}
 
 
 def verify_decomposition(circ: CircuitDescription, oracle: np.ndarray, n: int) -> DecompositionReport:

@@ -1,12 +1,21 @@
 """Test-side references: amplitude vectors over a `FockBasis`, built and read
-by basis index, and the dense register helpers that no command runs."""
+by basis index, the dense register helpers that no command runs, and the
+writer of a chain params file, which no command writes."""
 
+import json
 from collections import defaultdict
 
 import numpy as np
 
+from qudit_toffoli.fock import ModeLayout
+from qudit_toffoli.optical import A_H, A_V, B_H, B_V, COUPLER_REFLECTIVITY, S_H, S_V, T_H, T_V
 from qudit_toffoli.qudits import PRODUCT_TOL, GateMatrix, WireDims, WireError, basis_digits, basis_index
 from qudit_toffoli.toffoli import qubit_subspace_indices
+
+# how closely an amplitude must match `permanent_amplitude_oracle`
+ORACLE_TOL = 1e-9
+# mid-circuit the heralded gate's target occupies both spatial paths: a ququit
+QUQUIT_TARGET_LAYOUT = ModeLayout(((A_H, A_V), (B_H, B_V), (S_H, S_V, T_H, T_V)))
 
 
 def fock_state(basis, occupation) -> np.ndarray:
@@ -20,6 +29,15 @@ def logical_indices(layout, basis) -> np.ndarray:
     occupations = np.zeros((len(layout.modes), basis.m), dtype=int)
     np.put_along_axis(occupations, layout.modes, 1, axis=1)
     return np.array([basis.index_of(occ) for occ in occupations])
+
+
+def logical_occupation(layout, digits, m):
+    """Occupation of a logical basis state, read off the layout's groups
+    rather than its `modes` table."""
+    occ = [0] * m
+    for group, digit in zip(layout.groups, digits):
+        occ[group[digit]] = 1
+    return tuple(occ)
 
 
 def vacuum_mask(basis, modes) -> np.ndarray:
@@ -76,3 +94,13 @@ def toffoli_truth_table(n: int = 2) -> GateMatrix:
 def restrict_to_qubit_subspace(unitary: np.ndarray, dims: WireDims) -> np.ndarray:
     idx = qubit_subspace_indices(dims)
     return unitary[np.ix_(idx, idx)]
+
+
+def chain_params_json(params) -> str:
+    """A params file's text: the fixed coupler reflectivity, then every field."""
+    return json.dumps({"coupler_reflectivity": float(COUPLER_REFLECTIVITY), **vars(params)}, indent=2)
+
+
+def save_chain_solution(params, path) -> None:
+    with open(path, "w") as fh:
+        fh.write(chain_params_json(params) + "\n")

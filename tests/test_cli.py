@@ -14,7 +14,8 @@ from hypothesis import assume, given, settings, strategies as st
 from qudit_toffoli import cli, optical
 from qudit_toffoli.cli import main
 from qudit_toffoli.fock import CrossKerr, VacuumAttenuator
-from qudit_toffoli.optical import ChainParameters, load_chain_solution, save_chain_solution
+from qudit_toffoli.optical import load_chain_solution
+from reference import chain_params_json, save_chain_solution
 
 
 @pytest.fixture()
@@ -187,11 +188,14 @@ def _without_splitter_in(data):
     lambda data: json.dumps({**data, "bogus\nkey": 7}),
     lambda data: json.dumps({**data, "splitter_in": 10 ** 400}),
     lambda data: json.dumps({**data, "splitter_in": True}),
-    lambda data: json.dumps({**data, **{key: str(data[key]) for key in ChainParameters.FIELDS}}),
+    lambda data: json.dumps({key: value if key == "coupler_reflectivity" else str(value) for key, value in data.items()}),
     lambda data: json.dumps(list(data)),
     lambda data: "[" * 200_000,
+    lambda data: "[" * 20_000,
+    lambda data: json.dumps(data) + " " * cli.PARAMS_FILE_LIMIT,
 ], ids=["missing-key", "malformed-json", "reflectivity-1.5", "coupler-0.5", "unknown-key", "unknown-key-with-newline",
-        "reflectivity-400-digits", "reflectivity-true", "reflectivity-string", "top-level-array", "nested-200000-deep"])
+        "reflectivity-400-digits", "reflectivity-true", "reflectivity-string", "top-level-array", "nested-200000-deep",
+        "nested-20000-deep", "padded-past-limit"])
 def test_bad_params_file_is_one_line_usage_error(command, rewrite, tmp_path, capsys, solution_file):
     bad = tmp_path / "bad\nname.json"      # the error quotes the path, so its newline stays on the line
     with open(solution_file) as fh:
@@ -351,7 +355,7 @@ def test_the_one_parser_carries_no_state_from_call_to_call(capsys):
 # values by option dest, valid and boundary ("params.json" is the generated
 # file); an option the parser gains without an entry is a KeyError
 _VALUES = {
-    "format": ["text", "json"], "out": ["out.txt", ".", "missing/out.txt"], "starts": ["1", "0", "-1", "2"],
+    "format": ["text", "json"], "out": ["out.txt", ".", "missing/out.txt", "out\0.txt"], "starts": ["1", "0", "-1", "2"],
     "n": [str(n) for n in range(2, 13)] + ["0", "1", "-1", "40", "1100", "99999999999999999999"],
     "which": ["kerr", "heralded", "postselected-cs", "chained"], "seed": ["0", "1", "-1", "99999999999999999999"],
     "params_file": ["params.json", "params.json", ".", "missing.json"],
@@ -359,7 +363,7 @@ _VALUES = {
 }
 # junk favours what breaks an error line or a path, and cannot abbreviate an option
 _JUNK = st.text(st.sampled_from("\n\t \x00/.-") | st.characters(), max_size=6).filter(lambda t: t[:2] != "--")
-_COMMITTED = json.loads(load_chain_solution().to_json())
+_COMMITTED = json.loads(chain_params_json(load_chain_solution()))
 _ANY_VALUE = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5)
     | st.sampled_from([10 ** 400, 2 ** 63, " 0.75 ", "nan"]),
@@ -403,6 +407,25 @@ def _params_bytes(draw):
                                  b"[" * 100_000 + raw + b"]" * 100_000, json.dumps(list(data.values())).encode()]))
 
 
+@st.composite
+def _case(draw):
+    """An argv and the bytes of params.json.  In one draw of five, a command
+    that reads params.json (in a drawn format, to stdout or a file) meets the
+    committed file with one to three reflectivities moved by more than 1e-3
+    within [0, 1]: parseable, but off the operating point, so the run ends in
+    exit 1.  The other draws take `_argv` and `_params_bytes` apart."""
+    if draw(st.integers(0, 4)):
+        return draw(_argv()), draw(_params_bytes())
+    data = dict(_COMMITTED)
+    names = sorted(set(data) - {"coupler_reflectivity"})
+    for key in draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True)):
+        data[key] = draw(st.floats(0, 1).filter(lambda value, old=data[key]: abs(value - old) > 1e-3))
+    argv = (draw(st.sampled_from([[], ["--format", "text"], ["--format", "json"]]))
+            + draw(st.sampled_from([[], ["--out", "out.txt"]]))
+            + draw(st.sampled_from([["simulate-optical", "chained"], ["report-all"]])))
+    return argv + ["--params-file", "params.json"], json.dumps(data).encode()
+
+
 def _check_run(argv, cwd):
     """`main` run in `cwd` ends in exit 0, 1 or 2 (raising nothing but argparse's SystemExit); on exit 2
     the last stderr line, and only it, is the error; on exit 0 or 1 with `--format json` the output parses."""
@@ -430,8 +453,9 @@ def workdir(tmp_path_factory):
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(argv=_argv(), params=_params_bytes())
-def test_every_generated_argv_ends_in_exit_0_1_or_2(argv, params, workdir):
+@given(case=_case())
+def test_every_generated_argv_ends_in_exit_0_1_or_2(case, workdir):
+    argv, params = case
     assume("chained" not in argv or "--params-file" in argv)    # a solve has its own budget below
     (workdir / "params.json").write_bytes(params)
     _check_run(argv, workdir)

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from qudit_toffoli import optical
 from qudit_toffoli.fock import (
-    ORACLE_TOL,
     FockBasis,
     ModeLayout,
     circuit_fock_operator,
@@ -25,7 +24,6 @@ from qudit_toffoli.optical import (
     C2_0,
     C2_1,
     T1,
-    QUQUIT_TARGET_LAYOUT,
     ChainParameters,
     deterministic_ts_gate,
     chain_coincidence_block,
@@ -43,6 +41,7 @@ from qudit_toffoli.optical import (
 from qudit_toffoli.report import build_report
 from qudit_toffoli.qudits import basis_digits, basis_index, circuit_unitary
 from qudit_toffoli.toffoli import build_n_ts_circuit
+from reference import ORACLE_TOL, QUQUIT_TARGET_LAYOUT, chain_params_json, logical_occupation
 from reference import detection_outcomes, fock_state, logical_indices, vacuum_mask
 from reference import equiv_up_to_global_phase, random_unitary, restrict_to_qubit_subspace
 
@@ -460,18 +459,9 @@ def test_chained_first_quantized_route_agrees_with_permanent_route(solved_params
 
 
 _CHAIN_PARAMS = st.lists(st.floats(1e-4, 1.0), min_size=8, max_size=8).map(
-    ChainParameters.from_vector)
+    lambda vec: ChainParameters(*vec))
 # the chain's logical wires, restated from the mode constants
 _CHAIN_WIRES = ModeLayout(((C1_0, C1_1), (ARM_U, T1), (C2_0, C2_1)))
-
-
-def _logical_occupation(layout, digits, m):
-    """Occupation of a logical basis state, read off the layout's groups
-    rather than its `modes` table."""
-    occ = [0] * m
-    for group, digit in zip(layout.groups, digits):
-        occ[group[digit]] = 1
-    return tuple(occ)
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
@@ -491,8 +481,8 @@ def test_chain_block_matches_permanent_oracle_on_sampled_entries(params, seed, e
     for mode in (chain_mode_matrix(params), random_unitary(12, np.random.default_rng(seed))):
         block = chain_coincidence_block(mode)
         for y, x in entries:
-            want = permanent_amplitude_oracle(mode, _logical_occupation(_CHAIN_WIRES, basis_digits(x, dims), 12),
-                                              _logical_occupation(_CHAIN_WIRES, basis_digits(y, dims), 12))
+            want = permanent_amplitude_oracle(mode, logical_occupation(_CHAIN_WIRES, basis_digits(x, dims), 12),
+                                              logical_occupation(_CHAIN_WIRES, basis_digits(y, dims), 12))
             assert abs(block[y, x] - want) < ORACLE_TOL
 
 
@@ -529,7 +519,7 @@ def test_solver_reaches_the_published_operating_point(solved_chain):
 def test_solver_is_deterministic_under_fixed_seed():
     a = solve_chain_reflectivities(seed=4, n_starts=4)
     b = solve_chain_reflectivities(seed=4, n_starts=4)
-    assert a.params.as_vector() == pytest.approx(b.params.as_vector(), abs=0.0)
+    assert a.params == b.params
 
 
 def test_chained_parameters_validate_range():
@@ -553,5 +543,5 @@ def test_meaningless_inputs_raise_value_error(call):
 
 
 def test_chained_parameters_json_round_trip(solved_params):
-    restored = ChainParameters.from_json(solved_params.to_json())
+    restored = ChainParameters.from_json(chain_params_json(solved_params))
     assert restored == solved_params

@@ -15,6 +15,7 @@ from qudit_toffoli.qudits import (
     GateMatrix,
     GateStep,
     WireDims,
+    WireError,
     basis_digits,
     basis_index,
     circuit_unitary,
@@ -361,7 +362,7 @@ def test_oracle_n2_component_101_at_index_5():
 
 
 def test_oracle_is_involution():
-    oracle = oracle_n_toffoli_sign(3, 11)
+    oracle = oracle_n_toffoli_sign(3, (1, 0, 1, 1))
     assert oracle.shape == (16,)
     assert (oracle * oracle == 1).all()
 
@@ -372,8 +373,8 @@ def test_oracle_n3_all_ones_at_index_15():
 
 
 def test_oracle_rejects_out_of_range_component():
-    with pytest.raises(ValueError):
-        oracle_n_toffoli_sign(2, 8)
+    with pytest.raises(WireError, match="wire 2: digit 2 out of range for dimension 2"):
+        oracle_n_toffoli_sign(2, (0, 0, 2))
 
 
 @pytest.mark.parametrize("oracle", [
@@ -539,7 +540,7 @@ def test_monomial_route_matches_the_dense_unitary(case):
     pytest.param(lambda: gate_xb(3), "X_B needs at least 4 levels, got 3", id="xb-qutrit"),
     pytest.param(lambda: gate_cs_embedded(1, 2), "controlled-sign needs dimensions >= 2", id="cs-control-dim"),
     pytest.param(lambda: gate_cnot_embedded(2, 1), "controlled-NOT needs dimensions >= 2", id="cnot-target-dim"),
-    pytest.param(lambda: verify_decomposition(build_n_ts_circuit(2), oracle_n_toffoli_sign(3, 0), 3),
+    pytest.param(lambda: verify_decomposition(build_n_ts_circuit(2), oracle_n_toffoli_sign(3, (0, 0, 0, 0)), 3),
                  "circuit / oracle dimensions do not match n", id="verify-n-mismatch"),
 ])
 def test_each_guard_is_a_one_line_error(call, fragment):

@@ -165,6 +165,10 @@ CATALOGUE = (
            "        if self.modes[0] != self.modes[1]:\n"
            '            raise ValueError("beamsplitter needs two distinct modes")\n',
            ("tests/test_fock.py::test_each_guard_is_a_one_line_error",)),
+    Mutant("single_photon_transfer lets a cross-Kerr through", FOCK,
+           "        if isinstance(el, CrossKerr):\n            raise TypeError",
+           "        if False:\n            raise TypeError",
+           ("tests/test_fock.py::test_kerr_has_no_mode_matrix",)),
     Mutant("PBS relabel swaps h instead of v", FOCK,
            "out[v1], out[v2] = occ[v2], occ[v1]",
            "out[h1], out[h2] = occ[h2], occ[h1]",
@@ -201,7 +205,8 @@ CATALOGUE = (
            "for k, l in permutations(range(n), 2):",
            "for k, l in ((k, l) for k in range(n) for l in range(k + 1, n)):",
            ("tests/test_fock.py::test_a_later_run_acts_on_a_photon_through_the_mode_an_earlier_run_led_it_to",
-            "tests/test_fock.py::test_logical_transfer_applies_each_run_between_its_cross_kerrs")),
+            "tests/test_fock.py::test_logical_transfer_applies_each_run_between_its_cross_kerrs",
+            "tests/test_fock.py::test_logical_transfer_matches_dense_operator_rows")),
     Mutant("read-out keeps one ordering of the output modes, not the permanent", FOCK,
            "for order in permutations(range(n)))",
            "for order in [tuple(range(n))])",
@@ -311,6 +316,11 @@ CATALOGUE = (
            ("tests/test_cli.py::test_bad_values_are_one_line_usage_errors[argv9]",
             "tests/test_cli.py::test_bad_values_are_one_line_usage_errors[argv10]",
             "tests/test_cli.py::test_every_generated_argv_ends_in_exit_0_1_or_2")),
+    Mutant("params file read without a bound", CLI,
+           "            raw = fh.read(PARAMS_FILE_LIMIT + 1)\n        if len(raw) > PARAMS_FILE_LIMIT:\n",
+           "            raw = fh.read()\n        if False:\n",
+           ("tests/test_cli.py::test_bad_params_file_is_one_line_usage_error[padded-past-limit-command0]",
+            "tests/test_cli.py::test_bad_params_file_is_one_line_usage_error[padded-past-limit-command1]")),
     Mutant("an empty --out reads as stdout", CLI,
            "    if args.out is not None:\n",
            "    if args.out:\n",
