@@ -24,17 +24,13 @@ Conventions, fixed once and used everywhere:
 * A cross-Kerr element multiplies each basis amplitude by
   exp(i * chi * n_a * n_b); it is diagonal and not a mode-linear element.
 
-Every element has one route into Fock space, `element.fock_operator(basis)`:
-the `lift_to_fock` of its own block embedded in the m x m identity, a dense
-matrix built once per call; a cross-Kerr's is the diagonal of its phases.
-`circuit_fock_operator`, the product of the element operators, is the one
-second-quantized reference: a state is a plain amplitude vector over the
-basis, propagated by that product.  `element.apply(basis, amps)` takes one
-element's step on such a vector: the element's operator times it, for a
-cross-Kerr its phases times it, and for the polarizing beamsplitter a
-relabelling of the occupations, which checks the lift of its permutation
-block.  No command calls `apply`; each class keeps its own because the
-benchmark's tracer (`perfbench/tracing.py`) wraps all three by name.
+Every element takes its one second-quantized step with
+`element.apply(basis, amps)`, on an amplitude vector over the basis or a
+matrix of such columns: the `lift_to_fock` of its own `mode_block` embedded
+in the m x m identity, or for a cross-Kerr each row times its phase.  No
+command calls it; the polarizing beamsplitter and the cross-Kerr keep their
+own `apply` because the benchmark's tracer (`perfbench/tracing.py`) wraps all
+three by name.
 
 `ModeLayout.modes` is the one map from logical states to photons: row x
 holds each photon's mode in logical basis state x, wires big-endian.
@@ -53,22 +49,22 @@ whose reach then grows by those modes; along any other axis the run is
 exactly the identity.  A cross-Kerr multiplies one slice by exp(i chi) for
 each ordered photon pair whose reaches hold its two modes, and a logical
 output's amplitude sums the N! orderings of its modes (the permanent).  It
-builds no `FockBasis` and no element operator; each distinct element's block
+builds no `FockBasis` and no many-photon operator; each distinct element's block
 is checked unitary on its own once per call, before it joins its run.  The
 chained gate read this way shares only the element blocks and the layout
 table with `optical.chain_coincidence_block`, and no code that computes
 amplitudes (neither `single_photon_transfer` nor the block's permanents), so
 it is the independent check on that block.
 
-Three routes compute multi-photon amplitudes and tests hold each to
-another.  Second quantization: `lift_to_fock` expands products of
-creation-operator linear forms over the nonzero entries of each column of
-the mode matrix; every element operator is such a lift, and
-`circuit_fock_operator` multiplies them.  `permanent_amplitude_oracle`
-evaluates scaled matrix permanents directly, and agrees with the lift to
-1e-9.  First quantization: `logical_transfer` matches the logical rows and
-columns of `circuit_fock_operator` (Kerr included) and the oracle's entries
-on qudit layouts, to 1e-12, sharing only the elements' blocks with either.
+Three routes compute multi-photon amplitudes.  `logical_transfer` is the
+fast one.  `circuit_fock_operator`, which folds each element's `apply` over
+the identity, is the second-quantized reference: `lift_to_fock` expands
+products of creation-operator linear forms over the nonzero entries of each
+column of the mode matrix.  It shares only the element blocks and the mode
+check with `logical_transfer` and with the chain's `single_photon_transfer`,
+and matches `logical_transfer`'s rows and columns (Kerr included) to 1e-12.
+`permanent_amplitude_oracle` evaluates scaled matrix permanents directly; it
+is the check on the lift, to 1e-9, and on `logical_transfer` on qudit layouts.
 """
 
 from __future__ import annotations
@@ -95,6 +91,23 @@ def _index(value, what: str = "mode") -> int:
     if not isinstance(value, numbers.Integral) or value < 0:
         raise ValueError(f"{what} {value!r} is not a non-negative integer")
     return int(value)
+
+
+def _real(name: str, value, unit: bool = False) -> float:
+    """`value` as a float: a finite real number, in [0, 1] if `unit`; a
+    non-number (a bool or a string too), a NaN, an infinity or a value beyond
+    float range is a one-line ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} = {value!r}, expected a number")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is beyond float range") from None
+    if unit and not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} = {value} outside [0, 1]")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} = {value} is not finite")
+    return value
 
 
 def _check_element_modes(elements, m: int) -> None:
@@ -155,14 +168,14 @@ class OpticalElement:
     """Base: every element maps FockBasis(m, N) to itself unitarily; each
     mode-linear one gives its `mode_block`, (modes, block)."""
 
-    def fock_operator(self, basis: FockBasis) -> np.ndarray:
-        """Dense many-photon operator on `basis`: the lift of the element's
-        block embedded in the m x m identity."""
-        return lift_to_fock(single_photon_transfer((self,), basis.m), basis)
-
     def apply(self, basis: FockBasis, amps: np.ndarray) -> np.ndarray:
-        """The amplitude vector `amps` over `basis` after this element."""
-        return self.fock_operator(basis) @ amps
+        """`amps` over `basis`, a vector or a matrix of columns, after this
+        element: the lift of its own block embedded in the m x m identity."""
+        _check_element_modes((self,), basis.m)
+        modes, block = self.mode_block()
+        embedded = np.eye(basis.m, dtype=complex)
+        embedded[np.ix_(modes, modes)] = block
+        return lift_to_fock(embedded, basis) @ amps
 
 
 @dataclass(frozen=True)
@@ -174,15 +187,14 @@ class Beamsplitter(OpticalElement):
     modes: tuple[int, int]
 
     def __post_init__(self):
-        if not 0.0 <= float(self.eta) <= 1.0:
-            raise ValueError(f"reflectivity {self.eta} outside [0, 1]")
+        object.__setattr__(self, "eta", _real("reflectivity", self.eta, unit=True))
         object.__setattr__(self, "modes", tuple(map(_index, self.modes)))
         if self.modes[0] == self.modes[1]:
             raise ValueError("beamsplitter needs two distinct modes")
 
     def mode_block(self):
-        r = math.sqrt(float(self.eta))
-        t = math.sqrt(1.0 - float(self.eta))
+        r = math.sqrt(self.eta)
+        t = math.sqrt(1.0 - self.eta)
         return list(self.modes), np.array([[r, t], [t, -r]], dtype=complex)
 
 
@@ -200,6 +212,7 @@ class HalfWavePlate(OpticalElement):
     modes: tuple[int, int]
 
     def __post_init__(self):
+        object.__setattr__(self, "theta", _real("theta", self.theta))
         object.__setattr__(self, "modes", tuple(map(_index, self.modes)))
         if self.modes[0] == self.modes[1]:
             raise ValueError("wave plate needs two distinct modes")
@@ -231,19 +244,8 @@ class PolarizingBeamsplitter(OpticalElement):
         # on (h1, v1, h2, v2): the h modes stay, v1 and v2 swap
         return list(self.modes), np.eye(4, dtype=complex)[[0, 3, 2, 1]]
 
-    def apply(self, basis: FockBasis, amps: np.ndarray) -> np.ndarray:
-        # permutation: relabel occupations directly, no amplitude mixing
-        h1, v1 = self.path1
-        h2, v2 = self.path2
-        _check_element_modes((self,), basis.m)
-        result = np.zeros_like(amps)
-        for idx, occ in enumerate(basis.states):
-            if amps[idx] == 0:
-                continue
-            out = list(occ)
-            out[v1], out[v2] = occ[v2], occ[v1]
-            result[basis.index_of(tuple(out))] += amps[idx]
-        return result
+    # its own binding: the benchmark's tracer wraps `apply` on this class by name
+    apply = OpticalElement.apply
 
 
 @dataclass(frozen=True)
@@ -255,6 +257,7 @@ class CrossKerr(OpticalElement):
     modes: tuple[int, int]
 
     def __post_init__(self):
+        object.__setattr__(self, "chi", _real("chi", self.chi))
         object.__setattr__(self, "modes", tuple(map(_index, self.modes)))
         if self.modes[0] == self.modes[1]:
             raise ValueError("cross-Kerr needs two distinct modes")
@@ -262,18 +265,13 @@ class CrossKerr(OpticalElement):
     def mode_block(self):
         raise TypeError("cross-Kerr is not a mode-linear element")
 
-    def _phases(self, basis: FockBasis) -> np.ndarray:
+    def apply(self, basis: FockBasis, amps: np.ndarray) -> np.ndarray:
+        """`amps` over `basis`, a vector or a matrix of columns, with each
+        basis state's row multiplied by its phase exp(i chi n_a n_b)."""
         _check_element_modes((self,), basis.m)
         a, b = self.modes
-        return np.array([
-            np.exp(1j * self.chi * occ[a] * occ[b]) if occ[a] and occ[b] else 1.0
-            for occ in basis.states], dtype=complex)
-
-    def fock_operator(self, basis: FockBasis) -> np.ndarray:
-        return np.diag(self._phases(basis))
-
-    def apply(self, basis: FockBasis, amps: np.ndarray) -> np.ndarray:
-        return amps * self._phases(basis)
+        pairs = np.array([occ[a] * occ[b] for occ in basis.states])
+        return (amps.T * np.exp(1j * self.chi * pairs)).T
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +341,12 @@ def lift_to_fock(mode_matrix: np.ndarray, basis: FockBasis) -> np.ndarray:
 
 
 def circuit_fock_operator(elements, basis: FockBasis) -> np.ndarray:
-    """Dense many-photon operator of an ordered element list (Kerr included);
-    the reference `logical_transfer` is tested against."""
+    """Dense many-photon operator of an ordered element list (Kerr included),
+    each element's `apply` folded over the identity: the reference
+    `logical_transfer` is tested against."""
     op = np.eye(basis.size, dtype=complex)
     for el in elements:
-        op = el.fock_operator(basis) @ op
+        op = el.apply(basis, op)
     return op
 
 

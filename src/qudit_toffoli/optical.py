@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from importlib import resources
@@ -70,6 +69,7 @@ from .fock import (
     ModeLayout,
     PolarizingBeamsplitter,
     VacuumAttenuator,
+    _real,
     logical_transfer,
     single_photon_transfer,
 )
@@ -282,16 +282,6 @@ _CHAIN_TARGET = oracle_n_toffoli_sign(2, (0, 0, 0))
 _CHAIN_NAME = "post-selected T-S, chained interferometers"
 
 
-def _real(name: str, value) -> float:
-    """`value` as a float; a non-number (a bool or a string too), or one beyond float range, is a ValueError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} = {value!r}, expected a number")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{name} is beyond float range") from None
-
-
 @dataclass(frozen=True)
 class ChainParameters:
     """Free reflectivities of the chained-interferometer T-S.
@@ -314,10 +304,7 @@ class ChainParameters:
 
     def __post_init__(self):
         for f in fields(self):
-            value = _real(f.name, getattr(self, f.name))
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{f.name} = {value} outside [0, 1]")
-            object.__setattr__(self, f.name, value)
+            object.__setattr__(self, f.name, _real(f.name, getattr(self, f.name), unit=True))
 
     @classmethod
     def from_json(cls, text: str) -> "ChainParameters":
@@ -397,8 +384,6 @@ class ChainSolveResult:
     verification: GateRealization     # verify_chain_parameters(params)
     converged: bool
     residual: float                   # feasibility residual of the polish
-    n_starts: int
-    seed: int
 
 
 _PARAM_BOUNDS = (1e-4, 1.0)
@@ -472,8 +457,6 @@ def solve_chain_reflectivities(seed: int = 20070, n_starts: int = 16) -> ChainSo
         verification=verification,
         converged=converged,
         residual=residual,
-        n_starts=n_starts,
-        seed=seed,
     )
 
 

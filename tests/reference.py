@@ -4,6 +4,7 @@ writer of a chain params file, which no command writes."""
 
 import json
 from collections import defaultdict
+from itertools import product
 
 import numpy as np
 
@@ -23,14 +24,6 @@ def fock_state(basis, occupation) -> np.ndarray:
     return np.eye(basis.size, dtype=complex)[basis.index_of(occupation)]
 
 
-def logical_indices(layout, basis) -> np.ndarray:
-    """Basis index of every logical basis state of `layout`, in logical index
-    order: state x holds one photon on each mode of row x of `layout.modes`."""
-    occupations = np.zeros((len(layout.modes), basis.m), dtype=int)
-    np.put_along_axis(occupations, layout.modes, 1, axis=1)
-    return np.array([basis.index_of(occ) for occ in occupations])
-
-
 def logical_occupation(layout, digits, m):
     """Occupation of a logical basis state, read off the layout's groups
     rather than its `modes` table."""
@@ -38,6 +31,13 @@ def logical_occupation(layout, digits, m):
     for group, digit in zip(layout.groups, digits):
         occ[group[digit]] = 1
     return tuple(occ)
+
+
+def logical_indices(layout, basis) -> np.ndarray:
+    """Basis index of every logical basis state of `layout`, in logical index
+    order (wires big-endian), each read off the groups by `logical_occupation`."""
+    digits = product(*(range(len(group)) for group in layout.groups))
+    return np.array([basis.index_of(logical_occupation(layout, d, basis.m)) for d in digits])
 
 
 def vacuum_mask(basis, modes) -> np.ndarray:

@@ -169,14 +169,20 @@ CATALOGUE = (
            "        if isinstance(el, CrossKerr):\n            raise TypeError",
            "        if False:\n            raise TypeError",
            ("tests/test_fock.py::test_kerr_has_no_mode_matrix",)),
-    Mutant("PBS relabel swaps h instead of v", FOCK,
-           "out[v1], out[v2] = occ[v2], occ[v1]",
-           "out[h1], out[h2] = occ[h2], occ[h1]",
-           ("tests/test_fock.py::test_element_apply_matches_its_fock_operator",)),
     Mutant("conjugated Kerr diagonal", FOCK,
-           "np.exp(1j * self.chi * occ[a] * occ[b])",
-           "np.exp(-1j * self.chi * occ[a] * occ[b])",
+           "np.exp(1j * self.chi * pairs)",
+           "np.exp(-1j * self.chi * pairs)",
            ("tests/test_fock.py::test_logical_transfer_matches_dense_operator_rows",)),
+    Mutant("reference embeds its block on swapped modes", FOCK,
+           "embedded[np.ix_(modes, modes)] = block",
+           "embedded[np.ix_(modes[::-1], modes[::-1])] = block",
+           ("tests/test_fock.py::test_circuit_operator_matches_lift_and_permanent_oracle",
+            "tests/test_fock.py::test_logical_transfer_matches_dense_operator_rows")),
+    Mutant("element accepts a non-finite χ", FOCK,
+           'object.__setattr__(self, "chi", _real("chi", self.chi))',
+           'object.__setattr__(self, "chi", float(self.chi))',
+           ("tests/test_fock.py::test_each_guard_is_a_one_line_error[kerr-nan]",
+            "tests/test_fock.py::test_each_guard_is_a_one_line_error[kerr-inf]")),
     Mutant("tensor Kerr phase conjugated", FOCK,
            "phase = np.exp(1j * el.chi)",
            "phase = np.exp(-1j * el.chi)",
@@ -325,11 +331,12 @@ CATALOGUE = (
            "    if args.out is not None:\n",
            "    if args.out:\n",
            ("tests/test_cli.py::test_directory_path_is_one_line_usage_error[argv5]",)),
-    Mutant("_real accepts a string", OPTICAL,
+    Mutant("_real accepts a string", FOCK,
            "if isinstance(value, bool) or not isinstance(value, numbers.Real):",
            "if isinstance(value, bool):",
            ("tests/test_cli.py::test_bad_params_file_is_one_line_usage_error[reflectivity-string-command0]",
-            "tests/test_cli.py::test_bad_params_file_is_one_line_usage_error[reflectivity-string-command1]")),
+            "tests/test_cli.py::test_bad_params_file_is_one_line_usage_error[reflectivity-string-command1]",
+            "tests/test_fock.py::test_each_guard_is_a_one_line_error[kerr-string]")),
 )
 
 
