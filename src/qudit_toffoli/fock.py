@@ -143,8 +143,8 @@ class FockBasis:
     def __init__(self, m: int, n_photons: int):
         if m < 1 or n_photons < 0:
             raise ValueError(f"bad basis shape m={m}, N={n_photons}")
-        self.m = m
-        self.n_photons = n_photons
+        self.m = _index(m, "mode count")
+        self.n_photons = _index(n_photons, "photon number")
         self.states: tuple[tuple[int, ...], ...] = tuple(_enumerate_occupations(m, n_photons))
         self._index = {occ: i for i, occ in enumerate(self.states)}
 
@@ -261,9 +261,6 @@ class CrossKerr(OpticalElement):
         object.__setattr__(self, "modes", tuple(map(_index, self.modes)))
         if self.modes[0] == self.modes[1]:
             raise ValueError("cross-Kerr needs two distinct modes")
-
-    def mode_block(self):
-        raise TypeError("cross-Kerr is not a mode-linear element")
 
     def apply(self, basis: FockBasis, amps: np.ndarray) -> np.ndarray:
         """`amps` over `basis`, a vector or a matrix of columns, with each

@@ -4,16 +4,13 @@ Four constructions, all on polarization/spatial dual-rail encodings:
 
 * `kerr_cs_gate` - controlled-sign between two polarization qubits from a
   single cross-Kerr interaction between their V modes (deterministic).
-* `deterministic_ts_gate` - the full three-wire T-S: a polarizing
-  beamsplitter parks the target's H component in a second spatial path, and
-  three cross-Kerr controlled-sign gates with half-wave-plate Hadamards do
-  the controlled work.  Success probability 1.
-* `heralded_ts_gate` - same front end, but the controlled-sign gates are
-  ideal logical gates charged an external heralding probability each
-  (default 1/4), and the closing controlled-NOT is replaced by a passive
-  filter: two half-wave plates, a recombining polarizing beamsplitter and a
-  zero detection, succeeding with probability exactly 1/2.  Total
-  (1/4)^2 * 1/2 = 1/32.
+* `deterministic_ts_gate` - the full three-wire T-S, compiled from the five
+  steps of `build_n_ts_circuit(2)` by one rule table, `_optical_elements`;
+  cut after any step, it holds each qubit input where the register circuit
+  does after that step.  Three cross-Kerrs, success probability 1.
+* `heralded_ts_gate` - its first three steps compiled alike, then a passive
+  filter in place of the last two; each controlled sign is charged an
+  external heralding probability (default 1/4), for (1/4)^2 * 1/2 = 1/32.
 * `postselected_cs_gate` / `chain_elements` - coincidence-basis gates built
   from 1/3 beamsplitters.  The controlled-sign alone succeeds with 1/9;
   chaining two plus the filter gives 1/162; threading the target's zero mode
@@ -74,7 +71,7 @@ from .fock import (
     single_photon_transfer,
 )
 from .qudits import basis_digits
-from .toffoli import oracle_n_toffoli_sign
+from .toffoli import build_n_ts_circuit, oracle_n_toffoli_sign
 
 COUPLER_REFLECTIVITY = Fraction(1, 3)
 
@@ -182,33 +179,35 @@ def kerr_cs_gate(chi: float = math.pi) -> GateRealization:
                     phases=np.exp(1j * chi * np.array([0, 0, 0, 1])))
 
 
-def _ts_front_elements() -> tuple:
-    """Shared front end: park the target's H in path t, then CNOT(b) and
-    CS(a) on the path-s polarization qubit (controlled-sign via V/V Kerr)."""
-    return (
-        PolarizingBeamsplitter((S_H, S_V), (T_H, T_V)),
-        HalfWavePlate(HADAMARD_HWP_ANGLE, (S_H, S_V)),
-        CrossKerr(math.pi, (B_V, S_V)),
-        HalfWavePlate(HADAMARD_HWP_ANGLE, (S_H, S_V)),
-        CrossKerr(math.pi, (A_V, S_V)),
-    )
+# the register circuit both polarization T-S gates are compiled from, built once
+_TS_STEPS = build_n_ts_circuit(2).steps
+
+
+def _optical_elements(steps) -> tuple:
+    """The elements of T-S register steps on (qubit a, qubit b, qutrit target
+    wire 2), one rule per gate: `xa` on the target is the polarizing
+    beamsplitter of paths s and t, `cs(c, t)` a cross-Kerr between control
+    c's V mode and S_V, and `cnot(c, t)` that Kerr between two Hadamard wave
+    plates on path s.  Any other step is a one-line ValueError."""
+    control_v = {0: A_V, 1: B_V}
+    hadamard = HalfWavePlate(HADAMARD_HWP_ANGLE, (S_H, S_V))
+    elements = ()
+    for step in steps:
+        if step.name == "xa" and step.wires == (2,):
+            elements += (PolarizingBeamsplitter((S_H, S_V), (T_H, T_V)),)
+        elif step.name in ("cs", "cnot") and step.wires[1:] == (2,) and step.wires[0] in control_v:
+            kerr = CrossKerr(math.pi, (control_v[step.wires[0]], S_V))
+            elements += (kerr,) if step.name == "cs" else (hadamard, kerr, hadamard)
+        else:
+            raise ValueError(f"no optical rule for step {step.name} on wires {step.wires}")
+    return elements
 
 
 def deterministic_ts_gate() -> GateRealization:
-    """Toffoli-sign on three polarization qubits with three Kerr interactions.
-
-    Mirrors the qutrit circuit exactly: PBS = level access, half-wave plates
-    at 22.5 degrees = Hadamards, cross-Kerr = controlled-sign.  Unit success
-    probability; the flip lands on |1,0,1>.
-    """
-    elements = _ts_front_elements() + (
-        HalfWavePlate(HADAMARD_HWP_ANGLE, (S_H, S_V)),
-        CrossKerr(math.pi, (B_V, S_V)),
-        HalfWavePlate(HADAMARD_HWP_ANGLE, (S_H, S_V)),
-        PolarizingBeamsplitter((S_H, S_V), (T_H, T_V)),
-    )
-    return _realize("deterministic cross-Kerr T-S", 8, elements, _POLARIZATION_LAYOUT, Fraction(1),
-                    oracle_n_toffoli_sign(2, (1, 0, 1)))
+    """Toffoli-sign on three polarization qubits compiled from all five register
+    steps: three Kerr interactions, success probability 1, the flip on |1,0,1>."""
+    return _realize("deterministic cross-Kerr T-S", 8, _optical_elements(_TS_STEPS), _POLARIZATION_LAYOUT,
+                    Fraction(1), oracle_n_toffoli_sign(2, (1, 0, 1)))
 
 
 def _checked_cs_success(cs_success) -> Fraction:
@@ -220,18 +219,15 @@ def _checked_cs_success(cs_success) -> Fraction:
 
 
 def heralded_ts_gate(cs_success: Fraction = Fraction(1, 4)) -> GateRealization:
-    """Heralded T-S: two non-deterministic controlled-sign gates plus a filter.
-
-    The controlled-sign gates are modelled as ideal logical gates, each
-    charged the external success probability `cs_success` (their internal
-    heralding is outside this simulator).  The filter - half-wave plates on
-    both target paths, a recombining polarizing beamsplitter and a zero
-    detection on the working path - is simulated in full and succeeds with
-    probability exactly 1/2 for every input.  With cs_success = 1/4 the
-    total is 1/16 * 1/2 = 1/32, and the sign flip lands on |0,0,1>.
-    """
+    """Heralded T-S: the first three register steps compiled, their two
+    controlled signs modelled as ideal logical gates, each charged the
+    external success probability `cs_success` (their internal heralding is
+    outside this simulator), then a passive filter, simulated in full, whose
+    zero detection on path s succeeds with probability exactly 1/2 for every
+    input.  With cs_success = 1/4 the total is 1/16 * 1/2 = 1/32, and the
+    sign flip lands on |0,0,1>."""
     cs_success = _checked_cs_success(cs_success)
-    elements = _ts_front_elements() + (
+    elements = _optical_elements(_TS_STEPS[:3]) + (
         HalfWavePlate(HADAMARD_HWP_ANGLE, (S_H, S_V)),
         HalfWavePlate(HADAMARD_HWP_ANGLE, (T_H, T_V)),
         PolarizingBeamsplitter((S_H, S_V), (T_H, T_V)),

@@ -23,6 +23,7 @@ operation mutates its inputs.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
@@ -41,9 +42,17 @@ class WireError(ValueError):
 # Register description and indexing
 # ---------------------------------------------------------------------------
 
+def _integer(value, what: str, wire: int | None = None) -> int:
+    """`value` as an int; anything but an integer (numpy's count) is a WireError
+    naming `what`, and `wire` if given.  A plain int skips the slower ABC check."""
+    if type(value) is not int and not isinstance(value, numbers.Integral):
+        raise WireError(f"{'' if wire is None else f'wire {wire}: '}{what} {value!r} is not an integer")
+    return int(value)
+
+
 def _checked_dims(dims) -> tuple[int, ...]:
-    """`dims` as a tuple of ints; no wires, or a wire of dimension < 2, is a WireError."""
-    dims = tuple(int(d) for d in dims)
+    """`dims` as a tuple of ints; a non-integer, no wires or a dimension < 2 is a WireError."""
+    dims = tuple(_integer(d, "dimension", w) for w, d in enumerate(dims))
     if not dims:
         raise WireError("register needs at least one wire")
     for w, d in enumerate(dims):
@@ -79,7 +88,7 @@ def basis_index(digits, dims: WireDims) -> int:
         raise WireError(f"expected {dims.n_wires} digits, got {len(digits)}")
     idx = 0
     for w, (digit, d) in enumerate(zip(digits, dims.dims)):
-        if not 0 <= digit < d:
+        if not 0 <= _integer(digit, "digit", w) < d:
             raise WireError(f"wire {w}: digit {digit} out of range for dimension {d}")
         idx = idx * d + digit
     return idx
@@ -87,7 +96,7 @@ def basis_index(digits, dims: WireDims) -> int:
 
 def basis_digits(index: int, dims: WireDims) -> tuple[int, ...]:
     """Inverse of :func:`basis_index`."""
-    if not 0 <= index < dims.total_dim:
+    if not 0 <= _integer(index, "index") < dims.total_dim:
         raise WireError(f"index {index} out of range for total dimension {dims.total_dim}")
     out = []
     for d in reversed(dims.dims):

@@ -37,6 +37,7 @@ from .qudits import (
     WireDims,
     WireError,
     _apply_to_block,
+    _integer,
     basis_digits,
     basis_index,
 )
@@ -60,9 +61,9 @@ def gate_level_swap(j: int, k: int, d: int) -> GateMatrix:
     """Transposition of levels j and k of a d-level wire."""
     if j == k:
         raise ValueError(f"level swap needs two distinct levels, got {j},{k}")
-    if not (0 <= j < d and 0 <= k < d):
+    if not (0 <= _integer(j, "level") < d and 0 <= _integer(k, "level") < d):
         raise ValueError(f"levels ({j},{k}) out of range for dimension {d}")
-    rows = np.arange(d)
+    rows = np.arange(_integer(d, "dimension"))
     rows[j], rows[k] = k, j
     return GateMatrix.from_columns((d,), rows, np.ones(d))
 
@@ -99,7 +100,7 @@ def gate_cs_embedded(dc: int, dt: int) -> GateMatrix:
     Higher target levels are untouched, so acting on a parked amplitude is
     the identity regardless of the control.
     """
-    if dc < 2 or dt < 2:
+    if _integer(dc, "control dimension") < 2 or _integer(dt, "target dimension") < 2:
         raise ValueError("controlled-sign needs dimensions >= 2")
     entries = np.ones(dc * dt)
     entries[1 * dt + 1] = -1.0
@@ -108,7 +109,7 @@ def gate_cs_embedded(dc: int, dt: int) -> GateMatrix:
 
 def gate_cnot_embedded(dc: int, dt: int) -> GateMatrix:
     """X on the target's {0,1} levels iff the control is 1; identity otherwise."""
-    if dc < 2 or dt < 2:
+    if _integer(dc, "control dimension") < 2 or _integer(dt, "target dimension") < 2:
         raise ValueError("controlled-NOT needs dimensions >= 2")
     rows = np.arange(dc * dt)
     rows[dt], rows[dt + 1] = dt + 1, dt  # control 1 (local index dt + t): target levels 0 and 1 swap
@@ -170,7 +171,7 @@ def build_n_ts_circuit(n: int) -> CircuitDescription:
     CNOT(b,c), CS(a,c), CNOT(b,c), X_A(c) on (qubit a, qubit b, qutrit c),
     and |1,1,...,1> for n >= 3.
     """
-    if n < 2:
+    if _integer(n, "control count") < 2:
         raise ValueError(f"need at least 2 controls, got {n}")
     dims = WireDims((2,) * n + (n + 1,))
     target = n

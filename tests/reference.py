@@ -1,8 +1,10 @@
 """Test-side references: amplitude vectors over a `FockBasis`, built and read
-by basis index, the dense register helpers that no command runs, and the
-writer of a chain params file, which no command writes."""
+by basis index, the dense register helpers that no command runs, the writer
+of a chain params file, which no command writes, and the recorder of the
+package functions a call reaches."""
 
 import json
+import sys
 from collections import defaultdict
 from itertools import product
 
@@ -104,3 +106,20 @@ def chain_params_json(params) -> str:
 def save_chain_solution(params, path) -> None:
     with open(path, "w") as fh:
         fh.write(chain_params_json(params) + "\n")
+
+
+def package_calls(route, args) -> set[str]:
+    """`module.qualname` of every package function that `route(*args)` calls."""
+    seen = set()
+
+    def hook(frame, event, arg):
+        module = frame.f_globals.get("__name__", "")
+        if event == "call" and module.startswith("qudit_toffoli."):
+            seen.add(f"{module.rpartition('.')[2]}.{frame.f_code.co_qualname}")
+
+    sys.setprofile(hook)
+    try:
+        route(*args)
+    finally:
+        sys.setprofile(None)
+    return seen

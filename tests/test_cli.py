@@ -277,12 +277,13 @@ def test_chain_point_dimmed_by_ten_parts_per_million_fails_both_commands(tmp_pat
 
 
 def test_kerr_on_the_wrong_control_fails_every_row_that_reads_it(monkeypatch, capsys):
-    # the CS(a) Kerr moved onto control b keeps every magnitude: the heralded
+    # the CS(a) step moved onto control b keeps every magnitude: the heralded
     # transfer flips |0,0,1> and |1,0,1>, the deterministic one flips nothing
-    front = optical._ts_front_elements()
-    assert front[-1] == CrossKerr(math.pi, (optical.A_V, optical.S_V))
-    rewired = front[:-1] + (CrossKerr(math.pi, (optical.B_V, optical.S_V)),)
-    monkeypatch.setattr(optical, "_ts_front_elements", lambda: rewired)
+    steps = optical._TS_STEPS
+    assert optical._optical_elements(steps[2:3]) == (CrossKerr(math.pi, (optical.A_V, optical.S_V)),)
+    rewired = steps[:2] + (dataclasses.replace(steps[2], wires=(1, 2)),) + steps[3:]
+    assert optical._optical_elements(rewired[2:3]) == (CrossKerr(math.pi, (optical.B_V, optical.S_V)),)
+    monkeypatch.setattr(optical, "_TS_STEPS", rewired)
     assert main(["--format", "json", "report-all"]) == 1
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert {row["construction"] for row in rows if not row["ok"]} == {

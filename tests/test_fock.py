@@ -548,6 +548,8 @@ def test_layout_rejects_overlapping_groups():
 @pytest.mark.parametrize("call, error, fragment", [
     pytest.param(lambda: FockBasis(0, 1), ValueError, "bad basis shape m=0, N=1", id="basis-no-modes"),
     pytest.param(lambda: FockBasis(2, -1), ValueError, "bad basis shape m=2, N=-1", id="basis-negative-N"),
+    pytest.param(lambda: FockBasis(1.5, 1), ValueError,
+                 "mode count 1.5 is not a non-negative integer", id="basis-fractional-modes"),
     pytest.param(lambda: Beamsplitter(0.5, (1, 1)), ValueError,
                  "beamsplitter needs two distinct modes", id="bs-repeated-mode"),
     pytest.param(lambda: HalfWavePlate(0.3, (1, 1)), ValueError,
@@ -563,8 +565,6 @@ def test_layout_rejects_overlapping_groups():
                  "theta = nan is not finite", id="hwp-nan"),
     pytest.param(lambda: Beamsplitter(True, (0, 1)), ValueError,
                  "reflectivity = True, expected a number", id="bs-bool"),
-    pytest.param(lambda: CrossKerr(np.pi, (0, 1)).mode_block(), TypeError,
-                 "cross-Kerr is not a mode-linear element", id="kerr-mode-block"),
     pytest.param(lambda: lift_to_fock(np.eye(3), FockBasis(2, 1)), ValueError,
                  "mode matrix shape (3, 3) != (2, 2)", id="lift-shape"),
     pytest.param(lambda: ModeLayout(((0,),)), ValueError,

@@ -1,6 +1,7 @@
 """Optical gate realizations: transfer matrices, probabilities, sign patterns."""
 
 import dataclasses
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -39,8 +40,8 @@ from qudit_toffoli.optical import (
     verify_chain_parameters,
 )
 from qudit_toffoli.report import build_report
-from qudit_toffoli.qudits import basis_digits, basis_index, circuit_unitary
-from qudit_toffoli.toffoli import build_n_ts_circuit
+from qudit_toffoli.qudits import CircuitDescription, basis_digits, basis_index, circuit_unitary
+from qudit_toffoli.toffoli import build_n_ts_circuit, qubit_subspace_indices
 from reference import ORACLE_TOL, QUQUIT_TARGET_LAYOUT, chain_params_json, logical_occupation
 from reference import detection_outcomes, fock_state, logical_indices, vacuum_mask
 from reference import equiv_up_to_global_phase, random_unitary, restrict_to_qubit_subspace
@@ -121,6 +122,27 @@ def test_deterministic_matches_qutrit_circuit_under_encoding():
     ok, lam = equiv_up_to_global_phase(gate.transfer, reference, 1e-10)
     assert ok
     assert abs(lam - 1.0) < 1e-10
+    # stage by stage: the gate compiled from the first k steps holds each qubit
+    # input where those k register steps do, target levels 0, 1, 2 on
+    # (S_H, S_V, T_H) while level 2 is parked and on (T_H, T_V, S_H) after it
+    assert gate.elements == optical._optical_elements(optical._TS_STEPS)
+    assert heralded_ts_gate().elements[:5] == optical._optical_elements(optical._TS_STEPS[:3])
+    basis = FockBasis(8, 3)
+    inputs = logical_indices(gate.layout, basis)
+    for k in range(1, 6):
+        optical_cols = circuit_fock_operator(optical._optical_elements(optical._TS_STEPS[:k]), basis)[:, inputs]
+        register = circuit_unitary(CircuitDescription(circ.dims, circ.steps[:k]))
+        target = (T_H, T_V, S_H) if k == 5 else (S_H, S_V, T_H)
+        register_cols = np.zeros_like(optical_cols)
+        register_cols[logical_indices(ModeLayout(((A_H, A_V), (B_H, B_V), target)), basis)] = \
+            register[:, qubit_subspace_indices(circ.dims)]
+        assert np.max(np.abs(optical_cols - register_cols)) < 1e-12, f"stage {k}"
+    # the three-control circuit has no rule from its first step on, nor its cnot(2, 3)
+    three = build_n_ts_circuit(3).steps
+    for steps, fragment in ((three, "step xa on wires (3,)"), (three[1:2], "step cnot on wires (2, 3)")):
+        with pytest.raises(ValueError, match=re.escape(f"no optical rule for {fragment}")) as exc:
+            optical._optical_elements(steps)
+        assert "\n" not in str(exc.value)
 
 
 def test_deterministic_applied_twice_is_identity():

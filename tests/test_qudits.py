@@ -42,6 +42,10 @@ def test_basis_index_zero_case():
 def test_basis_index_big_endian():
     # 1*6 + 0*3 + 1, first wire most significant
     assert basis_index((1, 0, 1), WireDims((2, 2, 3))) == 7
+    # numpy integers are integers too
+    dims = WireDims(np.array([2, 2, 3]))
+    assert dims.dims == (2, 2, 3) and basis_index(np.array([1, 0, 1]), dims) == 7
+    assert basis_digits(np.int64(7), dims) == (1, 0, 1)
 
 
 def test_basis_index_digit_out_of_range_names_wire():
@@ -424,6 +428,16 @@ _CNOT = gate_cnot_embedded(2, 2)
                  "expected 2 digits, got 1", id="index-digit-count"),
     pytest.param(lambda: basis_digits(4, WireDims((2, 2))), WireError,
                  "index 4 out of range for total dimension 4", id="digits-index-range"),
+    pytest.param(lambda: basis_index((0.5, 0), WireDims((2, 2))), WireError,
+                 "wire 0: digit 0.5 is not an integer", id="index-digit-float"),
+    pytest.param(lambda: basis_digits(1.5, WireDims((2, 2))), WireError,
+                 "index 1.5 is not an integer", id="digits-index-float"),
+    pytest.param(lambda: WireDims((2.5, 2)), WireError,
+                 "wire 0: dimension 2.5 is not an integer", id="dims-float"),
+    pytest.param(lambda: WireDims(("3", 2)), WireError,
+                 "wire 0: dimension '3' is not an integer", id="dims-string"),
+    pytest.param(lambda: GateMatrix((2.5,), np.eye(2)), WireError,
+                 "wire 0: dimension 2.5 is not an integer", id="gate-dimension-float"),
     pytest.param(lambda: GateMatrix((2,), np.eye(3)), WireError,
                  "matrix shape (3, 3) does not match wire dims (2,)", id="gate-shape"),
     pytest.param(lambda: GateMatrix((0,), np.zeros((0, 0))), WireError,

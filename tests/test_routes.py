@@ -8,13 +8,24 @@ function fails the row, which names it.  Independently written routes can
 still fail together (Knight & Leveson, IEEE TSE 12(1), 1986), so what they
 share is measured here rather than claimed in a docstring."""
 
-import sys
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
 import pytest
 
-from qudit_toffoli.fock import FockBasis, circuit_fock_operator, logical_transfer
+from qudit_toffoli.fock import (
+    Beamsplitter,
+    FockBasis,
+    HalfWavePlate,
+    ModeLayout,
+    PolarizingBeamsplitter,
+    circuit_fock_operator,
+    lift_to_fock,
+    logical_transfer,
+    permanent_amplitude_oracle,
+    single_photon_transfer,
+)
 from qudit_toffoli.optical import (
     chain_coincidence_block,
     chain_mode_matrix,
@@ -25,6 +36,7 @@ from qudit_toffoli.optical import (
 )
 from qudit_toffoli.qudits import circuit_unitary
 from qudit_toffoli.toffoli import build_n_ts_circuit, oracle_n_toffoli_sign, verify_decomposition
+from reference import package_calls, random_unitary
 
 # every function that two routes may share, and why sharing it does not make
 # the check depend on the route it checks
@@ -63,6 +75,27 @@ def _gate_inputs(build):
     return inputs
 
 
+def _lift_inputs():
+    basis = FockBasis(4, 2)
+    return random_unitary(4, np.random.default_rng(13)), basis, basis.states
+
+
+def _qudit_layout_inputs():
+    # a qutrit, a qubit and a ququart on 10 modes, mixed by splitters, wave
+    # plates and a polarizing beamsplitter, with each logical state's
+    # occupation read off the layout table
+    m, layout = 10, ModeLayout(((0, 1, 2), (3, 4), (5, 6, 7, 8)))
+    elements = (Beamsplitter(0.3, (2, 3)), HalfWavePlate(0.4, (4, 5)), PolarizingBeamsplitter((1, 6), (8, 9)),
+                Beamsplitter(0.7, (9, 0)), HalfWavePlate(1.1, (7, 2)))
+    return elements, m, layout, [tuple(np.bincount(row, minlength=m)) for row in layout.modes]
+
+
+def _oracle_on_layout(elements, m, layout, occupations):
+    """The mode matrix, then the permanent oracle over every pair of layout entries."""
+    mode = single_photon_transfer(elements, m)
+    return [[permanent_amplitude_oracle(mode, x, y) for x in occupations] for y in occupations]
+
+
 def _ts_inputs():
     return build_n_ts_circuit(3), oracle_n_toffoli_sign(3, (1, 1, 1, 1)), 3
 
@@ -84,6 +117,14 @@ LEDGER = (
           lambda elements, m, layout, basis: logical_transfer(elements, m, layout),
           lambda elements, m, layout, basis: circuit_fock_operator(elements, basis),
           _gate_inputs(deterministic_ts_gate), POLARIZATION),
+    Route("lift against the permanent oracle",
+          lambda mode, basis, states: lift_to_fock(mode, basis),
+          lambda mode, basis, states: [permanent_amplitude_oracle(mode, occ_in, occ_out)
+                                       for occ_in in states for occ_out in states],
+          _lift_inputs, frozenset()),
+    Route("logical_transfer against the oracle on a qudit layout",
+          lambda elements, m, layout, occupations: logical_transfer(elements, m, layout),
+          _oracle_on_layout, _qudit_layout_inputs, POLARIZATION | {"fock.Beamsplitter.mode_block"}),
     Route("T-S verification against the dense register product",
           lambda circ, oracle, n: verify_decomposition(circ, oracle, n),
           lambda circ, oracle, n: circuit_unitary(circ),
@@ -91,27 +132,10 @@ LEDGER = (
 )
 
 
-def _package_calls(route, args) -> set[str]:
-    """`module.qualname` of every package function that `route(*args)` calls."""
-    seen = set()
-
-    def hook(frame, event, arg):
-        module = frame.f_globals.get("__name__", "")
-        if event == "call" and module.startswith("qudit_toffoli."):
-            seen.add(f"{module.rpartition('.')[2]}.{frame.f_code.co_qualname}")
-
-    sys.setprofile(hook)
-    try:
-        route(*args)
-    finally:
-        sys.setprofile(None)
-    return seen
-
-
 @pytest.mark.parametrize("row", LEDGER, ids=lambda row: row.job)
 def test_a_check_route_shares_only_its_allowed_functions(row):
     args = row.inputs()
-    fast, check = _package_calls(row.fast, args), _package_calls(row.check, args)
+    fast, check = package_calls(row.fast, args), package_calls(row.check, args)
     assert fast and check
     unexpected = sorted((fast & check) - row.allowed)
     assert not unexpected, f"{row.job}: both routes now call {', '.join(unexpected)}"

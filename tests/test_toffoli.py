@@ -538,6 +538,14 @@ def test_monomial_route_matches_the_dense_unitary(case):
 
 @pytest.mark.parametrize("call, fragment", [
     pytest.param(lambda: gate_xb(3), "X_B needs at least 4 levels, got 3", id="xb-qutrit"),
+    pytest.param(lambda: gate_level_swap(0.5, 1, 3), "level 0.5 is not an integer", id="swap-level-float"),
+    pytest.param(lambda: gate_x_padded(2.5), "dimension 2.5 is not an integer", id="x-dimension-float"),
+    pytest.param(lambda: gate_cs_embedded(2, 2.5), "target dimension 2.5 is not an integer", id="cs-target-dim-float"),
+    pytest.param(lambda: gate_cnot_embedded(2.5, 2), "control dimension 2.5 is not an integer",
+                 id="cnot-control-dim-float"),
+    pytest.param(lambda: build_n_ts_circuit(2.5), "control count 2.5 is not an integer", id="circuit-n-float"),
+    pytest.param(lambda: oracle_n_toffoli_sign(2, (0.5, 0, 1)), "wire 0: digit 0.5 is not an integer",
+                 id="oracle-digit-float"),
     pytest.param(lambda: gate_cs_embedded(1, 2), "controlled-sign needs dimensions >= 2", id="cs-control-dim"),
     pytest.param(lambda: gate_cnot_embedded(2, 1), "controlled-NOT needs dimensions >= 2", id="cnot-target-dim"),
     pytest.param(lambda: verify_decomposition(build_n_ts_circuit(2), oracle_n_toffoli_sign(3, (0, 0, 0, 0)), 3),

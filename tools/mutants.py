@@ -121,6 +121,11 @@ CATALOGUE = (
            "            if len(step.wires) != len(step.gate.wire_dims):\n",
            "            if False:\n",
            ("tests/test_qudits.py::test_each_guard_is_a_one_line_error",)),
+    Mutant("dims truncated with int()", QUDITS,
+           'tuple(_integer(d, "dimension", w) for w, d in enumerate(dims))', "tuple(int(d) for d in dims)",
+           ("tests/test_qudits.py::test_each_guard_is_a_one_line_error[dims-float]",
+            "tests/test_qudits.py::test_each_guard_is_a_one_line_error[dims-string]",
+            "tests/test_qudits.py::test_each_guard_is_a_one_line_error[gate-dimension-float]")),
     Mutant("gate wire-dimension check dropped", QUDITS,
            "wd = _checked_dims(self.wire_dims)",
            "wd = tuple(int(d) for d in self.wire_dims)",
@@ -231,30 +236,25 @@ CATALOGUE = (
            "HalfWavePlate(0.3, (T_H, T_V)),",
            ("tests/test_cli.py::test_simulate_heralded", "tests/test_cli.py::test_report_all_text")),
     Mutant("closing PBS dropped from the deterministic gate", OPTICAL,
-           "        HalfWavePlate(HADAMARD_HWP_ANGLE, (S_H, S_V)),\n"
-           "        PolarizingBeamsplitter((S_H, S_V), (T_H, T_V)),\n"
-           "    )\n"
-           '    return _realize("deterministic',
-           "        HalfWavePlate(HADAMARD_HWP_ANGLE, (S_H, S_V)),\n"
-           "    )\n"
-           '    return _realize("deterministic',
+           "_optical_elements(_TS_STEPS),", "_optical_elements(_TS_STEPS[:-1]),",
            ("tests/test_cli.py::test_report_all_text",
             "tests/test_acceptance.py::test_criterion_05_deterministic_optical_ts")),
     Mutant("deterministic gate carries a fourth, idle Kerr", OPTICAL,
-           "        PolarizingBeamsplitter((S_H, S_V), (T_H, T_V)),\n"
-           "    )\n"
-           '    return _realize("deterministic',
-           "        PolarizingBeamsplitter((S_H, S_V), (T_H, T_V)),\n"
-           "        CrossKerr(0.0, (A_V, B_V)),\n"
-           "    )\n"
-           '    return _realize("deterministic',
+           "_optical_elements(_TS_STEPS),", "_optical_elements(_TS_STEPS) + (CrossKerr(0.0, (A_V, B_V)),),",
            ("tests/test_cli.py::test_report_all_text",
             "tests/test_optical.py::test_deterministic_uses_three_kerr_interactions",
             "tests/test_acceptance.py::test_criterion_05_deterministic_optical_ts")),
     Mutant("CS(a) Kerr wired to control b", OPTICAL,
-           "CrossKerr(math.pi, (A_V, S_V)),",
-           "CrossKerr(math.pi, (B_V, S_V)),",
+           "control_v = {0: A_V, 1: B_V}", "control_v = {0: B_V, 1: B_V}",
            ("tests/test_cli.py::test_report_all_text", "tests/test_cli.py::test_simulate_heralded")),
+    Mutant("control wires mapped in reverse", OPTICAL,
+           "control_v = {0: A_V, 1: B_V}", "control_v = {0: B_V, 1: A_V}",
+           ("tests/test_optical.py::test_deterministic_matches_qutrit_circuit_under_encoding",
+            "tests/test_acceptance.py::test_criterion_05_deterministic_optical_ts")),
+    Mutant("cs and cnot rules swapped", OPTICAL,
+           '(kerr,) if step.name == "cs" else', '(kerr,) if step.name == "cnot" else',
+           ("tests/test_optical.py::test_deterministic_matches_qutrit_circuit_under_encoding",
+            "tests/test_acceptance.py::test_criterion_05_deterministic_optical_ts")),
     Mutant("_realize certifies magnitudes only", OPTICAL,
            "residual = float(np.max(np.abs(transfer - math.sqrt(claimed) * np.diag(phases))))",
            "residual = float(np.max(np.abs(np.abs(transfer) - math.sqrt(claimed) * np.eye(len(phases)))))",
