@@ -87,8 +87,9 @@ class PhotonNumberError(ValueError):
 
 
 def _index(value, what: str = "mode") -> int:
-    """`value` as an int; a negative or non-integer value is a ValueError."""
-    if not isinstance(value, numbers.Integral) or value < 0:
+    """`value` as an int; a negative or non-integer value is a ValueError.  A
+    plain int skips the slower ABC check."""
+    if type(value) is not int and not isinstance(value, numbers.Integral) or value < 0:
         raise ValueError(f"{what} {value!r} is not a non-negative integer")
     return int(value)
 
@@ -141,10 +142,9 @@ class FockBasis:
     """All occupation tuples of m modes holding exactly N photons."""
 
     def __init__(self, m: int, n_photons: int):
-        if m < 1 or n_photons < 0:
+        if isinstance(m, numbers.Integral) and isinstance(n_photons, numbers.Integral) and (m < 1 or n_photons < 0):
             raise ValueError(f"bad basis shape m={m}, N={n_photons}")
-        self.m = _index(m, "mode count")
-        self.n_photons = _index(n_photons, "photon number")
+        self.m, self.n_photons = _index(m, "mode count"), _index(n_photons, "photon number")
         self.states: tuple[tuple[int, ...], ...] = tuple(_enumerate_occupations(m, n_photons))
         self._index = {occ: i for i, occ in enumerate(self.states)}
 

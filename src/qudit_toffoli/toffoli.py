@@ -12,14 +12,11 @@ Controlled gates here act on the {0,1} sub-block of their target and do
 nothing on any higher target level; that "acts as identity on borrowed
 levels" behaviour is what makes the parking trick work.
 
-Every library gate but `h` is monomial and is built from its column map
-(`GateMatrix.from_columns`), so it carries its `monomial` table from
-construction.  `build_n_ts_circuit` builds each distinct gate once per
-circuit, so its steps share gate objects.  `verify_decomposition` runs the
-2^(n+1) qubit inputs through the circuit as digit columns and phases, each
-monomial step a gather from its gate's table, and finishes on dense columns
-from the first other step on.  The dense `circuit_unitary`, an ndarray, is
-the tests' reference.
+Every library gate but `h` is monomial and is built as its column table
+(`GateMatrix.from_columns`), once per circuit, so steps share gates and tables.
+`verify_decomposition` runs the 2^(n+1) qubit inputs through the circuit once
+as sparse entries: a monomial step gathers from its gate's table, any other
+splits and merges.  The dense `circuit_unitary` is the tests' reference.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ from .qudits import (
     GateStep,
     WireDims,
     WireError,
-    _apply_to_block,
     _integer,
     basis_digits,
     basis_index,
@@ -226,61 +222,51 @@ def qubit_subspace_leakage(unitary: np.ndarray, dims: WireDims) -> float:
     return float(np.max(np.linalg.norm(unitary[np.ix_(outside, idx)], axis=0)))
 
 
-def _run_dense(steps, dims: WireDims, digits: np.ndarray, phases: np.ndarray, max_level: int):
-    """Finish `_run_qubit_inputs` with dense columns of the full register:
-    scatter each input's (digits, phase), push the columns through the
-    remaining steps, and return the nonzero entries as triplets, the highest
-    target level, and the columns' deviation from orthonormality."""
-    cols = np.arange(phases.size)
-    amps = np.zeros((dims.total_dim, cols.size), dtype=complex)
-    amps[np.ravel_multi_index(digits, dims.dims), cols] = phases
-    level_of = np.arange(dims.total_dim) % dims.dims[-1]  # big-endian: last wire is the low digit
-    for step in steps:
-        amps = _apply_to_block(amps, step.gate, step.wires, dims)
-        max_level = int(level_of[(np.abs(amps) > 1e-9).any(axis=1)].max(initial=max_level))
-    err = float(np.max(np.abs(amps.conj().T @ amps - np.eye(cols.size))))
-    rows, cols = np.nonzero(amps)
-    return np.array(np.unravel_index(rows, dims.dims)), cols, amps[rows, cols], max_level, err
+def _split(table, wires, local, digits, cols, amps, dims: WireDims):
+    """A non-monomial table's step on the entries: each entry splits into one
+    per nonzero of its local column, then the entries of one input that reach
+    the same digits merge, their amplitudes summed and exact zeros dropped."""
+    counts = np.diff(table.offsets)[local]
+    source = np.repeat(np.arange(local.size), counts)
+    # each copy's nonzero: its column's first one plus the copy's rank among its entry's copies
+    nonzero = np.repeat(table.offsets[local] - np.cumsum(counts) + counts, counts) + np.arange(source.size)
+    digits, cols = digits[:, source], cols[source]
+    digits[wires] = table.digits[:, nonzero]
+    amps = amps[source] * table.entries[nonzero]
+    keys = np.ravel_multi_index(np.vstack((cols, digits)), (2 ** dims.n_wires,) + dims.dims)
+    _, first, merged = np.unique(keys, return_index=True, return_inverse=True)
+    amps = np.bincount(merged, amps.real) + 1j * np.bincount(merged, amps.imag)
+    kept = amps != 0
+    return digits[:, first[kept]], cols[first[kept]], amps[kept]
 
 
 def _run_qubit_inputs(circ: CircuitDescription):
     """Run the 2^k all-qubit-levels basis inputs through the circuit once.
-
-    Returns the nonzero outputs as (row digits, column, amplitude) triplets,
-    a k x m digit array and two length-m vectors, where the column is the
-    input's rank among the qubit inputs (lexicographic, so it is also its
-    index in the 2^k qubit space), plus the highest target (last wire) level
-    holding amplitude after any step.  While every step is monomial (one
-    nonzero per column) each input stays one basis state: one digit column
-    and one phase.  A step reads its gate's cached `monomial` table: the dot
-    of the table's strides with the digits on the step's wires is each
-    input's local index, whose column of the table's digits replaces those
-    digits and whose entry multiplies the phase.  From the first other step
-    on, `_run_dense` takes over."""
+    Returns the nonzero outputs as (output digits, column, amplitude) entries,
+    a k x m digit array and two length-m vectors, the column being the input's
+    rank among the qubit inputs (lexicographic, so also its index in the 2^k
+    qubit space), and the highest target (last wire) level holding amplitude
+    above 1e-9 after any step.  Each step reads its gate's `columns` table,
+    checked once per table (`defect`): a monomial step gathers from each
+    entry's local column, so each input stays one basis state; any other is a `_split`."""
     dims = circ.dims
     digits = np.indices((2,) * dims.n_wires).reshape(dims.n_wires, -1)
-    phases = np.ones(digits.shape[1], dtype=complex)
+    cols = np.arange(digits.shape[1])
+    amps = np.ones(cols.size, dtype=complex)
     max_level = 1
     for s, step in enumerate(circ.steps):
-        table = step.gate.monomial
-        if table is None:
-            digits, cols, amps, max_level, err = _run_dense(
-                circ.steps[s:], dims, digits, phases, max_level)
-            break
+        table = step.gate.columns
+        if table.defect:
+            raise WireError(f"circuit not unitary on the qubit inputs (step {s}, {step.name}: {table.defect})")
         wires = np.array(step.wires)  # an index array: numpy gathers by it faster than by a list
         local = table.strides @ digits[wires]
-        digits[wires] = table.digits.take(local, axis=1)
-        phases = phases * table.entries[local]
-        max_level = max(max_level, int(digits[-1].max()))
-    else:
-        cols, amps = np.arange(phases.size), phases
-        # the columns are orthonormal iff the outputs are distinct and every phase is unimodular
-        err = float(np.max(np.abs(np.abs(phases) - 1.0)))
-        rows = np.sort(np.ravel_multi_index(digits, dims.dims))
-        if (rows[1:] == rows[:-1]).any():
-            err = max(err, 1.0)
-    if not err <= PRODUCT_TOL:
-        raise WireError(f"circuit not unitary on the qubit inputs (deviation {err:.3e})")
+        if table.monomial:
+            digits[wires] = table.digits.take(local, axis=1)
+            amps = amps * table.entries[local]
+            max_level = max(max_level, int(digits[-1].max()))
+        else:
+            digits, cols, amps = _split(table, wires, local, digits, cols, amps, dims)
+            max_level = max(max_level, int(digits[-1][np.abs(amps) > 1e-9].max(initial=1)))
     return digits, cols, amps, max_level
 
 
@@ -336,11 +322,9 @@ def verify_decomposition(circ: CircuitDescription, oracle: np.ndarray, n: int) -
     given as its +/-1 diagonal (`oracle_n_toffoli_sign`).
 
     Every field comes from one propagation of the 2^(n+1) qubit-basis inputs
-    (`_run_qubit_inputs`); the dense `circuit_unitary` is kept as the tests'
-    reference.  Fidelity is the phase-insensitive process overlap
+    (`_run_qubit_inputs`).  Fidelity is the phase-insensitive process overlap
     |tr(U' O)| / dim: only outputs equal to their input count.  A corrupted
-    circuit reports fidelity < 1 rather than raising.
-    """
+    circuit reports fidelity < 1 rather than raising."""
     dims = circ.dims
     dim = 2 ** (n + 1)
     if dims.n_wires != n + 1:

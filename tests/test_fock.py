@@ -550,6 +550,8 @@ def test_layout_rejects_overlapping_groups():
     pytest.param(lambda: FockBasis(2, -1), ValueError, "bad basis shape m=2, N=-1", id="basis-negative-N"),
     pytest.param(lambda: FockBasis(1.5, 1), ValueError,
                  "mode count 1.5 is not a non-negative integer", id="basis-fractional-modes"),
+    pytest.param(lambda: FockBasis("3", 1), ValueError,
+                 "mode count '3' is not a non-negative integer", id="basis-string-modes"),
     pytest.param(lambda: Beamsplitter(0.5, (1, 1)), ValueError,
                  "beamsplitter needs two distinct modes", id="bs-repeated-mode"),
     pytest.param(lambda: HalfWavePlate(0.3, (1, 1)), ValueError,

@@ -34,8 +34,8 @@ from qudit_toffoli.optical import (
     heralded_ts_gate,
     load_chain_solution,
 )
-from qudit_toffoli.qudits import circuit_unitary
-from qudit_toffoli.toffoli import build_n_ts_circuit, oracle_n_toffoli_sign, verify_decomposition
+from qudit_toffoli.qudits import CircuitDescription, GateStep, circuit_unitary
+from qudit_toffoli.toffoli import build_n_ts_circuit, gate_h_padded, oracle_n_toffoli_sign, verify_decomposition
 from reference import package_calls, random_unitary
 
 # every function that two routes may share, and why sharing it does not make
@@ -100,6 +100,14 @@ def _ts_inputs():
     return build_n_ts_circuit(3), oracle_n_toffoli_sign(3, (1, 1, 1, 1)), 3
 
 
+def _toffoli_inputs():
+    # H on the target around the T-S, so that the verifier splits and merges;
+    # both routes read the same gates, each `h` table read off its matrix when built
+    circ = build_n_ts_circuit(3)
+    h = GateStep("h", (), (3,), gate_h_padded(4))
+    return CircuitDescription(circ.dims, (h,) + circ.steps + (h,)), oracle_n_toffoli_sign(3, (1, 1, 1, 1)), 3
+
+
 LEDGER = (
     Route("chain block against the first-quantized transfer",
           lambda params, elements, layout, basis: chain_coincidence_block(chain_mode_matrix(params)),
@@ -129,6 +137,10 @@ LEDGER = (
           lambda circ, oracle, n: verify_decomposition(circ, oracle, n),
           lambda circ, oracle, n: circuit_unitary(circ),
           _ts_inputs, frozenset({"qudits.WireDims.total_dim"})),
+    Route("T-S verification through the split step against the dense register product",
+          lambda circ, oracle, n: verify_decomposition(circ, oracle, n),
+          lambda circ, oracle, n: circuit_unitary(circ),
+          _toffoli_inputs, frozenset()),
 )
 
 
@@ -143,3 +155,7 @@ def test_a_check_route_shares_only_its_allowed_functions(row):
 
 def test_every_allowed_shared_function_has_a_reason():
     assert {name for row in LEDGER for name in row.allowed} <= set(REASONS)
+
+
+def test_the_hadamard_row_runs_the_split_step():
+    assert "toffoli._split" in package_calls(verify_decomposition, _toffoli_inputs())

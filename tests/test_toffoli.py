@@ -22,6 +22,7 @@ from qudit_toffoli.qudits import (
     embed_gate,
 )
 from qudit_toffoli.toffoli import (
+    _run_qubit_inputs,
     build_n_ts_circuit,
     expected_flipped_component,
     gate_cnot_embedded,
@@ -165,10 +166,10 @@ _LIBRARY_GATES = (
 @pytest.mark.parametrize("build, args, dense, dense_args", _LIBRARY_GATES)
 def test_library_gate_columns_match_dense_discovery(build, args, dense, dense_args):
     gate = build(*args)
-    assert "monomial" in vars(gate)          # stored by the constructor, not discovered
-    discovered = GateMatrix(gate.wire_dims, gate.matrix).monomial
+    assert "columns" in vars(gate)          # stored by the constructor, not discovered
+    discovered = GateMatrix(gate.wire_dims, gate.matrix).columns
     for f in dataclasses.fields(discovered):
-        built, found = getattr(gate.monomial, f.name), getattr(discovered, f.name)
+        built, found = getattr(gate.columns, f.name), getattr(discovered, f.name)
         assert built.dtype == found.dtype and np.array_equal(built, found), f.name
     mat = gate.matrix
     assert np.max(np.abs(mat.conj().T @ mat - np.eye(gate.dim))) <= NORM_TOL
@@ -266,6 +267,30 @@ def test_hadamard_conjugation_gives_toffoli_up_to_bit_flip():
     flip_b = embed_gate(gate_x_padded(2), (1,), qdims)
     expected = flip_b @ toffoli_truth_table(2).matrix @ flip_b
     assert np.max(np.abs(restricted - expected)) < 1e-10
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_hadamard_conjugated_ts_propagates_as_the_toffoli(n):
+    """H on the target around the n-control T-S, propagated on digit tuples
+    with no dense matrix: each qubit input goes to itself with amplitude 1,
+    its target flipped iff its controls are those of the flipped component.
+    Up to n = 6 the entries are also the dense product's qubit columns."""
+    circ = build_n_ts_circuit(n)
+    h = GateStep("h", (), (n,), gate_h_padded(n + 1))
+    circ = CircuitDescription(circ.dims, (h,) + circ.steps + (h,))
+    digits, cols, amps, _ = _run_qubit_inputs(circ)
+    inputs = np.indices((2,) * (n + 1)).reshape(n + 1, -1)
+    expected = inputs.copy()
+    controls = np.array(expected_flipped_component(n)[:n])[:, None]
+    expected[n] ^= (inputs[:n] == controls).all(axis=0)
+    assert np.array_equal(np.sort(cols), np.arange(2 ** (n + 1)))
+    assert np.array_equal(digits, expected[:, cols])
+    assert np.abs(amps - 1).max() < 1e-12
+    if n <= 6:
+        columns = np.zeros((circ.dims.total_dim, 2 ** (n + 1)), dtype=complex)
+        columns[np.ravel_multi_index(digits, circ.dims.dims), cols] = amps
+        full = circuit_unitary(circ)
+        assert np.max(np.abs(full[:, qubit_subspace_indices(circ.dims)] - columns)) < 1e-12
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 3), (3, 2, 4), (2,) * 5 + (6,), (5,)])
@@ -514,10 +539,20 @@ def _monomial_circuits(draw):
     return n, CircuitDescription(dims, flips + tuple(steps) + closing), tuple(draw(bits))
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
-@given(_monomial_circuits())
-def test_monomial_route_matches_the_dense_unitary(case):
-    n, circ, component = case
+@st.composite
+def _split_circuits(draw):
+    """A `_monomial_circuits` case with one or two `h` steps inserted at random
+    places on random wires, so that the propagation splits and merges."""
+    n, circ, component = draw(_monomial_circuits())
+    steps = list(circ.steps)
+    for _ in range(draw(st.integers(1, 2))):
+        wire = draw(st.integers(0, n))
+        steps.insert(draw(st.integers(0, len(steps))),
+                     GateStep("h", (), (wire,), gate_h_padded(circ.dims.dims[wire])))
+    return n, CircuitDescription(circ.dims, tuple(steps)), component
+
+
+def _assert_report_matches_the_dense_unitary(n, circ, component):
     oracle = oracle_n_toffoli_sign(n, component)
     report = verify_decomposition(circ, oracle, n)
     full = circuit_unitary(circ)
@@ -530,6 +565,18 @@ def test_monomial_route_matches_the_dense_unitary(case):
     assert report.flipped_component == flipped
     assert report.locally_equivalent_to_all_ones == _dense_equivalent_to_all_ones(restricted, flipped, n)
     assert report.max_level_used == _prefix_max_level(circ)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_monomial_circuits())
+def test_monomial_route_matches_the_dense_unitary(case):
+    _assert_report_matches_the_dense_unitary(*case)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_split_circuits())
+def test_split_route_matches_the_dense_unitary(case):
+    _assert_report_matches_the_dense_unitary(*case)
 
 
 # ---------------------------------------------------------------------------

@@ -80,22 +80,38 @@ CATALOGUE = (
            "minlength=dim))",
            ("tests/test_toffoli.py::test_verify_matches_dense_references_on_masked_variants",)),
     Mutant("level scan skips the last step's output", TOFFOLI,
-           "        digits[wires] = table.digits.take(local, axis=1)\n"
-           "        phases = phases * table.entries[local]\n"
-           "        max_level = max(max_level, int(digits[-1].max()))\n",
-           "        max_level = max(max_level, int(digits[-1].max()))\n"
-           "        digits[wires] = table.digits.take(local, axis=1)\n"
-           "        phases = phases * table.entries[local]\n",
+           "            digits[wires] = table.digits.take(local, axis=1)\n"
+           "            amps = amps * table.entries[local]\n"
+           "            max_level = max(max_level, int(digits[-1].max()))\n",
+           "            max_level = max(max_level, int(digits[-1].max()))\n"
+           "            digits[wires] = table.digits.take(local, axis=1)\n"
+           "            amps = amps * table.entries[local]\n",
            ("tests/test_toffoli.py::test_verify_matches_dense_references_on_masked_variants",
             "tests/test_toffoli.py::test_monomial_route_matches_the_dense_unitary")),
+    Mutant("split does not merge equal outputs", TOFFOLI,
+           "keys = np.ravel_multi_index(np.vstack((cols, digits)), (2 ** dims.n_wires,) + dims.dims)",
+           "keys = np.arange(amps.size)",
+           ("tests/test_toffoli.py::test_hadamard_conjugated_ts_propagates_as_the_toffoli",
+            "tests/test_toffoli.py::test_split_route_matches_the_dense_unitary")),
+    Mutant("split drops the table's entry factor", TOFFOLI,
+           "amps = amps[source] * table.entries[nonzero]",
+           "amps = amps[source]",
+           ("tests/test_toffoli.py::test_verify_matches_dense_references_on_masked_variants",
+            "tests/test_toffoli.py::test_hadamard_conjugated_ts_propagates_as_the_toffoli",
+            "tests/test_toffoli.py::test_split_route_matches_the_dense_unitary")),
+    Mutant("verifier skips the table's unitarity check", TOFFOLI,
+           "        if table.defect:\n",
+           "        if False:\n",
+           ("tests/test_qudits.py::test_verify_decomposition_rejects_nan_propagation",
+            "tests/test_qudits.py::test_verify_decomposition_rejects_non_unitary_monomial_step")),
     Mutant("local equivalence without the residual", TOFFOLI,
            "equivalent = bool(component) and residual < PRODUCT_TOL",
            "equivalent = bool(component)",
            ("tests/test_toffoli.py::test_verify_matches_dense_references_on_masked_variants",
             "tests/test_toffoli.py::test_monomial_route_matches_the_dense_unitary")),
     Mutant("monomial step drops its phase", TOFFOLI,
-           "phases = phases * table.entries[local]",
-           "phases = phases",
+           "amps = amps * table.entries[local]",
+           "amps = amps",
            ("tests/test_toffoli.py::test_scaling_and_fidelity",
             "tests/test_toffoli.py::test_monomial_route_matches_the_dense_unitary")),
     Mutant("monomial step writes its digits back in reversed wire order", TOFFOLI,
@@ -114,8 +130,8 @@ CATALOGUE = (
            ("tests/test_toffoli.py::test_library_gate_columns_match_dense_discovery",
             "tests/test_toffoli.py::test_scaling_and_fidelity")),
     Mutant("table built along rows", QUDITS,
-           "rows = nonzero.argmax(axis=0)",
-           "rows = nonzero.argmax(axis=1)",
+           "cols, rows = np.nonzero(self.matrix.T)",
+           "cols, rows = np.nonzero(self.matrix)",
            ("tests/test_qudits.py::test_monomial_table_rebuilds_a_random_monomial_gate",)),
     Mutant("circuit accepts a step of the wrong arity", QUDITS,
            "            if len(step.wires) != len(step.gate.wire_dims):\n",
@@ -134,8 +150,8 @@ CATALOGUE = (
             "tests/test_qudits.py::test_each_guard_is_a_one_line_error[gate-no-wires]",
             "tests/test_qudits.py::test_each_guard_is_a_one_line_error[columns-dimension-0]")),
     Mutant("permutation check dropped", QUDITS,
-           "            if set(rows.tolist()) != set(range(dim)):\n",
-           "            if False:\n",
+           "    if set(rows.tolist()) != set(range(rows.size)):\n",
+           "    if False:\n",
            ("tests/test_qudits.py::test_each_guard_is_a_one_line_error[columns-repeated-row]",
             "tests/test_qudits.py::test_each_guard_is_a_one_line_error[columns-row-range]")),
     Mutant("unit-modulus check dropped", QUDITS,
@@ -331,6 +347,10 @@ CATALOGUE = (
            "    if args.out is not None:\n",
            "    if args.out:\n",
            ("tests/test_cli.py::test_directory_path_is_one_line_usage_error[argv5]",)),
+    Mutant("an unreached helper in fock", FOCK,
+           "def _real(name: str, value, unit: bool = False) -> float:\n",
+           "def _unreached_helper():\n    return None\n\n\ndef _real(name: str, value, unit: bool = False) -> float:\n",
+           ("tests/test_reach.py::test_every_src_function_is_reached_by_a_command_or_listed",)),
     Mutant("_real accepts a string", FOCK,
            "if isinstance(value, bool) or not isinstance(value, numbers.Real):",
            "if isinstance(value, bool):",
