@@ -34,7 +34,7 @@ three by name.
 
 `ModeLayout.modes` is the one map from logical states to photons: row x
 holds each photon's mode in logical basis state x, wires big-endian.
-Elements and layouts refuse a negative or fractional mode, every
+Elements and layouts refuse a negative, fractional or bool mode, every
 route from elements to amplitudes refuses an element mode >= m, and every
 route that reads a layout against m modes refuses a layout mode >= m.
 
@@ -49,8 +49,11 @@ whose reach then grows by those modes; along any other axis the run is
 exactly the identity.  A cross-Kerr multiplies one slice by exp(i chi) for
 each ordered photon pair whose reaches hold its two modes, and a logical
 output's amplitude sums the N! orderings of its modes (the permanent).  It
-builds no `FockBasis` and no many-photon operator; each distinct element's block
-is checked unitary on its own once per call, before it joins its run.  The
+builds no `FockBasis` and no many-photon operator.  The composed runs, the
+Kerr phases and each distinct element's block, checked unitary on its own
+before it joins its run, depend only on the element list and m: they form a
+plan that is built once per process for each such pair (`_transfer_plan`,
+memoized), while the mode checks and the propagation run on every call.  The
 chained gate read this way shares only the element blocks and the layout
 table with `optical.chain_coincidence_block`, and no code that computes
 amplitudes (neither `single_photon_transfer` nor the block's permanents), so
@@ -69,6 +72,7 @@ is the check on the lift, to 1e-9, and on `logical_transfer` on qudit layouts.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -87,9 +91,9 @@ class PhotonNumberError(ValueError):
 
 
 def _index(value, what: str = "mode") -> int:
-    """`value` as an int; a negative or non-integer value is a ValueError.  A
-    plain int skips the slower ABC check."""
-    if type(value) is not int and not isinstance(value, numbers.Integral) or value < 0:
+    """`value` as an int; a negative or non-integer value, a bool too, is a
+    ValueError.  A plain int skips the slower ABC check."""
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)) or value < 0:
         raise ValueError(f"{what} {value!r} is not a non-negative integer")
     return int(value)
 
@@ -440,7 +444,7 @@ class ModeLayout:
         return WireDims(tuple(len(g) for g in self.groups))
 
 
-def _apply_run(run: np.ndarray | None, touched: set, tensor: np.ndarray, reach: list) -> np.ndarray:
+def _apply_run(run: np.ndarray | None, touched: frozenset, tensor: np.ndarray, reach: list) -> np.ndarray:
     """A composed Kerr-free m x m run applied to a tensor of shape
     (X,) + (m,) * N along each photon axis whose reach meets the modes the
     run touches, which widens that reach by them: a batched matrix product
@@ -462,44 +466,35 @@ def _apply_run(run: np.ndarray | None, touched: set, tensor: np.ndarray, reach: 
     return tensor.reshape(shape)
 
 
-def logical_transfer(elements, m: int, layout: ModeLayout) -> np.ndarray:
-    """Post-selected logical matrix <enc(y)| U |enc(x)> of an ordered element
-    list over all digit tuples, propagated in first quantization.
+# a process realizes few distinct element lists (the commands build four, the
+# heralded one the same at every --cs-success), so a few more is headroom
+_PLAN_CACHE_SIZE = 16
 
-    Logical input x puts photon k on its mode of group k, so the state is a
-    tensor of shape (X,) + (m,) * N with photon k on axis k + 1, and photon
-    k's reach, the modes where it can have amplitude, starts as group k.
-    Photons do not interact between two cross-Kerrs, so each maximal
-    Kerr-free run of mode-linear elements is composed into one m x m mode
-    matrix (each block a row operation on its modes, and each distinct
-    element's block checked unitary once per call), which is then applied
-    along each photon axis whose reach meets the run's modes, and widens
-    those reaches by them.  Along any other axis the run is exactly the
-    identity and is skipped.  A cross-Kerr's exp(i chi n_a n_b) is the
-    product over ordered photon pairs (k, l) of exp(i chi [x_k = a][x_l = b]),
-    so it multiplies one slice by exp(i chi) for each pair with a in k's
-    reach and b in l's.  Output y occupies N distinct modes, so its amplitude
-    is the sum over the N! orderings of those modes (the permanent).  No Fock
-    basis or many-photon operator is built."""
-    _check_element_modes(elements, m)
-    _check_layout_modes(layout, m)
-    modes = layout.modes
-    n_inputs, n = modes.shape
-    tensor = np.zeros((n_inputs,) + (m,) * n, dtype=complex)
-    tensor[(np.arange(n_inputs),) + tuple(modes.T)] = 1.0
-    reach = [set(group) for group in layout.groups]
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _transfer_plan(elements: tuple, m: int) -> tuple:
+    """The part of `logical_transfer` that depends only on the element list
+    and m: one (run, touched, kerr) segment per cross-Kerr, and one more with
+    kerr None for the elements after the last.  `run` is the read-only m x m
+    composition of the segment's Kerr-free elements (each block a row
+    operation on its modes, each distinct element's block checked unitary
+    before it joins), or None if there are none; `touched` the modes it
+    touches; `kerr` the cross-Kerr's modes and phase (a, b, exp(i chi)).
+    Elements compare by value, so an equal list shares its plan; a
+    non-unitary block raises, and nothing is cached for it."""
+    segments = []
     blocks = {}                           # each distinct element's checked (rows, block)
     pending, touched = None, set()        # the current Kerr-free run, composed, and its modes
+
+    def close(kerr):
+        if pending is not None:
+            pending.flags.writeable = False   # shared by every later call with this list
+        segments.append((pending, frozenset(touched), kerr))
+
     for el in elements:
         if isinstance(el, CrossKerr):
-            tensor, pending, touched = _apply_run(pending, touched, tensor, reach), None, set()
-            a, b = el.modes
-            phase = np.exp(1j * el.chi)
-            for k, l in permutations(range(n), 2):
-                if a in reach[k] and b in reach[l]:
-                    index = [slice(None)] * (n + 1)
-                    index[k + 1], index[l + 1] = a, b
-                    tensor[tuple(index)] *= phase
+            close(el.modes + (np.exp(1j * el.chi),))
+            pending, touched = None, set()
             continue
         if el not in blocks:
             rows, block = el.mode_block()
@@ -512,8 +507,46 @@ def logical_transfer(elements, m: int, layout: ModeLayout) -> np.ndarray:
             pending = np.eye(m, dtype=complex)
         pending[rows] = block @ pending[rows]
         touched.update(rows)
-    tensor = _apply_run(pending, touched, tensor, reach)
+    close(None)
+    return tuple(segments)
+
+
+def logical_transfer(elements, m: int, layout: ModeLayout) -> np.ndarray:
+    """Post-selected logical matrix <enc(y)| U |enc(x)> of an ordered element
+    list over all digit tuples, propagated in first quantization.
+
+    Logical input x puts photon k on its mode of group k, so the state is a
+    tensor of shape (X,) + (m,) * N with photon k on axis k + 1, and photon
+    k's reach, the modes where it can have amplitude, starts as group k.
+    Photons do not interact between two cross-Kerrs, so each maximal
+    Kerr-free run of mode-linear elements is composed into one m x m mode
+    matrix (`_transfer_plan`, memoized per element list and m), which is then
+    applied along each photon axis whose reach meets the run's modes, and
+    widens those reaches by them.  Along any other axis the run is exactly the
+    identity and is skipped.  A cross-Kerr's exp(i chi n_a n_b) is the
+    product over ordered photon pairs (k, l) of exp(i chi [x_k = a][x_l = b]),
+    so it multiplies one slice by exp(i chi) for each pair with a in k's
+    reach and b in l's.  Output y occupies N distinct modes, so its amplitude
+    is the sum over the N! orderings of those modes (the permanent).  No Fock
+    basis or many-photon operator is built."""
+    elements = tuple(elements)
+    _check_element_modes(elements, m)
+    _check_layout_modes(layout, m)
+    modes = layout.modes
+    n_inputs, n = modes.shape
+    tensor = np.zeros((n_inputs,) + (m,) * n, dtype=complex)
+    tensor[(np.arange(n_inputs),) + tuple(modes.T)] = 1.0
+    reach = [set(group) for group in layout.groups]
+    for run, touched, kerr in _transfer_plan(elements, m):
+        tensor = _apply_run(run, touched, tensor, reach)
+        if kerr is None:
+            continue
+        a, b, phase = kerr
+        for k, l in permutations(range(n), 2):
+            if a in reach[k] and b in reach[l]:
+                index = [slice(None)] * (n + 1)
+                index[k + 1], index[l + 1] = a, b
+                tensor[tuple(index)] *= phase
     amps = sum(tensor[(slice(None),) + tuple(modes[:, k] for k in order)]
                for order in permutations(range(n)))
     return amps.T
-

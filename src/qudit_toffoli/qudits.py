@@ -41,9 +41,10 @@ class WireError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _integer(value, what: str, wire: int | None = None) -> int:
-    """`value` as an int; anything but an integer (numpy's count) is a WireError
-    naming `what`, and `wire` if given.  A plain int skips the slower ABC check."""
-    if type(value) is not int and not isinstance(value, numbers.Integral):
+    """`value` as an int; anything but an integer (numpy's count), a bool too,
+    is a WireError naming `what`, and `wire` if given.  A plain int skips the
+    slower ABC check."""
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise WireError(f"{'' if wire is None else f'wire {wire}: '}{what} {value!r} is not an integer")
     return int(value)
 

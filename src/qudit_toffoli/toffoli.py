@@ -55,11 +55,12 @@ FIVE_TOFFOLI_QUBIT_ONLY_GATES = 64
 
 def gate_level_swap(j: int, k: int, d: int) -> GateMatrix:
     """Transposition of levels j and k of a d-level wire."""
+    j, k, d = _integer(j, "level"), _integer(k, "level"), _integer(d, "dimension")
     if j == k:
         raise ValueError(f"level swap needs two distinct levels, got {j},{k}")
-    if not (0 <= _integer(j, "level") < d and 0 <= _integer(k, "level") < d):
+    if not (0 <= j < d and 0 <= k < d):
         raise ValueError(f"levels ({j},{k}) out of range for dimension {d}")
-    rows = np.arange(_integer(d, "dimension"))
+    rows = np.arange(d)
     rows[j], rows[k] = k, j
     return GateMatrix.from_columns((d,), rows, np.ones(d))
 

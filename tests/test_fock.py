@@ -17,6 +17,7 @@ from qudit_toffoli.fock import (
     PhotonNumberError,
     PolarizingBeamsplitter,
     VacuumAttenuator,
+    _transfer_plan,
     circuit_fock_operator,
     lift_to_fock,
     logical_transfer,
@@ -445,6 +446,34 @@ def test_a_unitary_run_of_non_unitary_blocks_is_still_rejected():
         logical_transfer(elements, 2, ModeLayout(((0, 1),)))
 
 
+def test_a_non_unitary_block_raises_on_every_call():
+    # a failed plan is not memoized: the second call checks the block again
+    for _ in range(2):
+        with pytest.raises(ValueError, match="_Amplifier block not unitary"):
+            logical_transfer([_Amplifier(0.0, (0, 1))], 2, ModeLayout(((0, 1),)))
+
+
+def test_a_warm_plan_memo_keeps_element_order_and_mode_count():
+    # one element set in two orders, then one list at a second mode count, one
+    # after the other: each call must run its own plan, not the one before
+    elements = [Beamsplitter(0.3, (1, 2)), HalfWavePlate(0.7, (0, 1)), CrossKerr(0.9, (1, 3)),
+                Beamsplitter(0.6, (2, 3)), HalfWavePlate(0.2, (0, 2))]
+    rng = np.random.default_rng(30)
+    for listed, m in [(elements, 4), (elements[::-1], 4), (elements, 6)]:
+        _assert_logical_transfer_matches_dense_operator_rows(listed, m, 2, rng)
+
+
+def test_the_plans_run_matrices_are_read_only():
+    # every later call with an equal list shares them
+    elements = (HalfWavePlate(0.4, (0, 1)), CrossKerr(np.pi, (1, 3)), Beamsplitter(0.3, (2, 3)))
+    runs = [run for run, _, _ in _transfer_plan(elements, 4)]
+    assert len(runs) == 2
+    for run in runs:
+        assert not run.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            run[0, 0] = 0.0
+
+
 def test_a_layout_without_wires_is_a_one_line_value_error():
     with pytest.raises(ValueError, match="layout needs at least one wire") as exc:
         ModeLayout(())
@@ -567,6 +596,8 @@ def test_layout_rejects_overlapping_groups():
                  "theta = nan is not finite", id="hwp-nan"),
     pytest.param(lambda: Beamsplitter(True, (0, 1)), ValueError,
                  "reflectivity = True, expected a number", id="bs-bool"),
+    pytest.param(lambda: HalfWavePlate(0.1, (False, 1)), ValueError,
+                 "mode False is not a non-negative integer", id="hwp-bool-mode"),
     pytest.param(lambda: lift_to_fock(np.eye(3), FockBasis(2, 1)), ValueError,
                  "mode matrix shape (3, 3) != (2, 2)", id="lift-shape"),
     pytest.param(lambda: ModeLayout(((0,),)), ValueError,

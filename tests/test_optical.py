@@ -12,8 +12,10 @@ from qudit_toffoli import optical
 from qudit_toffoli.fock import (
     FockBasis,
     ModeLayout,
+    _transfer_plan,
     circuit_fock_operator,
     lift_to_fock,
+    logical_transfer,
     permanent_amplitude_oracle,
     single_photon_transfer,
 )
@@ -410,6 +412,25 @@ def test_report_reads_probabilities_off_the_simulation(monkeypatch):
         assert not rows[name].ok
         assert "/" not in rows[name].display
     assert rows["post-selected controlled-sign"].ok
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(kerr_cs_gate, id="kerr-pi"),
+    pytest.param(lambda: kerr_cs_gate(0.7), id="kerr-0.7"),
+    pytest.param(lambda: kerr_cs_gate(0.0), id="kerr-0"),
+    pytest.param(deterministic_ts_gate, id="deterministic"),
+    pytest.param(heralded_ts_gate, id="heralded-1/4"),
+    pytest.param(lambda: heralded_ts_gate(Fraction(1, 9)), id="heralded-1/9"),
+    pytest.param(lambda: heralded_ts_gate(Fraction(3, 7)), id="heralded-3/7"),
+    pytest.param(postselected_cs_gate, id="postselected-cs"),
+    pytest.param(lambda: chained_ts_gate(load_chain_solution()), id="chained"),
+])
+def test_a_warm_transfer_plan_gives_the_cold_plans_transfer_bit_for_bit(build):
+    gate = build()
+    _transfer_plan.cache_clear()
+    cold = logical_transfer(gate.elements, gate.m, gate.layout)
+    warm = logical_transfer(gate.elements, gate.m, gate.layout)
+    assert warm.tobytes() == cold.tobytes() == gate.transfer.tobytes()
 
 
 # ---------------------------------------------------------------------------

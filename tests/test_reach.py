@@ -3,11 +3,12 @@ reached by a command, or is listed in `UNREACHED` with its reason.
 
 The commands are the 18 of `tests/golden/`, in both formats, plus one
 one-start `chained` solve; their package calls are recorded with
-`package_calls`.  They run here rather than inside the golden test, so that
-the ledger does not depend on which tests ran before it.  A function is
-keyed by its qualified name, so a method that a subclass rebinds is one
-entry, and dataclass-generated methods (whose code is not in `src/`) are
-skipped.  A new unreached function fails the test, naming it; so does a
+`package_calls`.  They run here rather than inside the golden test, and the
+memoized parser and transfer plans are cleared first, so that the ledger does
+not depend on which tests ran before it.  A function is keyed by its
+qualified name, so a method that a subclass rebinds is one entry, a memoized
+function is its wrapped one, and dataclass-generated methods (whose code is
+not in `src/`) are skipped.  A new unreached function fails the test, naming it; so does a
 stale entry, one that a command now reaches or that no longer exists, so
 the table only shrinks."""
 
@@ -19,6 +20,7 @@ import pkgutil
 
 import qudit_toffoli
 from qudit_toffoli.cli import build_parser, main
+from qudit_toffoli.fock import _transfer_plan
 from reference import package_calls
 from test_golden import COMMANDS
 
@@ -63,6 +65,7 @@ def _defined() -> set[str]:
 
         def add(obj):
             obj = getattr(obj, "__func__", obj)   # classmethod, staticmethod
+            obj = getattr(obj, "__wrapped__", obj)  # functools.cache, lru_cache
             obj = getattr(obj, "func", obj)       # cached_property
             if isinstance(obj, property):
                 for accessor in (obj.fget, obj.fset, obj.fdel):
@@ -83,6 +86,7 @@ def _reached() -> set[str]:
     argvs = [["--format", fmt] + command for command in COMMANDS.values() for fmt in ("json", "text")]
     argvs.append(["simulate-optical", "chained", "--starts", "1"])
     build_parser.cache_clear()  # so that the parser is built, and its type checks made, while recording
+    _transfer_plan.cache_clear()  # so that each element list's blocks are read while recording
     reached = set()
     for argv in argvs:
         with contextlib.redirect_stdout(io.StringIO()):

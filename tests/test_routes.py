@@ -2,11 +2,13 @@
 it, and the package functions the two may share.
 
 Each route's package calls are recorded with `sys.setprofile`, on inputs built
-before recording starts.  A function that both routes call must be in the
-row's allowed set, and every allowed function has a reason; a new shared
-function fails the row, which names it.  Independently written routes can
-still fail together (Knight & Leveson, IEEE TSE 12(1), 1986), so what they
-share is measured here rather than claimed in a docstring."""
+before recording starts and on a cleared transfer-plan memo, so that a route
+through `logical_transfer` reads its element blocks.  A function that both
+routes call must be in the row's allowed set, and every allowed function has
+a reason; a new shared function fails the row, which names it.
+Independently written routes can still fail together (Knight & Leveson, IEEE
+TSE 12(1), 1986), so what they share is measured here rather than claimed in
+a docstring."""
 
 from dataclasses import dataclass
 from typing import Callable
@@ -20,6 +22,7 @@ from qudit_toffoli.fock import (
     HalfWavePlate,
     ModeLayout,
     PolarizingBeamsplitter,
+    _transfer_plan,
     circuit_fock_operator,
     lift_to_fock,
     logical_transfer,
@@ -144,10 +147,15 @@ LEDGER = (
 )
 
 
+def _cold_calls(route, args) -> set[str]:
+    _transfer_plan.cache_clear()
+    return package_calls(route, args)
+
+
 @pytest.mark.parametrize("row", LEDGER, ids=lambda row: row.job)
 def test_a_check_route_shares_only_its_allowed_functions(row):
     args = row.inputs()
-    fast, check = package_calls(row.fast, args), package_calls(row.check, args)
+    fast, check = _cold_calls(row.fast, args), _cold_calls(row.check, args)
     assert fast and check
     unexpected = sorted((fast & check) - row.allowed)
     assert not unexpected, f"{row.job}: both routes now call {', '.join(unexpected)}"

@@ -586,6 +586,8 @@ def test_split_route_matches_the_dense_unitary(case):
 @pytest.mark.parametrize("call, fragment", [
     pytest.param(lambda: gate_xb(3), "X_B needs at least 4 levels, got 3", id="xb-qutrit"),
     pytest.param(lambda: gate_level_swap(0.5, 1, 3), "level 0.5 is not an integer", id="swap-level-float"),
+    pytest.param(lambda: gate_level_swap(True, 0, 3), "level True is not an integer", id="swap-level-bool"),
+    pytest.param(lambda: gate_level_swap("a", "a", 3), "level 'a' is not an integer", id="swap-level-string"),
     pytest.param(lambda: gate_x_padded(2.5), "dimension 2.5 is not an integer", id="x-dimension-float"),
     pytest.param(lambda: gate_cs_embedded(2, 2.5), "target dimension 2.5 is not an integer", id="cs-target-dim-float"),
     pytest.param(lambda: gate_cnot_embedded(2.5, 2), "control dimension 2.5 is not an integer",

@@ -205,8 +205,8 @@ CATALOGUE = (
            ("tests/test_fock.py::test_each_guard_is_a_one_line_error[kerr-nan]",
             "tests/test_fock.py::test_each_guard_is_a_one_line_error[kerr-inf]")),
     Mutant("tensor Kerr phase conjugated", FOCK,
-           "phase = np.exp(1j * el.chi)",
-           "phase = np.exp(-1j * el.chi)",
+           "close(el.modes + (np.exp(1j * el.chi),))",
+           "close(el.modes + (np.exp(-1j * el.chi),))",
            ("tests/test_optical.py::test_kerr_cs_general_strength_phases_delta_term",
             "tests/test_fock.py::test_logical_transfer_matches_dense_operator_rows")),
     Mutant("block applied to one photon axis fewer", FOCK,
@@ -220,8 +220,8 @@ CATALOGUE = (
            ("tests/test_fock.py::test_logical_transfer_matches_dense_operator_rows",
             "tests/test_fock.py::test_logical_transfer_matches_permanent_oracle_on_qudit_layouts")),
     Mutant("run not applied before a cross-Kerr", FOCK,
-           "            tensor, pending, touched = _apply_run(pending, touched, tensor, reach), None, set()\n",
-           "",
+           "            close(el.modes + (np.exp(1j * el.chi),))\n            pending, touched = None, set()\n",
+           "            segments.append((None, frozenset(), el.modes + (np.exp(1j * el.chi),)))\n",
            ("tests/test_fock.py::test_logical_transfer_applies_each_run_between_its_cross_kerrs",
             "tests/test_acceptance.py::test_criterion_05_deterministic_optical_ts")),
     Mutant("reach not widened", FOCK,
@@ -243,6 +243,14 @@ CATALOGUE = (
            "optical = claimed if certified else float(np.mean(np.abs(diag)) ** 2)",
            "optical = claimed",
            ("tests/test_optical.py::test_report_reads_probabilities_off_the_simulation",)),
+    Mutant("plan keyed on frozenset(elements)", FOCK,
+           "_transfer_plan(elements, m)",
+           "_transfer_plan(frozenset(elements), m)",
+           ("tests/test_fock.py::test_a_warm_plan_memo_keeps_element_order_and_mode_count",)),
+    Mutant("plan runs left writable", FOCK,
+           "            pending.flags.writeable = False   # shared by every later call with this list\n",
+           "            pass\n",
+           ("tests/test_fock.py::test_the_plans_run_matrices_are_read_only",)),
     Mutant("logical read-out transposed", FOCK,
            "    return amps.T\n",
            "    return amps\n",
