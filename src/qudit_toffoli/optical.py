@@ -278,6 +278,16 @@ _CHAIN_TARGET = oracle_n_toffoli_sign(2, (0, 0, 0))
 _CHAIN_NAME = "post-selected T-S, chained interferometers"
 
 
+def _unrepeated(pairs) -> dict:
+    """A JSON object's pairs as a dict; a key given twice is a ValueError naming it."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"repeated key {key!r}")
+        data[key] = value
+    return data
+
+
 @dataclass(frozen=True)
 class ChainParameters:
     """Free reflectivities of the chained-interferometer T-S.
@@ -306,7 +316,7 @@ class ChainParameters:
     def from_json(cls, text: str) -> "ChainParameters":
         """A params file: a JSON object holding every field and, optionally,
         the fixed coupler reflectivity; anything else is a ValueError."""
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unrepeated)
         if not isinstance(data, dict):
             raise ValueError(f"parameters must be a JSON object, got {type(data).__name__}")
         names = [f.name for f in fields(cls)]

@@ -9,10 +9,10 @@ There is one dense route through a register, `circuit_unitary`: the steps
 of a `CircuitDescription`, which validates each step once, applied in turn
 by the unchecked kernel `_apply_to_block`.  `embed_gate` is a one-step circuit.
 
-Every gate has one sparse `ColumnTable`, its nonzeros column by column, and
-one unitarity check, the table's `defect`.  `GateMatrix.from_columns` builds a
-monomial gate (one nonzero per column) as its table, in O(dim); a dense-given
-gate reads its table off the matrix, which also checks `from_columns`' tables.
+A gate is stored only as its sparse `ColumnTable`, its nonzeros column by
+column, checked once by the table's `defect`: built from a monomial column map
+in O(dim) (`GateMatrix.from_columns`) or read off a dense unitary (`from_matrix`).
+The dense `GateMatrix.matrix` is the table's scatter, made on first read.
 
 Everything here is a pure function on immutable-by-convention values; no
 operation mutates its inputs.
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 import re
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -75,10 +75,7 @@ class WireDims:
 
     @property
     def total_dim(self) -> int:
-        p = 1
-        for d in self.dims:
-            p *= d
-        return p
+        return math.prod(self.dims)
 
 
 def basis_index(digits, dims: WireDims) -> int:
@@ -131,11 +128,16 @@ class ColumnTable:
     @classmethod
     def from_rows(cls, wire_dims: tuple[int, ...], offsets, rows: np.ndarray, entries: np.ndarray) -> ColumnTable:
         """The table whose column j holds the local rows rows[offsets[j]:offsets[j + 1]]
-        and those entries; `offsets` and `entries` become two of its read-only arrays."""
+        and those entries; `offsets` and `entries` become two of its read-only arrays.
+        A monomial map's `defect` is found here, once, on the rows as given."""
+        defect = _monomial_defect(rows, entries) if offsets.tolist() == list(range(entries.size + 1)) else None
         strides = np.array([math.prod(wire_dims[w + 1:]) for w in range(len(wire_dims))])
-        table = cls(strides, offsets, np.array(np.unravel_index(rows, wire_dims)), entries)
+        # only a map with a defect has a row out of range: wrapped, not raised on
+        table = cls(strides, offsets, np.array(np.unravel_index(rows % math.prod(wire_dims), wire_dims)), entries)
         for array in (table.strides, table.offsets, table.digits, table.entries):
             array.flags.writeable = False
+        if defect is not None:
+            table.__dict__["defect"] = defect  # the cache of `defect`, which is not computed again
         return table
 
     @property
@@ -145,72 +147,64 @@ class ColumnTable:
 
     @cached_property
     def defect(self) -> str:
-        """Why the table is not a unitary's, in one line, or '': a monomial
-        one's `_monomial_defect`, else the Gram product of its columns."""
-        dim, rows = self.offsets.size - 1, self.strides @ self.digits
-        if self.monomial and self.offsets.tolist() == list(range(dim + 1)):
-            return _monomial_defect(rows, self.entries)
-        mat = np.zeros((dim, dim), dtype=complex)
-        mat[rows, np.repeat(np.arange(dim), np.diff(self.offsets))] = self.entries
-        err = np.max(np.abs(mat.conj().T @ mat - np.eye(dim)))
+        """Why the table is not a unitary's, in one line, or '': found by
+        `from_rows` for a monomial map, else the Gram product of the scatter."""
+        mat = self.scatter()
+        err = np.max(np.abs(mat.conj().T @ mat - np.eye(len(mat))))
         return "" if err <= NORM_TOL else f"matrix is not unitary (deviation {err:.3e})"
+
+    def scatter(self) -> np.ndarray:
+        """The table as a read-only dense dim x dim matrix."""
+        dim = self.offsets.size - 1
+        mat = np.zeros((dim, dim), dtype=complex)
+        mat[self.strides @ self.digits, np.repeat(np.arange(dim), np.diff(self.offsets))] = self.entries
+        mat.flags.writeable = False
+        return mat
 
 
 @dataclass(frozen=True)
 class GateMatrix:
-    """Unitary acting on a (sub)register with the given per-wire dimensions.
-
-    The constructor keeps a read-only copy of the matrix, so one gate can be
-    shared by many circuit steps and its `columns` table stays true to it;
-    the caller's array is left writable.  `from_columns` builds a monomial
-    gate from its column map instead (`_columns`, with `matrix` None)."""
+    """Unitary acting on a (sub)register with the given per-wire dimensions,
+    stored as its `columns` table alone; the constructor refuses a table with
+    a `defect`.  Build one with `from_columns` or `from_matrix`."""
 
     wire_dims: tuple[int, ...]
-    matrix: np.ndarray
-    _columns: InitVar[tuple | None] = None
+    columns: ColumnTable
 
-    def __post_init__(self, _columns):
-        wd = _checked_dims(self.wire_dims)
-        object.__setattr__(self, "wire_dims", wd)
-        dim = math.prod(wd)
-        if _columns is None:
-            mat = np.array(self.matrix, dtype=complex)
-            if mat.shape != (dim, dim):
-                raise WireError(f"matrix shape {mat.shape} does not match wire dims {wd}")
-        else:
-            rows, entries = np.asarray(_columns[0]), np.array(_columns[1], dtype=complex)
-            if rows.dtype.kind not in "iu" or rows.shape != (dim,) or entries.shape != (dim,):
-                raise WireError(f"column map needs {dim} integer rows and {dim} entries for wire dims "
-                                f"{wd}, got {rows.size} {rows.dtype} rows and {entries.size} entries")
-            # the table's check, made on the map before a row out of range can index
-            if defect := _monomial_defect(rows, entries):
-                raise WireError(defect)
-            object.__setattr__(self, "columns", ColumnTable.from_rows(wd, np.arange(dim + 1), rows, entries))
-            object.__setattr__(self.columns, "defect", defect)
-            mat = np.zeros((dim, dim), dtype=complex)
-            mat[rows, np.arange(dim)] = entries
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
-        if self.columns.defect:  # a dense matrix's table is read off it here, on first use
+    def __post_init__(self):
+        if self.columns.defect:
             raise WireError(self.columns.defect)
 
     @classmethod
     def from_columns(cls, wire_dims, rows, entries) -> GateMatrix:
         """The monomial gate whose column j goes to local row rows[j] with the
-        factor entries[j], stored as its `columns` table and checked in O(dim)."""
-        return cls(wire_dims, None, (rows, entries))
+        factor entries[j], checked in O(dim)."""
+        wd = _checked_dims(wire_dims)
+        dim = math.prod(wd)
+        rows, entries = np.asarray(rows), np.array(entries, dtype=complex)
+        if rows.dtype.kind not in "iu" or rows.shape != (dim,) or entries.shape != (dim,):
+            raise WireError(f"column map needs {dim} integer rows and {dim} entries for wire dims "
+                            f"{wd}, got {rows.size} {rows.dtype} rows and {entries.size} entries")
+        return cls(wd, ColumnTable.from_rows(wd, np.arange(dim + 1), rows, entries))
+
+    @classmethod
+    def from_matrix(cls, wire_dims, matrix) -> GateMatrix:
+        """The gate of a dense unitary, its table read off the matrix (not kept)."""
+        wd, mat = _checked_dims(wire_dims), np.asarray(matrix, dtype=complex)
+        if mat.shape != (math.prod(wd),) * 2:
+            raise WireError(f"matrix shape {mat.shape} does not match wire dims {wd}")
+        cols, rows = np.nonzero(mat.T)
+        offsets = np.concatenate(([0], np.cumsum(np.count_nonzero(mat, axis=0))))
+        return cls(wd, ColumnTable.from_rows(wd, offsets, rows, mat[rows, cols]))
 
     @property
     def dim(self) -> int:
         return math.prod(self.wire_dims)
 
     @cached_property
-    def columns(self) -> ColumnTable:
-        """The gate's `ColumnTable`: held from construction by a gate from
-        `from_columns`, read off the dense matrix on first use by any other."""
-        cols, rows = np.nonzero(self.matrix.T)
-        offsets = np.concatenate(([0], np.cumsum(np.count_nonzero(self.matrix, axis=0))))
-        return ColumnTable.from_rows(self.wire_dims, offsets, rows, self.matrix[rows, cols])
+    def matrix(self) -> np.ndarray:
+        """The dense matrix, read-only: the table's scatter, made on first read."""
+        return self.columns.scatter()
 
 
 # ---------------------------------------------------------------------------
@@ -240,23 +234,19 @@ class CircuitDescription:
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
+        dims = self.dims.dims
         for s, step in enumerate(self.steps):
             if len(step.wires) != len(step.gate.wire_dims):
                 raise WireError(f"step {s}: gate {step.name} acts on {len(step.gate.wire_dims)} "
                                 f"wires, step names {len(step.wires)}")
             for w in step.wires:
-                if isinstance(w, bool) or not isinstance(w, (int, np.integer)):
-                    raise WireError(f"step {s}: wire {w!r} is not an integer")
-                if not 0 <= w < self.dims.n_wires:
-                    raise WireError(
-                        f"step {s}: wire index {w} out of range for {self.dims.n_wires} wires")
+                if not 0 <= _integer(w, f"step {s}: wire") < len(dims):
+                    raise WireError(f"step {s}: wire index {w} out of range for {len(dims)} wires")
             if len(set(step.wires)) != len(step.wires):
                 raise WireError(f"step {s}: repeated wire index in {list(step.wires)}")
             for w, d in zip(step.wires, step.gate.wire_dims):
-                if self.dims.dims[w] != d:
-                    raise WireError(
-                        f"step {s}: wire {w} has dimension {self.dims.dims[w]}, "
-                        f"gate {step.name} expects {d}")
+                if dims[w] != d:
+                    raise WireError(f"step {s}: wire {w} has dimension {dims[w]}, gate {step.name} expects {d}")
 
     def two_qudit_gate_count(self) -> int:
         return sum(1 for s in self.steps if s.is_multi_wire)

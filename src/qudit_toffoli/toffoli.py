@@ -12,8 +12,9 @@ Controlled gates here act on the {0,1} sub-block of their target and do
 nothing on any higher target level; that "acts as identity on borrowed
 levels" behaviour is what makes the parking trick work.
 
-Every library gate but `h` is monomial and is built as its column table
-(`GateMatrix.from_columns`), once per circuit, so steps share gates and tables.
+A gate is its column table.  Every library gate but `h` is monomial and built
+from its column map (`GateMatrix.from_columns`), once per circuit, so steps
+share gates, tables and each table's check; `h` is read off its dense matrix.
 `verify_decomposition` runs the 2^(n+1) qubit inputs through the circuit once
 as sparse entries: a monomial step gathers from its gate's table, any other
 splits and merges.  The dense `circuit_unitary` is the tests' reference.
@@ -67,14 +68,14 @@ def gate_level_swap(j: int, k: int, d: int) -> GateMatrix:
 
 def gate_xa(d: int) -> GateMatrix:
     """Swap levels 0 and 2, fix everything else."""
-    if d < 3:
+    if _integer(d, "dimension") < 3:
         raise ValueError(f"X_A needs at least 3 levels, got {d}")
     return gate_level_swap(0, 2, d)
 
 
 def gate_xb(d: int) -> GateMatrix:
     """Swap levels 1 and 3, fix everything else."""
-    if d < 4:
+    if _integer(d, "dimension") < 4:
         raise ValueError(f"X_B needs at least 4 levels, got {d}")
     return gate_level_swap(1, 3, d)
 
@@ -86,9 +87,9 @@ def gate_x_padded(d: int) -> GateMatrix:
 
 def gate_h_padded(d: int) -> GateMatrix:
     """2x2 Hadamard on levels {0,1}, identity on higher levels."""
-    mat = np.eye(d, dtype=complex)
+    mat = np.eye(_integer(d, "dimension"), dtype=complex)
     mat[:2, :2] = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    return GateMatrix((d,), mat)
+    return GateMatrix.from_matrix((d,), mat)
 
 
 def gate_cs_embedded(dc: int, dt: int) -> GateMatrix:
@@ -124,7 +125,7 @@ def standard_gate_builder(name: str, params, wire_dims) -> GateMatrix:
     if name == "swap" and len(wire_dims) == 1:
         if len(params) != 2:
             raise ValueError("swap takes exactly two level parameters, e.g. swap(1,3)")
-        if not all(isinstance(p, int) or (isinstance(p, float) and p.is_integer()) for p in params):
+        if not all(type(p) is int or (isinstance(p, float) and p.is_integer()) for p in params):
             raise ValueError(f"swap levels must be integers, got {params}")
         return gate_level_swap(int(params[0]), int(params[1]), wire_dims[0])
     build = _FIXED_GATES.get((name, len(wire_dims)))
@@ -197,7 +198,7 @@ def oracle_n_toffoli_sign(n: int, flipped_component: tuple[int, ...]) -> np.ndar
     (1, 0, 1).  A tuple of the wrong length or a digit outside {0, 1} is
     `basis_index`'s WireError.
     """
-    dims = WireDims((2,) * (n + 1))
+    dims = WireDims((2,) * (_integer(n, "control count") + 1))
     diag = np.ones(dims.total_dim)
     diag[basis_index(flipped_component, dims)] = -1.0
     return diag
@@ -326,9 +327,8 @@ def verify_decomposition(circ: CircuitDescription, oracle: np.ndarray, n: int) -
     (`_run_qubit_inputs`).  Fidelity is the phase-insensitive process overlap
     |tr(U' O)| / dim: only outputs equal to their input count.  A corrupted
     circuit reports fidelity < 1 rather than raising."""
-    dims = circ.dims
     dim = 2 ** (n + 1)
-    if dims.n_wires != n + 1:
+    if circ.dims.n_wires != n + 1:
         raise ValueError("circuit / oracle dimensions do not match n")
     oracle = np.asarray(oracle)
     if oracle.shape != (dim,) or not ((oracle == 1) | (oracle == -1)).all():

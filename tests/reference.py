@@ -90,7 +90,7 @@ def toffoli_truth_table(n: int = 2) -> GateMatrix:
         if all(digits[:-1]):
             digits[-1] ^= 1
         mat[basis_index(digits, dims), idx] = 1.0
-    return GateMatrix(dims.dims, mat)
+    return GateMatrix.from_matrix(dims.dims, mat)
 
 
 def restrict_to_qubit_subspace(unitary: np.ndarray, dims: WireDims) -> np.ndarray:

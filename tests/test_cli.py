@@ -206,6 +206,17 @@ def test_bad_params_file_is_one_line_usage_error(command, rewrite, tmp_path, cap
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [["simulate-optical", "chained"], ["report-all"]])
+def test_a_repeated_params_key_is_a_one_line_usage_error_naming_it(command, tmp_path, capsys, solution_file):
+    bad = tmp_path / "repeated.json"     # an earlier "splitter_in" that the committed one would silently replace
+    with open(solution_file) as fh:
+        bad.write_text('{"splitter_in": 0.2, ' + fh.read().lstrip()[1:])
+    assert main(command + ["--params-file", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert "repeated key 'splitter_in'" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate-optical", "chained", "--params-file", "{dir}"],
     ["report-all", "--params-file", "{dir}"],

@@ -1,5 +1,6 @@
 """Mixed-radix register engine: indexing, gate embedding, circuit products."""
 
+import dataclasses
 import math
 import re
 
@@ -7,9 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qudit_toffoli import qudits
 from qudit_toffoli.qudits import (
     CircuitDescription,
     CircuitParseError,
+    ColumnTable,
     GateMatrix,
     GateStep,
     WireDims,
@@ -22,6 +25,7 @@ from qudit_toffoli.qudits import (
 )
 from qudit_toffoli.toffoli import (
     build_n_ts_circuit,
+    expected_flipped_component,
     gate_cnot_embedded,
     gate_xa,
     oracle_n_toffoli_sign,
@@ -85,7 +89,7 @@ def _random_state(dims, rng):
 def test_identity_gate_leaves_state_alone():
     dims = WireDims((2, 3))
     state = _random_state(dims, np.random.default_rng(0))
-    eye = GateMatrix((3,), np.eye(3))
+    eye = GateMatrix.from_matrix((3,), np.eye(3))
     out = circuit_unitary(CircuitDescription(dims, (GateStep("eye", (), (1,), eye),))) @ state
     assert np.allclose(out, state, atol=1e-15)
 
@@ -104,8 +108,8 @@ def test_unitary_then_adjoint_restores_state():
     dims = WireDims((2, 3, 2))
     state = _random_state(dims, rng)
     u = random_unitary(6, rng)
-    steps = (GateStep("u", (), (1, 2), GateMatrix((3, 2), u)),
-             GateStep("u_dagger", (), (1, 2), GateMatrix((3, 2), u.conj().T)))
+    steps = (GateStep("u", (), (1, 2), GateMatrix.from_matrix((3, 2), u)),
+             GateStep("u_dagger", (), (1, 2), GateMatrix.from_matrix((3, 2), u.conj().T)))
     out = circuit_unitary(CircuitDescription(dims, steps)) @ state
     assert np.max(np.abs(out - state)) < 1e-12
 
@@ -118,26 +122,26 @@ def test_norm_preserved_under_random_gates():
     for _ in range(40):
         wire = int(rng.integers(3))
         d = dims.dims[wire]
-        steps.append(GateStep("u", (), (wire,), GateMatrix((d,), random_unitary(d, rng))))
+        steps.append(GateStep("u", (), (wire,), GateMatrix.from_matrix((d,), random_unitary(d, rng))))
     for k in range(1, len(steps) + 1):
         out = circuit_unitary(CircuitDescription(dims, steps[:k])) @ state
         assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
 def test_embed_gate_rejects_repeated_wire():
-    gate = GateMatrix((2, 2), np.eye(4))
+    gate = GateMatrix.from_matrix((2, 2), np.eye(4))
     with pytest.raises(WireError, match="repeated"):
         embed_gate(gate, (0, 0), WireDims((2, 2)))
 
 
 def test_circuit_rejects_repeated_wire():
-    gate = GateMatrix((2, 2), np.eye(4))
+    gate = GateMatrix.from_matrix((2, 2), np.eye(4))
     with pytest.raises(WireError, match="step 0: repeated wire"):
         CircuitDescription(WireDims((2, 2)), (GateStep("cs", (), (1, 1), gate),))
 
 
 def test_embed_gate_rejects_dimension_mismatch():
-    gate = GateMatrix((2,), np.eye(2))
+    gate = GateMatrix.from_matrix((2,), np.eye(2))
     with pytest.raises(WireError, match="dimension"):
         embed_gate(gate, (1,), WireDims((2, 3)))
 
@@ -146,8 +150,8 @@ def test_disjoint_wire_gates_commute():
     rng = np.random.default_rng(3)
     dims = WireDims((2, 3, 2, 3))
     for _ in range(10):
-        g1 = GateMatrix((2, 3), random_unitary(6, rng))
-        g2 = GateMatrix((2, 3), random_unitary(6, rng))
+        g1 = GateMatrix.from_matrix((2, 3), random_unitary(6, rng))
+        g2 = GateMatrix.from_matrix((2, 3), random_unitary(6, rng))
         a = embed_gate(g1, (0, 1), dims) @ embed_gate(g2, (2, 3), dims)
         b = embed_gate(g2, (2, 3), dims) @ embed_gate(g1, (0, 1), dims)
         assert np.max(np.abs(a - b)) < 1e-10
@@ -165,7 +169,7 @@ def test_embed_gate_matches_kron_under_the_wire_permutation(data, seed, sizes):
     wires = data.draw(st.lists(st.integers(0, dims.n_wires - 1), min_size=1,
                                max_size=dims.n_wires, unique=True))
     gate_dims = tuple(sizes[w] for w in wires)
-    gate = GateMatrix(gate_dims, random_unitary(math.prod(gate_dims), np.random.default_rng(seed)))
+    gate = GateMatrix.from_matrix(gate_dims, random_unitary(math.prod(gate_dims), np.random.default_rng(seed)))
     assert not gate.columns.monomial
     order = wires + [w for w in range(dims.n_wires) if w not in wires]
     digits = np.indices(sizes).reshape(dims.n_wires, -1)
@@ -178,19 +182,20 @@ def test_embed_gate_matches_kron_under_the_wire_permutation(data, seed, sizes):
 
 def test_gate_matrix_rejects_non_unitary():
     with pytest.raises(WireError, match="unitary"):
-        GateMatrix((2,), np.array([[1.0, 0.0], [0.0, 2.0]]))
+        GateMatrix.from_matrix((2,), np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 
 def test_gate_matrix_keeps_a_read_only_copy():
     mine = np.eye(2, dtype=complex)
-    gate = GateMatrix((2,), mine)
+    gate = GateMatrix.from_matrix((2,), mine)
     with pytest.raises(ValueError, match="read-only"):
         gate.matrix[0, 0] = -1
     mine[0, 0] = -1                  # the caller's array stays writable and apart from the gate's
     assert gate.matrix[0, 0] == 1
 
 
-@pytest.mark.parametrize("gate", [gate_xa(3), GateMatrix((2,), [[0, 1], [1, 0]])], ids=["columns", "dense"])
+@pytest.mark.parametrize("gate", [gate_xa(3), GateMatrix.from_matrix((2,), [[0, 1], [1, 0]])],
+                         ids=["columns", "dense"])
 def test_monomial_table_is_read_only(gate):
     table = gate.columns
     for array in (table.strides, table.digits, table.entries):
@@ -207,7 +212,7 @@ def test_monomial_table_rebuilds_a_random_monomial_gate(wire_dims):
     perm[order] = np.roll(order, 1)  # one dim-cycle, so the gate is not its own transpose
     mat = np.zeros((dim, dim), dtype=complex)
     mat[perm, np.arange(dim)] = np.exp(2j * np.pi * rng.random(dim))
-    table = GateMatrix(wire_dims, mat).columns
+    table = GateMatrix.from_matrix(wire_dims, mat).columns
     assert np.array_equal(table.strides @ np.indices(wire_dims).reshape(len(wire_dims), -1),
                           np.arange(dim))
     rebuilt = np.zeros_like(mat)
@@ -216,7 +221,27 @@ def test_monomial_table_rebuilds_a_random_monomial_gate(wire_dims):
 
 
 def test_monomial_table_is_none_for_a_gate_with_a_spread_column():
-    assert not GateMatrix((2,), np.array([[1, 1], [1, -1]]) / np.sqrt(2)).columns.monomial
+    assert not GateMatrix.from_matrix((2,), np.array([[1, 1], [1, -1]]) / np.sqrt(2)).columns.monomial
+
+
+def test_a_gate_is_its_table_and_scatters_its_matrix_on_first_read():
+    assert [f.name for f in dataclasses.fields(GateMatrix)] == ["wire_dims", "columns"]
+    gate = GateMatrix.from_columns((3,), [1, 2, 0], [1, 1j, -1])  # a 3-cycle, not its own transpose
+    assert "matrix" not in vars(gate)
+    assert np.array_equal(gate.matrix, [[0, 0, -1], [1, 0, 0], [0, 1j, 0]])
+    assert gate.matrix is gate.matrix
+    with pytest.raises(ValueError, match="read-only"):
+        gate.matrix[0, 0] = 1
+
+
+def test_each_gate_checks_its_table_once_over_a_build_and_its_verification(monkeypatch):
+    checked = []
+    check = qudits._monomial_defect
+    monkeypatch.setattr(qudits, "_monomial_defect",
+                        lambda rows, entries: checked.append(rows) or check(rows, entries))
+    circ = build_n_ts_circuit(5)
+    assert verify_decomposition(circ, oracle_n_toffoli_sign(5, expected_flipped_component(5)), 5).passed
+    assert len(checked) == len({id(step.gate) for step in circ.steps}) > 4
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +329,12 @@ def test_parse_parameterized_gate():
     assert np.allclose(circ.steps[0].gate.matrix, expected)
 
 
+def test_parse_accepts_an_integer_valued_float_level():
+    circ = parse_circuit("dims 4\nswap(1.0,3) 0\n", standard_gate_builder)
+    assert circ.steps[0].params == (1.0, 3)
+    assert circ.steps[0].gate.columns.digits.tolist() == [[0, 3, 2, 1]]
+
+
 def test_parse_error_reports_line_number_unknown_gate():
     text = "dims 2 2\ncnot 0 1\nfrobnicate 0\n"
     with pytest.raises(CircuitParseError, match="line 3"):
@@ -370,10 +401,13 @@ def test_parse_circuit_raises_only_its_own_error(text):
 # ---------------------------------------------------------------------------
 
 def _unchecked_gate(matrix):
-    """A one-qubit GateMatrix built without its unitarity check."""
+    """A one-qubit GateMatrix built without its unitarity check: the table of
+    a matrix with one nonzero per column, which keeps its `defect`."""
+    mat = np.asarray(matrix, dtype=complex)
+    rows = np.nonzero(mat.T)[1]
     gate = object.__new__(GateMatrix)
     object.__setattr__(gate, "wire_dims", (2,))
-    object.__setattr__(gate, "matrix", np.asarray(matrix, dtype=complex))
+    object.__setattr__(gate, "columns", ColumnTable.from_rows((2,), np.arange(3), rows, mat[rows, [0, 1]]))
     return gate
 
 
@@ -385,7 +419,7 @@ def test_monomial_table_of_an_unchecked_gate_is_built_on_first_use():
 
 def test_gate_matrix_rejects_nan():
     with pytest.raises(WireError, match="not unitary"):
-        GateMatrix((2,), [[np.nan, 0], [0, 1]])
+        GateMatrix.from_matrix((2,), [[np.nan, 0], [0, 1]])
 
 
 def test_circuit_unitary_rejects_nan_product():
@@ -419,7 +453,7 @@ def test_verify_decomposition_rejects_non_unitary_monomial_step(matrix):
 # one-line guards
 # ---------------------------------------------------------------------------
 
-_BIT = GateMatrix((2,), np.eye(2))
+_BIT = GateMatrix.from_matrix((2,), np.eye(2))
 _CNOT = gate_cnot_embedded(2, 2)
 
 
@@ -436,15 +470,15 @@ _CNOT = gate_cnot_embedded(2, 2)
                  "wire 0: dimension 2.5 is not an integer", id="dims-float"),
     pytest.param(lambda: WireDims(("3", 2)), WireError,
                  "wire 0: dimension '3' is not an integer", id="dims-string"),
-    pytest.param(lambda: GateMatrix((2.5,), np.eye(2)), WireError,
+    pytest.param(lambda: GateMatrix.from_matrix((2.5,), np.eye(2)), WireError,
                  "wire 0: dimension 2.5 is not an integer", id="gate-dimension-float"),
-    pytest.param(lambda: GateMatrix((2,), np.eye(3)), WireError,
+    pytest.param(lambda: GateMatrix.from_matrix((2,), np.eye(3)), WireError,
                  "matrix shape (3, 3) does not match wire dims (2,)", id="gate-shape"),
-    pytest.param(lambda: GateMatrix((0,), np.zeros((0, 0))), WireError,
+    pytest.param(lambda: GateMatrix.from_matrix((0,), np.zeros((0, 0))), WireError,
                  "wire 0: dimension 0 < 2", id="gate-dimension-0"),
-    pytest.param(lambda: GateMatrix((1,), np.eye(1)), WireError,
+    pytest.param(lambda: GateMatrix.from_matrix((1,), np.eye(1)), WireError,
                  "wire 0: dimension 1 < 2", id="gate-dimension-1"),
-    pytest.param(lambda: GateMatrix((), np.eye(1)), WireError,
+    pytest.param(lambda: GateMatrix.from_matrix((), np.eye(1)), WireError,
                  "register needs at least one wire", id="gate-no-wires"),
     pytest.param(lambda: GateMatrix.from_columns((0,), [], []), WireError,
                  "wire 0: dimension 0 < 2", id="columns-dimension-0"),

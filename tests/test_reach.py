@@ -43,8 +43,10 @@ UNREACHED = {
     "optical.chained_ts_gate": "the independent check of the chain block; moves with item 2",
     "qudits.parse_circuit": "item 6 gives it a command (`verify-toffoli --circuit FILE`)",
     "qudits.CircuitParseError.__init__": "item 6 gives it a command (`verify-toffoli --circuit FILE`)",
-    "qudits.GateMatrix.columns": f"the dense column discovery: {_NO_H}",
-    "qudits.ColumnTable.defect": f"the check of a table read off a dense matrix: {_NO_H}",
+    "qudits.GateMatrix.from_matrix": f"reads a dense unitary's table: {_NO_H}",
+    "qudits.ColumnTable.defect": f"the Gram check of a table that is not monomial: {_NO_H}",
+    "qudits.GateMatrix.matrix": f"read by the dense kernel only: {_DENSE}",
+    "qudits.ColumnTable.scatter": f"the dense kernel's matrix and an `h` table's check: {_DENSE}",
     "qudits.GateMatrix.dim": f"read by the dense kernel only: {_DENSE}",
     "qudits._apply_to_block": _DENSE,
     "qudits.circuit_unitary": _DENSE,

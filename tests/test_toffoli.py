@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from qudit_toffoli.toffoli import (
     oracle_n_toffoli_sign,
     qubit_subspace_indices,
     qubit_subspace_leakage,
+    standard_gate_builder,
     verify_decomposition,
 )
 from reference import restrict_to_qubit_subspace, toffoli_truth_table
@@ -84,6 +86,16 @@ def test_level_swap_rejects_bad_levels():
         gate_level_swap(0, 4, 3)
     with pytest.raises(ValueError):
         gate_level_swap(1, 1, 3)
+
+
+def test_a_level_swap_allocates_no_dense_matrix():
+    tracemalloc.start()
+    try:
+        gate_level_swap(0, 1, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20   # a dense 1024 x 1024 complex matrix takes 16 MiB
 
 
 def test_cs_embedded_standard_qubit_block():
@@ -167,7 +179,7 @@ _LIBRARY_GATES = (
 def test_library_gate_columns_match_dense_discovery(build, args, dense, dense_args):
     gate = build(*args)
     assert "columns" in vars(gate)          # stored by the constructor, not discovered
-    discovered = GateMatrix(gate.wire_dims, gate.matrix).columns
+    discovered = GateMatrix.from_matrix(gate.wire_dims, gate.matrix).columns
     for f in dataclasses.fields(discovered):
         built, found = getattr(gate.columns, f.name), getattr(discovered, f.name)
         assert built.dtype == found.dtype and np.array_equal(built, found), f.name
@@ -585,6 +597,13 @@ def test_split_route_matches_the_dense_unitary(case):
 
 @pytest.mark.parametrize("call, fragment", [
     pytest.param(lambda: gate_xb(3), "X_B needs at least 4 levels, got 3", id="xb-qutrit"),
+    pytest.param(lambda: gate_xa(2.5), "dimension 2.5 is not an integer", id="xa-dimension-float"),
+    pytest.param(lambda: gate_xa(True), "dimension True is not an integer", id="xa-dimension-bool"),
+    pytest.param(lambda: gate_xa("3"), "dimension '3' is not an integer", id="xa-dimension-string"),
+    pytest.param(lambda: gate_xb(3.5), "dimension 3.5 is not an integer", id="xb-dimension-float"),
+    pytest.param(lambda: gate_h_padded(2.5), "dimension 2.5 is not an integer", id="h-dimension-float"),
+    pytest.param(lambda: standard_gate_builder("swap", (True, 3), (4,)), "swap levels must be integers, got (True, 3)",
+                 id="swap-param-bool"),
     pytest.param(lambda: gate_level_swap(0.5, 1, 3), "level 0.5 is not an integer", id="swap-level-float"),
     pytest.param(lambda: gate_level_swap(True, 0, 3), "level True is not an integer", id="swap-level-bool"),
     pytest.param(lambda: gate_level_swap("a", "a", 3), "level 'a' is not an integer", id="swap-level-string"),
@@ -595,6 +614,10 @@ def test_split_route_matches_the_dense_unitary(case):
     pytest.param(lambda: build_n_ts_circuit(2.5), "control count 2.5 is not an integer", id="circuit-n-float"),
     pytest.param(lambda: oracle_n_toffoli_sign(2, (0.5, 0, 1)), "wire 0: digit 0.5 is not an integer",
                  id="oracle-digit-float"),
+    pytest.param(lambda: oracle_n_toffoli_sign(True, (1, 1)), "control count True is not an integer",
+                 id="oracle-n-bool"),
+    pytest.param(lambda: oracle_n_toffoli_sign(2.0, (1, 0, 1)), "control count 2.0 is not an integer",
+                 id="oracle-n-float"),
     pytest.param(lambda: gate_cs_embedded(1, 2), "controlled-sign needs dimensions >= 2", id="cs-control-dim"),
     pytest.param(lambda: gate_cnot_embedded(2, 1), "controlled-NOT needs dimensions >= 2", id="cnot-target-dim"),
     pytest.param(lambda: verify_decomposition(build_n_ts_circuit(2), oracle_n_toffoli_sign(3, (0, 0, 0, 0)), 3),

@@ -130,9 +130,32 @@ CATALOGUE = (
            ("tests/test_toffoli.py::test_library_gate_columns_match_dense_discovery",
             "tests/test_toffoli.py::test_scaling_and_fidelity")),
     Mutant("table built along rows", QUDITS,
-           "cols, rows = np.nonzero(self.matrix.T)",
-           "cols, rows = np.nonzero(self.matrix)",
+           "cols, rows = np.nonzero(mat.T)",
+           "cols, rows = np.nonzero(mat)",
            ("tests/test_qudits.py::test_monomial_table_rebuilds_a_random_monomial_gate",)),
+    Mutant("scatter reads the table transposed", QUDITS,
+           "mat[self.strides @ self.digits, np.repeat(np.arange(dim), np.diff(self.offsets))] = self.entries",
+           "mat[np.repeat(np.arange(dim), np.diff(self.offsets)), self.strides @ self.digits] = self.entries",
+           ("tests/test_qudits.py::test_a_gate_is_its_table_and_scatters_its_matrix_on_first_read",)),
+    Mutant("rows read as digits unwrapped", QUDITS,
+           "np.unravel_index(rows % math.prod(wire_dims), wire_dims)",
+           "np.unravel_index(rows, wire_dims)",
+           ("tests/test_qudits.py::test_each_guard_is_a_one_line_error[columns-row-range]",)),
+    Mutant("table's found defect not kept", QUDITS,
+           '            table.__dict__["defect"] = defect',
+           "            pass",
+           ("tests/test_qudits.py::test_each_guard_is_a_one_line_error[columns-repeated-row]",
+            "tests/test_qudits.py::test_each_guard_is_a_one_line_error[columns-nan]")),
+    Mutant("column map checked before its table, then again by the table", QUDITS,
+           "        return cls(wd, ColumnTable.from_rows(wd, np.arange(dim + 1), rows, entries))\n",
+           "        if defect := _monomial_defect(rows, entries):\n            raise WireError(defect)\n"
+           "        return cls(wd, ColumnTable.from_rows(wd, np.arange(dim + 1), rows, entries))\n",
+           ("tests/test_qudits.py::test_each_gate_checks_its_table_once_over_a_build_and_its_verification",)),
+    Mutant("gate accepts a table with a defect", QUDITS,
+           "        if self.columns.defect:\n",
+           "        if False:\n",
+           ("tests/test_qudits.py::test_gate_matrix_rejects_non_unitary",
+            "tests/test_qudits.py::test_each_guard_is_a_one_line_error[columns-nan]")),
     Mutant("circuit accepts a step of the wrong arity", QUDITS,
            "            if len(step.wires) != len(step.gate.wire_dims):\n",
            "            if False:\n",
@@ -143,12 +166,15 @@ CATALOGUE = (
             "tests/test_qudits.py::test_each_guard_is_a_one_line_error[dims-string]",
             "tests/test_qudits.py::test_each_guard_is_a_one_line_error[gate-dimension-float]")),
     Mutant("gate wire-dimension check dropped", QUDITS,
-           "wd = _checked_dims(self.wire_dims)",
-           "wd = tuple(int(d) for d in self.wire_dims)",
+           "wd, mat = _checked_dims(wire_dims), np.asarray(matrix, dtype=complex)",
+           "wd, mat = tuple(int(d) for d in wire_dims), np.asarray(matrix, dtype=complex)",
            ("tests/test_qudits.py::test_each_guard_is_a_one_line_error[gate-dimension-0]",
             "tests/test_qudits.py::test_each_guard_is_a_one_line_error[gate-dimension-1]",
-            "tests/test_qudits.py::test_each_guard_is_a_one_line_error[gate-no-wires]",
-            "tests/test_qudits.py::test_each_guard_is_a_one_line_error[columns-dimension-0]")),
+            "tests/test_qudits.py::test_each_guard_is_a_one_line_error[gate-no-wires]")),
+    Mutant("column-map wire-dimension check dropped", QUDITS,
+           "        wd = _checked_dims(wire_dims)\n",
+           "        wd = tuple(int(d) for d in wire_dims)\n",
+           ("tests/test_qudits.py::test_each_guard_is_a_one_line_error[columns-dimension-0]",)),
     Mutant("permutation check dropped", QUDITS,
            "    if set(rows.tolist()) != set(range(rows.size)):\n",
            "    if False:\n",
