@@ -74,13 +74,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 from itertools import permutations, product
 
 import numpy as np
 
-from .qudits import WireDims
+from .qudits import WireDims, _integer, _real
 
 MODE_UNITARY_TOL = 1e-10
 HADAMARD_HWP_ANGLE = math.pi / 8
@@ -90,43 +89,16 @@ class PhotonNumberError(ValueError):
     """Occupations do not conserve the total photon number."""
 
 
-def _index(value, what: str = "mode") -> int:
-    """`value` as an int; a negative or non-integer value, a bool too, is a
-    ValueError.  A plain int skips the slower ABC check."""
-    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)) or value < 0:
-        raise ValueError(f"{what} {value!r} is not a non-negative integer")
-    return int(value)
+_mode = functools.partial(_integer, what="mode", non_negative=True)   # a mode as a non-negative int
 
 
-def _real(name: str, value, unit: bool = False) -> float:
-    """`value` as a float: a finite real number, in [0, 1] if `unit`; a
-    non-number (a bool or a string too), a NaN, an infinity or a value beyond
-    float range is a one-line ValueError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} = {value!r}, expected a number")
-    try:
-        value = float(value)
-    except OverflowError:
-        raise ValueError(f"{name} is beyond float range") from None
-    if unit and not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} = {value} outside [0, 1]")
-    if not math.isfinite(value):
-        raise ValueError(f"{name} = {value} is not finite")
-    return value
-
-
-def _check_element_modes(elements, m: int) -> None:
-    """Every element's modes lie below m, else a ValueError naming the element."""
+def _check_element_modes(elements, m) -> int:
+    """The mode count m as an int, every element's modes below it; else a one-line ValueError."""
+    m = _integer(m, "mode count", non_negative=True)
     for el in elements:
         if max(el.modes) >= m:
             raise ValueError(f"{el!r}: mode {max(el.modes)} out of range for {m} modes")
-
-
-def _check_layout_modes(layout, m: int) -> None:
-    """Every mode of the layout lies below m, else a one-line ValueError."""
-    top = layout.modes.max(initial=-1)
-    if top >= m:
-        raise ValueError(f"layout mode {top} out of range for {m} modes")
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +118,10 @@ class FockBasis:
     """All occupation tuples of m modes holding exactly N photons."""
 
     def __init__(self, m: int, n_photons: int):
-        if isinstance(m, numbers.Integral) and isinstance(n_photons, numbers.Integral) and (m < 1 or n_photons < 0):
+        self.m, self.n_photons = _integer(m, "mode count", non_negative=True), _integer(n_photons, "photon number")
+        if self.m < 1 or self.n_photons < 0:
             raise ValueError(f"bad basis shape m={m}, N={n_photons}")
-        self.m, self.n_photons = _index(m, "mode count"), _index(n_photons, "photon number")
-        self.states: tuple[tuple[int, ...], ...] = tuple(_enumerate_occupations(m, n_photons))
+        self.states: tuple[tuple[int, ...], ...] = tuple(_enumerate_occupations(self.m, self.n_photons))
         self._index = {occ: i for i, occ in enumerate(self.states)}
 
     @property
@@ -157,7 +129,7 @@ class FockBasis:
         return len(self.states)
 
     def index_of(self, occupation) -> int:
-        occ = tuple(map(int, occupation))
+        occ = tuple(_integer(x, "photon number", non_negative=True) for x in occupation)
         if occ not in self._index:
             raise PhotonNumberError(
                 f"occupation {occ} is not a state of {self.m} modes / {self.n_photons} photons")
@@ -192,7 +164,7 @@ class Beamsplitter(OpticalElement):
 
     def __post_init__(self):
         object.__setattr__(self, "eta", _real("reflectivity", self.eta, unit=True))
-        object.__setattr__(self, "modes", tuple(map(_index, self.modes)))
+        object.__setattr__(self, "modes", tuple(map(_mode, self.modes)))
         if self.modes[0] == self.modes[1]:
             raise ValueError("beamsplitter needs two distinct modes")
 
@@ -217,7 +189,7 @@ class HalfWavePlate(OpticalElement):
 
     def __post_init__(self):
         object.__setattr__(self, "theta", _real("theta", self.theta))
-        object.__setattr__(self, "modes", tuple(map(_index, self.modes)))
+        object.__setattr__(self, "modes", tuple(map(_mode, self.modes)))
         if self.modes[0] == self.modes[1]:
             raise ValueError("wave plate needs two distinct modes")
 
@@ -235,8 +207,8 @@ class PolarizingBeamsplitter(OpticalElement):
     path2: tuple[int, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "path1", tuple(map(_index, self.path1)))
-        object.__setattr__(self, "path2", tuple(map(_index, self.path2)))
+        object.__setattr__(self, "path1", tuple(map(_mode, self.path1)))
+        object.__setattr__(self, "path2", tuple(map(_mode, self.path2)))
         if len(set(self.modes)) != 4:
             raise ValueError("polarizing beamsplitter needs four distinct modes")
 
@@ -262,7 +234,7 @@ class CrossKerr(OpticalElement):
 
     def __post_init__(self):
         object.__setattr__(self, "chi", _real("chi", self.chi))
-        object.__setattr__(self, "modes", tuple(map(_index, self.modes)))
+        object.__setattr__(self, "modes", tuple(map(_mode, self.modes)))
         if self.modes[0] == self.modes[1]:
             raise ValueError("cross-Kerr needs two distinct modes")
 
@@ -287,7 +259,7 @@ def single_photon_transfer(elements, m: int) -> np.ndarray:
     participate; a cross-Kerr in the list is an error.  The composition is
     checked unitary as an internal bug guard.
     """
-    _check_element_modes(elements, m)
+    m = _check_element_modes(elements, m)
     mat = np.eye(m, dtype=complex)
     for el in elements:
         if isinstance(el, CrossKerr):
@@ -395,8 +367,8 @@ def permanent_amplitude_oracle(mode_matrix: np.ndarray, in_occupation, out_occup
     if mode_matrix.ndim != 2 or mode_matrix.shape[0] != mode_matrix.shape[1]:
         raise ValueError(f"mode matrix shape {mode_matrix.shape} is not square")
     m = len(mode_matrix)
-    in_occ = tuple(_index(x, "photon number") for x in in_occupation)
-    out_occ = tuple(_index(x, "photon number") for x in out_occupation)
+    in_occ = tuple(_integer(x, "photon number", non_negative=True) for x in in_occupation)
+    out_occ = tuple(_integer(x, "photon number", non_negative=True) for x in out_occupation)
     if len(in_occ) != m or len(out_occ) != m:
         raise ValueError(f"occupations of length {len(in_occ)} and {len(out_occ)} for {m} modes")
     if sum(in_occ) != sum(out_occ):
@@ -425,7 +397,7 @@ class ModeLayout:
     modes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        groups = tuple(tuple(map(_index, g)) for g in self.groups)
+        groups = tuple(tuple(map(_mode, g)) for g in self.groups)
         if not groups:
             raise ValueError("layout needs at least one wire")
         flat = [m for g in groups for m in g]
@@ -530,9 +502,10 @@ def logical_transfer(elements, m: int, layout: ModeLayout) -> np.ndarray:
     is the sum over the N! orderings of those modes (the permanent).  No Fock
     basis or many-photon operator is built."""
     elements = tuple(elements)
-    _check_element_modes(elements, m)
-    _check_layout_modes(layout, m)
+    m = _check_element_modes(elements, m)
     modes = layout.modes
+    if modes.max(initial=-1) >= m:
+        raise ValueError(f"layout mode {modes.max()} out of range for {m} modes")
     n_inputs, n = modes.shape
     tensor = np.zeros((n_inputs,) + (m,) * n, dtype=complex)
     tensor[(np.arange(n_inputs),) + tuple(modes.T)] = 1.0

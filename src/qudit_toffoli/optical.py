@@ -66,11 +66,10 @@ from .fock import (
     ModeLayout,
     PolarizingBeamsplitter,
     VacuumAttenuator,
-    _real,
     logical_transfer,
     single_photon_transfer,
 )
-from .qudits import basis_digits
+from .qudits import _integer, _real, basis_digits
 from .toffoli import build_n_ts_circuit, oracle_n_toffoli_sign
 
 COUPLER_REFLECTIVITY = Fraction(1, 3)
@@ -211,8 +210,9 @@ def deterministic_ts_gate() -> GateRealization:
 
 
 def _checked_cs_success(cs_success) -> Fraction:
-    """`cs_success` as a Fraction; outside (0, 1] it is a ValueError."""
-    cs_success = Fraction(cs_success)
+    """`cs_success` read by `_real`, as a Fraction (exact for a Fraction or an int) in (0, 1]."""
+    value = _real("cs_success", cs_success)
+    cs_success = Fraction(cs_success if isinstance(cs_success, (int, Fraction)) else value)
     if not 0 < cs_success <= 1:
         raise ValueError(f"cs_success must lie in (0, 1], got {cs_success}")
     return cs_success
@@ -420,6 +420,7 @@ def solve_chain_reflectivities(seed: int = 20070, n_starts: int = 16) -> ChainSo
     polish refines feasibility to machine precision without re-targeting any
     published value; non-convergence is reported, not papered over.
     """
+    n_starts = _integer(n_starts, "n_starts")
     if n_starts < 1:
         raise ValueError(f"n_starts must be at least 1, got {n_starts}")
     rng = np.random.default_rng(seed)

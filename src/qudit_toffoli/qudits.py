@@ -33,20 +33,38 @@ PRODUCT_TOL = 1e-10   # accumulated gate products
 
 
 class WireError(ValueError):
-    """A wire index or per-wire digit is out of range."""
+    """A wire, level, count or mode is not an integer, or is out of range."""
 
 
 # ---------------------------------------------------------------------------
-# Register description and indexing
+# Numbers, register description and indexing
 # ---------------------------------------------------------------------------
 
-def _integer(value, what: str, wire: int | None = None) -> int:
-    """`value` as an int; anything but an integer (numpy's count), a bool too,
-    is a WireError naming `what`, and `wire` if given.  A plain int skips the
-    slower ABC check."""
-    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-        raise WireError(f"{'' if wire is None else f'wire {wire}: '}{what} {value!r} is not an integer")
+def _integer(value, what: str, wire: int | None = None, non_negative: bool = False) -> int:
+    """`value` as an int: an integer (numpy's and a whole Fraction count, a bool does not), not negative
+    if `non_negative`; else a one-line WireError naming `what` (and `wire`).  A plain int skips the ABC check."""
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Rational)
+                                   or value.denominator != 1) or non_negative and value < 0:
+        kind = "a non-negative integer" if non_negative else "an integer"
+        raise WireError(f"{'' if wire is None else f'wire {wire}: '}{what} {value!r} is not {kind}")
     return int(value)
+
+
+def _real(name: str, value, unit: bool = False) -> float:
+    """`value` as a float: a finite real number, in [0, 1] if `unit`; a
+    non-number (a bool or a string too), a NaN, an infinity or a value beyond
+    float range is a one-line ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} = {value!r}, expected a number")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is beyond float range") from None
+    if unit and not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} = {value} outside [0, 1]")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} = {value} is not finite")
+    return value
 
 
 def _checked_dims(dims) -> tuple[int, ...]:
@@ -114,7 +132,7 @@ def _monomial_defect(rows: np.ndarray, entries: np.ndarray) -> str:
     return "" if err <= NORM_TOL else f"matrix is not unitary (an entry is {err:.3e} off the unit circle)"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ColumnTable:
     """A gate's nonzeros as lookup arrays over its k wires: local input index
     = strides @ input digits, and input column j holds the nonzeros
@@ -162,7 +180,7 @@ class ColumnTable:
         return mat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GateMatrix:
     """Unitary acting on a (sub)register with the given per-wire dimensions,
     stored as its `columns` table alone; the constructor refuses a table with
@@ -240,7 +258,7 @@ class CircuitDescription:
                 raise WireError(f"step {s}: gate {step.name} acts on {len(step.gate.wire_dims)} "
                                 f"wires, step names {len(step.wires)}")
             for w in step.wires:
-                if not 0 <= _integer(w, f"step {s}: wire") < len(dims):
+                if not 0 <= (w if type(w) is int else _integer(w, f"step {s}: wire")) < len(dims):
                     raise WireError(f"step {s}: wire index {w} out of range for {len(dims)} wires")
             if len(set(step.wires)) != len(step.wires):
                 raise WireError(f"step {s}: repeated wire index in {list(step.wires)}")

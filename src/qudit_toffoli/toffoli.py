@@ -34,6 +34,7 @@ from .qudits import (
     GateStep,
     WireDims,
     WireError,
+    _checked_dims,
     _integer,
     basis_digits,
     basis_index,
@@ -87,7 +88,7 @@ def gate_x_padded(d: int) -> GateMatrix:
 
 def gate_h_padded(d: int) -> GateMatrix:
     """2x2 Hadamard on levels {0,1}, identity on higher levels."""
-    mat = np.eye(_integer(d, "dimension"), dtype=complex)
+    mat = np.eye(_checked_dims((d,))[0], dtype=complex)
     mat[:2, :2] = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     return GateMatrix.from_matrix((d,), mat)
 
@@ -98,7 +99,8 @@ def gate_cs_embedded(dc: int, dt: int) -> GateMatrix:
     Higher target levels are untouched, so acting on a parked amplitude is
     the identity regardless of the control.
     """
-    if _integer(dc, "control dimension") < 2 or _integer(dt, "target dimension") < 2:
+    dc, dt = _integer(dc, "control dimension"), _integer(dt, "target dimension")
+    if dc < 2 or dt < 2:
         raise ValueError("controlled-sign needs dimensions >= 2")
     entries = np.ones(dc * dt)
     entries[1 * dt + 1] = -1.0
@@ -107,7 +109,8 @@ def gate_cs_embedded(dc: int, dt: int) -> GateMatrix:
 
 def gate_cnot_embedded(dc: int, dt: int) -> GateMatrix:
     """X on the target's {0,1} levels iff the control is 1; identity otherwise."""
-    if _integer(dc, "control dimension") < 2 or _integer(dt, "target dimension") < 2:
+    dc, dt = _integer(dc, "control dimension"), _integer(dt, "target dimension")
+    if dc < 2 or dt < 2:
         raise ValueError("controlled-NOT needs dimensions >= 2")
     rows = np.arange(dc * dt)
     rows[dt], rows[dt + 1] = dt + 1, dt  # control 1 (local index dt + t): target levels 0 and 1 swap
@@ -169,7 +172,8 @@ def build_n_ts_circuit(n: int) -> CircuitDescription:
     CNOT(b,c), CS(a,c), CNOT(b,c), X_A(c) on (qubit a, qubit b, qutrit c),
     and |1,1,...,1> for n >= 3.
     """
-    if _integer(n, "control count") < 2:
+    n = _integer(n, "control count")
+    if n < 2:
         raise ValueError(f"need at least 2 controls, got {n}")
     dims = WireDims((2,) * n + (n + 1,))
     target = n
@@ -327,6 +331,7 @@ def verify_decomposition(circ: CircuitDescription, oracle: np.ndarray, n: int) -
     (`_run_qubit_inputs`).  Fidelity is the phase-insensitive process overlap
     |tr(U' O)| / dim: only outputs equal to their input count.  A corrupted
     circuit reports fidelity < 1 rather than raising."""
+    n = _integer(n, "control count")
     dim = 2 ** (n + 1)
     if circ.dims.n_wires != n + 1:
         raise ValueError("circuit / oracle dimensions do not match n")
@@ -380,10 +385,12 @@ def verification_gib(n: int) -> Decimal:
     Six digits with an exponent up to MAX_EMAX, so that any n is estimated
     without building the integer 2^(n+1); past that (n above about 3.3e18)
     the estimate is Infinity."""
+    n = _integer(n, "control count")
     # 2^(n+1) inputs of n+1+16 words, 2^3 bytes a word, 2^30 bytes a GiB
     return _ESTIMATE.multiply(_ESTIMATE.power(2, (n + 1) + 3 - 30), n + 1 + 16)
 
 
 def expected_flipped_component(n: int) -> tuple[int, ...]:
     """Component our construction flips: |1,0,1> for n=2, all-ones for n>=3."""
+    n = _integer(n, "control count")
     return (1, 0, 1) if n == 2 else (1,) * (n + 1)

@@ -50,9 +50,10 @@ REASONS = {
     "fock.PolarizingBeamsplitter.mode_block": "the element's own permutation block",
     "fock.PolarizingBeamsplitter.modes": "the element's mode list, read by the mode check",
     "qudits.WireDims.total_dim": "the register's size, read off its wire dimensions",
+    "qudits._integer": "the number check on a mode count or a photon number; it computes no amplitude",
 }
-SPLITTERS = frozenset({"fock._check_element_modes", "fock.Beamsplitter.mode_block"})
-POLARIZATION = frozenset({"fock._check_element_modes", "fock.HalfWavePlate.mode_block",
+SPLITTERS = frozenset({"fock._check_element_modes", "qudits._integer", "fock.Beamsplitter.mode_block"})
+POLARIZATION = frozenset({"fock._check_element_modes", "qudits._integer", "fock.HalfWavePlate.mode_block",
                           "fock.PolarizingBeamsplitter.mode_block", "fock.PolarizingBeamsplitter.modes"})
 
 
@@ -132,7 +133,7 @@ LEDGER = (
           lambda mode, basis, states: lift_to_fock(mode, basis),
           lambda mode, basis, states: [permanent_amplitude_oracle(mode, occ_in, occ_out)
                                        for occ_in in states for occ_out in states],
-          _lift_inputs, frozenset()),
+          _lift_inputs, frozenset({"qudits._integer"})),
     Route("logical_transfer against the oracle on a qudit layout",
           lambda elements, m, layout, occupations: logical_transfer(elements, m, layout),
           _oracle_on_layout, _qudit_layout_inputs, POLARIZATION | {"fock.Beamsplitter.mode_block"}),

@@ -602,6 +602,7 @@ def test_split_route_matches_the_dense_unitary(case):
     pytest.param(lambda: gate_xa("3"), "dimension '3' is not an integer", id="xa-dimension-string"),
     pytest.param(lambda: gate_xb(3.5), "dimension 3.5 is not an integer", id="xb-dimension-float"),
     pytest.param(lambda: gate_h_padded(2.5), "dimension 2.5 is not an integer", id="h-dimension-float"),
+    pytest.param(lambda: gate_h_padded(1), "wire 0: dimension 1 < 2", id="h-dimension-1"),
     pytest.param(lambda: standard_gate_builder("swap", (True, 3), (4,)), "swap levels must be integers, got (True, 3)",
                  id="swap-param-bool"),
     pytest.param(lambda: gate_level_swap(0.5, 1, 3), "level 0.5 is not an integer", id="swap-level-float"),
@@ -627,3 +628,10 @@ def test_each_guard_is_a_one_line_error(call, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)) as exc:
         call()
     assert "\n" not in str(exc.value)
+
+
+def test_gates_and_circuits_compare_by_identity_as_a_bool():
+    # a gate holds arrays, so it is equal to itself only, and so is a circuit of gates
+    gate, circuit = gate_xa(3), build_n_ts_circuit(2)
+    assert gate == gate and gate.columns == gate.columns and circuit == circuit
+    assert (gate == gate_xa(3)) is False and (circuit == build_n_ts_circuit(2)) is False

@@ -381,16 +381,26 @@ CATALOGUE = (
            "    if args.out is not None:\n",
            "    if args.out:\n",
            ("tests/test_cli.py::test_directory_path_is_one_line_usage_error[argv5]",)),
-    Mutant("an unreached helper in fock", FOCK,
+    Mutant("an unreached helper in qudits", QUDITS,
            "def _real(name: str, value, unit: bool = False) -> float:\n",
            "def _unreached_helper():\n    return None\n\n\ndef _real(name: str, value, unit: bool = False) -> float:\n",
            ("tests/test_reach.py::test_every_src_function_is_reached_by_a_command_or_listed",)),
-    Mutant("_real accepts a string", FOCK,
+    Mutant("_real accepts a string", QUDITS,
            "if isinstance(value, bool) or not isinstance(value, numbers.Real):",
            "if isinstance(value, bool):",
            ("tests/test_cli.py::test_bad_params_file_is_one_line_usage_error[reflectivity-string-command0]",
             "tests/test_cli.py::test_bad_params_file_is_one_line_usage_error[reflectivity-string-command1]",
-            "tests/test_fock.py::test_each_guard_is_a_one_line_error[kerr-string]")),
+            "tests/test_fock.py::test_each_guard_is_a_one_line_error[kerr-string]",
+            "tests/test_numbers.py::test_a_hostile_value_is_refused_in_one_line_or_read_as_its_plain_equal")),
+    Mutant("non-negative flag ignored", QUDITS,
+           " or non_negative and value < 0:",
+           ":",
+           ("tests/test_numbers.py::test_a_hostile_value_is_refused_in_one_line_or_read_as_its_plain_equal",
+            "tests/test_fock.py::test_oracle_refuses_a_malformed_matrix_or_occupation[negative-count]")),
+    Mutant("bool accepted as cs_success", OPTICAL,
+           'value = _real("cs_success", cs_success)',
+           'value = _real("cs_success", int(cs_success) if isinstance(cs_success, bool) else cs_success)',
+           ("tests/test_numbers.py::test_a_hostile_value_is_refused_in_one_line_or_read_as_its_plain_equal",)),
 )
 
 
